@@ -1,30 +1,29 @@
-"""E11c — Chained-network recycling: eviction-policy ablation.
+"""E11c — Chained-network recycling: recycler on vs off.
 
 A three-stage chained query network (Figure 3 composed twice):
 ``sensors`` is filtered into output basket ``hot``, ``hot`` into
 ``alerts``, and a fleet of standing queries consumes ``alerts``. Two
 claims to measure:
 
-* **fingerprint flow across stage boundaries** — each upstream firing's
-  emit payload is adopted by the recycler under its output-basket oid
+* **sharing across stage boundaries** — each upstream firing's emit
+  payload is adopted by the recycler under its output-basket oid
   range, so every downstream scan of that range is a cache hit
   (``chain_hits``), never a re-materialization;
-* **benefit-density eviction** under a tight byte budget: the fleet
-  interleaves duplicated aggregates (tiny, relatively costly, reused by
-  their twins later in the same cascade round) with one-shot selects
-  (large candidate/projection intermediates, cheap per byte). Benefit
-  density (cost × reuses / bytes) keeps the aggregate states resident
-  through the churn; plain LRU ages them out before their twins re-ask.
+* **a starved budget tunes itself out**: the fleet interleaves
+  duplicated aggregates (tiny, relatively costly, reused by their
+  twins later in the same cascade round) with one-shot selects (large
+  candidate/projection intermediates, cheap per byte), and the engine
+  starts from an 8 KB budget that cannot hold one round's churn. The
+  autotuner must grow it until recycler-on is no slower than off.
 
-The ablation runs the same fleet with the recycler off, with ``lru``
-eviction and with ``benefit`` eviction at 8/16/32 standing queries and
-archives busy time, hit rates and chain counters (``BENCH_E11.json``).
-Emitted results are asserted byte-identical across all three runs.
+The run compares recycler off and on at 8/16/32 standing queries and
+archives busy time, hit rate and chain counters (``BENCH_E11.json``).
+Emitted results are asserted byte-identical across the two runs.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from benchmarks.workloads import SENSOR_DDL, drive
 from repro.bench.harness import ResultTable
@@ -34,8 +33,8 @@ from repro.streams.generators import sensor_rows
 N_ROWS = 20_000
 RATE = 200_000.0          # ~200-row bursts per simulated-clock step
 QUERY_COUNTS = [8, 16, 32]
-# tight on purpose: one cascade round's churn of select intermediates
-# must overflow the cache so the policies actually have to choose
+# starved on purpose: one cascade round's churn of select
+# intermediates overflows the cache until the autotuner grows it
 BUDGET_BYTES = 8 << 10
 
 AGG_SQL = ("SELECT room, count(*), sum(temperature), avg(humidity) "
@@ -75,35 +74,26 @@ def build_chain(engine: DataCellEngine, n_queries: int) -> List[str]:
     return names
 
 
-def run_chain(policy: Optional[str], n_queries: int,
-              nrows: int = N_ROWS, autotune: bool = False
+def run_chain(recycler: bool, n_queries: int, nrows: int = N_ROWS
               ) -> Tuple[DataCellEngine, List[str], float]:
-    """One full run; ``policy=None`` disables the recycler.
-
-    ``autotune=True`` keeps the same deliberately starved starting
-    budget but lets the autotuner grow it out of the thrash — the
-    configuration the recycler-on-vs-off acceptance gate runs."""
-    engine = DataCellEngine(
-        recycler_enabled=policy is not None,
-        recycler_policy=policy or "benefit",
-        recycler_budget_bytes=BUDGET_BYTES,
-        recycler_autotune=autotune)
+    """One full run with the recycler on (from the starved budget) or
+    off."""
+    engine = DataCellEngine(recycler_enabled=recycler,
+                            recycler_budget_bytes=BUDGET_BYTES)
     names = build_chain(engine, n_queries)
     drive(engine, "sensors", sensor_rows(nrows), rate=RATE)
     busy = sum(f.busy_seconds for f in engine.scheduler.factories)
     return engine, names, busy
 
 
-def _best(policy: Optional[str], n_queries: int, nrows: int,
-          repeats: int = 3, autotune: bool = False
+def _best(recycler: bool, n_queries: int, nrows: int, repeats: int = 3
           ) -> Tuple[DataCellEngine, List[str], float]:
     """Best-of-*repeats* busy time (min is the noise-robust estimator
     for CPU-bound work) plus the last run's engine."""
     best = float("inf")
     engine = names = None
     for _ in range(repeats):
-        engine, names, busy = run_chain(policy, n_queries, nrows,
-                                        autotune=autotune)
+        engine, names, busy = run_chain(recycler, n_queries, nrows)
         best = min(best, busy)
     return engine, names, best
 
@@ -120,27 +110,18 @@ def hit_rate(stats: dict) -> float:
 
 def run_experiment(nrows: int = N_ROWS, repeats: int = 3) -> ResultTable:
     table = ResultTable(
-        f"E11c: chained-network recycling, eviction-policy ablation "
-        f"({nrows} tuples, 3 stages, budget={BUDGET_BYTES}B, "
-        f"autotuned column grows from that budget)",
-        ["queries", "busy_off_ms", "busy_lru_ms", "busy_benefit_ms",
-         "busy_autotuned_ms", "hitrate_lru", "hitrate_benefit",
-         "chain_hits_benefit", "evictions_benefit", "budget_grows"])
+        f"E11c: chained-network recycling, on vs off "
+        f"({nrows} tuples, 3 stages, budget grows from "
+        f"{BUDGET_BYTES}B)",
+        ["queries", "busy_off_ms", "busy_on_ms", "hitrate",
+         "chain_hits", "evictions", "budget_grows"])
     for n in QUERY_COUNTS:
-        _off, _names, busy_off = _best(None, n, nrows, repeats)
-        lru_engine, _names, busy_lru = _best("lru", n, nrows, repeats)
-        ben_engine, _names, busy_ben = _best("benefit", n, nrows,
-                                             repeats)
-        auto_engine, _names, busy_auto = _best("benefit", n, nrows,
-                                               repeats, autotune=True)
-        lru = lru_engine.recycler.stats()
-        ben = ben_engine.recycler.stats()
-        auto = auto_engine.recycler.stats()
-        table.add(n, busy_off * 1000, busy_lru * 1000, busy_ben * 1000,
-                  busy_auto * 1000,
-                  round(hit_rate(lru), 4), round(hit_rate(ben), 4),
-                  ben["chain_hits"], ben["evictions"],
-                  auto["budget_grows"])
+        _off, _names, busy_off = _best(False, n, nrows, repeats)
+        engine, _names, busy_on = _best(True, n, nrows, repeats)
+        stats = engine.recycler.stats()
+        table.add(n, busy_off * 1000, busy_on * 1000,
+                  round(hit_rate(stats), 4), stats["chain_hits"],
+                  stats["evictions"], stats["budget_grows"])
     return table
 
 
@@ -151,7 +132,7 @@ def test_e11_stage_boundary_is_a_cache_hit():
     """Every downstream stage's scan of an output basket resolves to
     the upstream emit payload: chain hits registered, zero slice
     misses beyond the leaf stream for the spine stages."""
-    engine, _names, _busy = run_chain("benefit", 8, nrows=6000)
+    engine, _names, _busy = run_chain(True, 8, nrows=6000)
     stats = engine.recycler.stats()
     assert stats["chain_stamped"] > 0
     assert stats["chain_hits"] > 0
@@ -160,27 +141,24 @@ def test_e11_stage_boundary_is_a_cache_hit():
     assert engine.basket("alerts").total_in > 0
 
 
-def test_e11_policies_emit_identical_results():
-    off_engine, names, _b = run_chain(None, 16, nrows=6000)
-    lru_engine, _n, _b = run_chain("lru", 16, nrows=6000)
-    ben_engine, _n, _b = run_chain("benefit", 16, nrows=6000)
+def test_e11_on_and_off_emit_identical_results():
+    off_engine, names, _b = run_chain(False, 16, nrows=6000)
+    on_engine, _n, _b = run_chain(True, 16, nrows=6000)
     for name in names:
-        rows = off_engine.results(name).rows()
-        assert lru_engine.results(name).rows() == rows
-        assert ben_engine.results(name).rows() == rows
+        assert on_engine.results(name).rows() \
+            == off_engine.results(name).rows()
 
 
-def test_e11_autotuned_recycler_not_slower_than_off():
-    """The E11c acceptance bar: starting from the same starved budget
-    the policy ablation uses, the autotuner must grow the cache out of
+def test_e11_recycler_not_slower_than_off():
+    """The E11c acceptance bar: starting from a budget too small to
+    hold one cascade round, the autotuner must grow the cache out of
     its thrash so recycler-on busy time does not exceed recycler-off.
     Runs are paired back-to-back and gated on the best pair, which
     cancels the box-load drift that independent best-of-N cannot."""
     best = None
     for _ in range(3):
-        _e, _n, off = run_chain(None, 16, nrows=8000)
-        engine, _n, on = run_chain("benefit", 16, nrows=8000,
-                                   autotune=True)
+        _e, _n, off = run_chain(False, 16, nrows=8000)
+        engine, _n, on = run_chain(True, 16, nrows=8000)
         ratio = on / off if off else 0.0
         if best is None or ratio < best[0]:
             best = (ratio, engine)
@@ -188,21 +166,4 @@ def test_e11_autotuned_recycler_not_slower_than_off():
     stats = engine.recycler.stats()
     assert stats["budget_grows"] >= 1, stats
     assert ratio <= 1.0, \
-        f"autotuned recycler-on {ratio:.3f}x recycler-off busy time"
-
-
-def test_e11_benefit_hit_rate_at_least_lru():
-    """The tentpole claim: under budget pressure on the chained fleet,
-    benefit-density eviction serves at least as many lookups from
-    cache as plain LRU (it keeps the tiny/costly/reused aggregate
-    states and sheds the one-shot select intermediates instead)."""
-    lru_engine, _n, _b = run_chain("lru", 16, nrows=6000)
-    ben_engine, _n, _b = run_chain("benefit", 16, nrows=6000)
-    lru = lru_engine.recycler.stats()
-    ben = ben_engine.recycler.stats()
-    assert lru["evictions"] > 0 and ben["evictions"] > 0, \
-        "budget too loose: no eviction pressure, ablation is vacuous"
-    assert ben["chain_hits"] > 0
-    assert hit_rate(ben) >= hit_rate(lru), \
-        (f"benefit hit rate {hit_rate(ben):.4f} below "
-         f"lru {hit_rate(lru):.4f}")
+        f"recycler-on {ratio:.3f}x recycler-off busy time"

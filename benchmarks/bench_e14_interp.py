@@ -28,8 +28,6 @@ dominates the numpy kernel time. Two tables:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.bench.harness import ResultTable, speedup
 from repro.core.engine import DataCellEngine
 from repro.mal.compiler import compile_stats

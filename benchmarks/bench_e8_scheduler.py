@@ -1,36 +1,23 @@
-"""E8 — Scheduler time constraints and parallel firing.
+"""E8 — Scheduler time constraints.
 
-Two experiments share this module:
-
-* **Batching sweep** (paper §3: "the scheduler manages the time
-  constraints attached to event handling, which leads to possibly
-  delaying events in their baskets for some time"): a plain
-  (unwindowed) filter query with the batching knobs swept —
-  ``min_batch`` tuples per firing, bounded by ``max_delay_ms``.
-  Expected trade-off: larger batches amortize per-firing overhead
-  (lower cost per tuple) at the price of higher result latency.
-
-* **Parallel ablation** (``--parallel-ablation``): the E2 32-query
-  filter fleet run serially and with ``parallel_workers=4``. The
-  emitted result logs are asserted byte-identical before any timing is
-  reported — the worker pool is an execution strategy, not a semantics
-  change. On a multi-core box the fleet is one wide conflict-free wave
-  per round, so wall-clock should drop roughly with core count.
+Paper §3: "the scheduler manages the time constraints attached to event
+handling, which leads to possibly delaying events in their baskets for
+some time". A plain (unwindowed) filter query with the batching knobs
+swept — ``min_batch`` tuples per firing, bounded by ``max_delay_ms``.
+Expected trade-off: larger batches amortize per-firing overhead (lower
+cost per tuple) at the price of higher result latency.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-import time
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
-from benchmarks.workloads import drive, sensor_engine
 from repro.bench.harness import ResultTable
 from repro.core.engine import DataCellEngine
 from repro.streams.generators import sensor_rows
@@ -120,100 +107,8 @@ def test_e8_batch_throughput(benchmark, batch):
     benchmark(lambda: run_batched(batch))
 
 
-# -- parallel ablation -----------------------------------------------------
-
-PAR_QUERIES = 32
-PAR_WORKERS = 4
-PAR_ROWS = 40_000
-# ingest in large bursts so each firing filters a big batch (numpy
-# kernels release the GIL; tiny batches would measure interpreter
-# overhead that the pool cannot parallelize)
-PAR_RATE = 10_000_000.0
-
-
-def run_parallel_fleet(workers: int, nrows: int = PAR_ROWS,
-                       n_queries: int = PAR_QUERIES):
-    """The E2 fleet under one scheduler mode: wall-clock + emissions."""
-    engine, rows = sensor_engine(nrows, parallel_workers=workers)
-    try:
-        for i in range(n_queries):
-            engine.register_continuous(
-                f"SELECT sensor_id, temperature FROM sensors "
-                f"WHERE temperature > {15 + (i % 10)}", name=f"q{i}")
-        start = time.perf_counter()
-        drive(engine, "sensors", rows, rate=PAR_RATE)
-        elapsed = time.perf_counter() - start
-        emitted = {f"q{i}": [(t, rel.to_rows()) for t, rel in
-                             engine.results(f"q{i}").batches]
-                   for i in range(n_queries)}
-        return elapsed, emitted, engine.scheduler.parallel_stats()
-    finally:
-        engine.close()
-
-
-def run_parallel_ablation(nrows: int = PAR_ROWS,
-                          workers: int = PAR_WORKERS,
-                          repeats: int = 3) -> ResultTable:
-    """Serial vs worker-pool wall clock; results asserted identical.
-
-    The equivalence check is part of the benchmark (not eyeballed):
-    any divergence between the serial and parallel emission logs —
-    firing times or row payloads — raises before a number is printed.
-    """
-    serial_s = parallel_s = None
-    serial_out = parallel_out = pstats = None
-    for _ in range(repeats):  # best-of-N, the noise-robust estimator
-        s, out, _stats = run_parallel_fleet(1, nrows)
-        if serial_s is None or s < serial_s:
-            serial_s = s
-        serial_out = out
-        p, pout, stats = run_parallel_fleet(workers, nrows)
-        if parallel_s is None or p < parallel_s:
-            parallel_s = p
-        parallel_out, pstats = pout, stats
-    if parallel_out != serial_out:
-        raise AssertionError(
-            "parallel mode diverged from serial emission log — the "
-            "worker pool must be byte-identical to the serial cascade")
-    speedup = serial_s / parallel_s if parallel_s else 0.0
-    table = ResultTable(
-        f"E8: parallel ablation ({PAR_QUERIES} filter queries, "
-        f"{nrows} tuples, results byte-identical, "
-        f"{os.cpu_count()} cores)",
-        ["mode", "wall_s", "ktuples_per_s", "speedup",
-         "max_wave_width", "parallel_fires"])
-    table.add("serial", serial_s, nrows / serial_s / 1e3, 1.0, 1, 0)
-    table.add(f"pool[{workers}]", parallel_s,
-              nrows / parallel_s / 1e3, speedup,
-              pstats["max_wave_width"], pstats["parallel_fires"])
-    return table
-
-
-def test_e8_parallel_equivalence():
-    table = run_parallel_ablation(nrows=8_000, repeats=1)
-    table.show()
-    rows = table.as_dicts()
-    # the fleet reads one shared basket and writes none of them: all 32
-    # factories are conflict-free and share every wave
-    assert rows[1]["max_wave_width"] == PAR_QUERIES
-    assert rows[1]["parallel_fires"] > 0
-    # the ≥1.5x acceptance bar only means something with real cores
-    if (os.cpu_count() or 1) >= 4:
-        assert rows[1]["speedup"] >= 1.5
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--parallel-ablation", action="store_true",
-                        help="run the serial vs worker-pool ablation")
-    parser.add_argument("--rows", type=int, default=None,
-                        help="override the tuple count")
-    args = parser.parse_args(argv)
-    if args.parallel_ablation:
-        table = run_parallel_ablation(nrows=args.rows or PAR_ROWS)
-    else:
-        table = run_experiment()
-    print(table.render())
+def main() -> int:
+    print(run_experiment().render())
     return 0
 
 

@@ -5,10 +5,9 @@ Usage::
     python benchmarks/bench_smoke.py [--quick] [--outdir DIR]
 
 Runs the experiments the stacked PRs track for regressions — E2
-(standing-query scaling + recycler on/off ablation), E8 (serial vs
-worker-pool parallel ablation), E9 (basket ingest/retention
-mechanics), E10n (network-edge loopback throughput), E11c
-(chained-network recycling, eviction-policy ablation), E13
+(standing-query scaling + recycler on/off ablation), E9 (basket
+ingest/retention mechanics), E10n (network-edge loopback throughput),
+E11c (chained-network recycling, recycler on/off), E13
 (Z-set delta execution vs incremental vs re-evaluation), E14
 (interpreted vs slot-compiled per-fire overhead, recycler admission
 ablation), E15 (durable-log ingest throughput by write discipline,
@@ -16,7 +15,7 @@ cold-start recovery time), E16 (paged from_start replay over
 log-resident history, retention truncation under live queries) and
 E17 (Postgres front-end round-trip latency vs the framed protocol,
 idle pg tail subscribers on the shared asyncio core) — and writes
-``BENCH_E2.json``, ``BENCH_E8.json``, ``BENCH_E9.json``,
+``BENCH_E2.json``, ``BENCH_E9.json``,
 ``BENCH_E10.json``, ``BENCH_E11.json``, ``BENCH_E13.json``,
 ``BENCH_E14.json``, ``BENCH_E15.json``, ``BENCH_E16.json`` and
 ``BENCH_E17.json`` to the repo root (or ``--outdir``). CI runs ``--quick`` so drift is caught
@@ -33,7 +32,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
-from benchmarks import (bench_e2_multiquery, bench_e8_scheduler,
+from benchmarks import (bench_e2_multiquery,
                         bench_e9_baskets, bench_e10_net,
                         bench_e11_chain, bench_e13_delta,
                         bench_e14_interp, bench_e15_durability,
@@ -48,13 +47,6 @@ def run_e2(quick: bool):
     scaling = bench_e2_multiquery.run_experiment()
     ablation = bench_e2_multiquery.run_recycler_experiment(nrows)
     return [scaling, ablation]
-
-
-def run_e8(quick: bool):
-    nrows = 8_000 if quick else bench_e8_scheduler.PAR_ROWS
-    repeats = 1 if quick else 3
-    return [bench_e8_scheduler.run_parallel_ablation(
-        nrows=nrows, repeats=repeats)]
 
 
 def run_e9(quick: bool):
@@ -127,7 +119,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     for name, runner in (("BENCH_E2.json", run_e2),
-                         ("BENCH_E8.json", run_e8),
                          ("BENCH_E9.json", run_e9),
                          ("BENCH_E10.json", run_e10),
                          ("BENCH_E11.json", run_e11),

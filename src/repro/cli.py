@@ -31,7 +31,7 @@ runtime:
 ``.net``           the network-edge pane (per-connection counters)
 ``.pg``            the Postgres front-end pane (per-session counters)
 ``.recycler``      shared-work cache counters (hits/misses/evictions,
-                   policy, chain stamps/hits, bytes & ms saved)
+                   chain adoptions/hits, bytes & ms saved)
 ``.interp``        plan-execution pane (slot-compiler counters,
                    per-opcode profile, autotuner budget trajectory)
 ``.log``           durability pane (per-stream log segments, durable
@@ -39,7 +39,7 @@ runtime:
                    ``retention`` line per stream: floor, retained
                    bytes, truncations, paged-window reads)
 ``.checkpoint``    force a checkpoint now (durable engines)
-``.scheduler``     worker-pool / wave counters and failure totals
+``.scheduler``     step/fire counters and failure totals
 ``.queries``       list standing queries
 ``.help / .quit``
 =================  ====================================================
@@ -246,7 +246,7 @@ class DataCellShell:
     def _cmd_recycler(self, arg: str) -> None:
         stats = self.engine.recycler.stats()
         state = "on" if stats["enabled"] else "off"
-        self._print(f"recycler [{state}] policy={stats['policy']}:")
+        self._print(f"recycler [{state}]:")
         for key in ("hits", "misses", "slice_hits", "slice_misses",
                     "chain_stamped", "chain_hits", "bytes_saved",
                     "cost_saved_ms", "evictions", "invalidations",
@@ -272,12 +272,9 @@ class DataCellShell:
 
     def _cmd_scheduler(self, arg: str) -> None:
         sched = self.engine.scheduler
-        mode = "parallel" if sched.parallel_workers > 1 else "serial"
-        self._print(f"scheduler [{mode}]:")
+        self._print("scheduler:")
         self._print(f"  steps: {sched.steps}")
         self._print(f"  total_fired: {sched.total_fired}")
-        for key, value in sched.parallel_stats().items():
-            self._print(f"  {key}: {value}")
         self._print(f"  failed_total: {sched.failed_total}")
         for exc in sched.failed:
             self._print(f"    {exc}")
@@ -290,23 +287,6 @@ class DataCellShell:
             self._print(f"  {query.name} [{query.mode}] "
                         f"fires={query.factory.fires}: "
                         f"{query.sql_text}")
-
-    def _cmd_save(self, arg: str) -> None:
-        if not arg:
-            self._print("usage: .save <directory>")
-            return
-        self.engine.save(arg)
-        self._print(f"saved engine state to {arg!r}")
-
-    def _cmd_restore(self, arg: str) -> None:
-        if not arg:
-            self._print("usage: .restore <directory>")
-            return
-        from repro.core.engine import DataCellEngine
-
-        self.engine = DataCellEngine.restore(arg)
-        self._print(f"restored engine from {arg!r} "
-                    f"({len(self.engine.queries())} standing queries)")
 
     def _cmd_sample(self, arg: str) -> None:
         snap = self.engine.monitor.sample()

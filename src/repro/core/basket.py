@@ -12,17 +12,13 @@ window bookkeeping survives draining. Each standing query registers a
 :class:`Subscription`; :meth:`Basket.vacuum` deletes the prefix that
 every subscription has released.
 
-Concurrency contract (audited for the scheduler's parallel firing
-waves): every structural mutation — append, vacuum, subscribe — and
-every read that derives positions from ``first_oid`` holds the basket
-lock, so threaded receptors and concurrent factory reads interleave
-safely. A :class:`Subscription`'s cursors are single-writer (only the
+Concurrency contract: every structural mutation — append, vacuum,
+subscribe — and every read that derives positions from ``first_oid``
+holds the basket lock, so network/live receptor threads, the shell and
+the scheduler thread interleave safely. A :class:`Subscription`'s cursors are single-writer (only the
 owning factory advances them, under its firing lock); vacuum merely
 *reads* ``released_upto``, and a stale read is safe — it can only make
 vacuum drop less than it could, never tuples a subscriber still needs.
-The parallel scheduler additionally guarantees a basket is never
-appended to (output-basket writer) concurrently with a factory reading
-it: such factories conflict and are fired in separate waves.
 """
 
 from __future__ import annotations
@@ -80,10 +76,6 @@ class Basket:
                                       for c in schema.columns}
         self._arrival = BAT(dt.TIMESTAMP)
         self._subs: Dict[str, Subscription] = {}
-        # per-range provenance stamps for chained output baskets:
-        # (lo_oid, hi_oid, emit fingerprint) per producer append —
-        # trimmed by vacuum once a range is entirely dropped
-        self._stamps: List[Tuple[int, int, str]] = []
         self._lock = threading.RLock()
         self._pins = 0
         self.locked_by: Optional[str] = None
@@ -149,15 +141,19 @@ class Basket:
             self._log_and_tap(lo, staged, arrival, now)
         return len(rows)
 
-    def append_relation(self, rel: Relation, now: int) -> int:
+    def append_relation(self, rel: Relation, now: int
+                        ) -> Tuple[int, int]:
+        """Append *rel*; returns the appended oid range ``(lo, hi)``
+        (read under the same lock hold as the append, so a concurrent
+        appender cannot interleave between them)."""
         if rel.names != self.schema.names:
             rel = rel.renamed(self.schema.names)
         n = rel.row_count
-        if n == 0:
-            return 0
         arrival = np.full(n, now, dtype=np.int64)
         with self._lock:
             lo = self.next_oid
+            if n == 0:
+                return lo, lo
             for coldef in self.schema.columns:
                 self._bats[coldef.name].append_bat(rel.column(coldef.name))
             self._arrival.extend(arrival)
@@ -166,41 +162,7 @@ class Basket:
             self._log_and_tap(
                 lo, [rel.column(c.name).values
                      for c in self.schema.columns], arrival, now)
-        return n
-
-    def append_stamped(self, rel: Relation, now: int,
-                       fp: Optional[str]) -> Tuple[int, int]:
-        """Append *rel* and stamp the new oid range with emit
-        fingerprint *fp*; returns the appended ``(lo, hi)``.
-
-        The chained-network path: an ``output_stream``
-        :class:`~repro.core.emitter.BasketSink` appends each firing's
-        payload through here so the range carries the producing plan's
-        provenance, and the recycler can resolve a downstream stage's
-        scan of exactly this range to the emitted payload. Append and
-        stamp happen under one lock hold so a concurrent appender
-        cannot interleave between them.
-        """
-        with self._lock:
-            lo = self.next_oid
-            n = self.append_relation(rel, now)
-            hi = lo + n
-            if n and fp is not None:
-                self._stamps.append((lo, hi, fp))
-            return lo, hi
-
-    def range_stamp(self, lo_oid: int, hi_oid: int) -> Optional[str]:
-        """The emit fingerprint stamped on exactly ``[lo_oid,
-        hi_oid)``, or None when the range was not a stamped append."""
-        with self._lock:
-            for lo, hi, fp in reversed(self._stamps):
-                if lo == lo_oid and hi == hi_oid:
-                    return fp
-            return None
-
-    def range_stamps(self) -> List[Tuple[int, int, str]]:
-        with self._lock:
-            return list(self._stamps)
+        return lo, lo + n
 
     # -- durability & taps -------------------------------------------------
 
@@ -264,12 +226,6 @@ class Basket:
                     f"basket at {hi}")
         for tap in self._taps:
             tap(lo, hi, now)
-
-    def durable_upto(self) -> int:
-        """Oid below which tuples are persisted (``next_oid`` when the
-        basket has no log — everything is as durable as it gets)."""
-        log = self._log
-        return self.next_oid if log is None else log.durable_offset
 
     # -- recovery adoption -------------------------------------------------
 
@@ -563,18 +519,13 @@ class Basket:
                 bat.delete_head(drop)
             self._arrival.delete_head(drop)
             self.total_dropped += drop
-            if self._stamps:
-                # stamps whose range is entirely vacuumed can never be
-                # resolved again
-                self._stamps = [s for s in self._stamps
-                                if s[1] > self.first_oid]
             return drop
 
     # -- locking (factories bracket plan bodies with these) -------------------------
-    # a *shared* pin latch, not an exclusive hold: concurrently firing
-    # factories all read immutable materialized slices, so excluding
-    # each other would serialize the scheduler's parallel waves for no
-    # correctness gain. Pinning only defers vacuum (the one structural
+    # a *shared* pin latch, not an exclusive hold: factories fired
+    # from different threads (scheduler, live mode, shell) all read
+    # immutable materialized slices, so excluding each other buys no
+    # correctness. Pinning only defers vacuum (the one structural
     # change that shifts positions); appends stay safe because slices
     # snapshot the oid range before the plan body runs.
 
@@ -594,8 +545,7 @@ class Basket:
             return {"size": len(self), "total_in": self.total_in,
                     "total_dropped": self.total_dropped,
                     "high_water": self.high_water,
-                    "subscribers": len(self._subs),
-                    "stamps": len(self._stamps)}
+                    "subscribers": len(self._subs)}
 
     def __repr__(self) -> str:
         return (f"Basket({self.name}, size={len(self)}, "

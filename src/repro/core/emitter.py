@@ -17,6 +17,12 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.mal.relation import Relation
 
 
+# ring bound a server applies to every query's built-in CollectingSink
+# unless told otherwise (a long-running deployment must not hoard
+# history)
+SERVED_MAX_BATCHES = 1024
+
+
 class Sink:
     """Receives one result relation per factory firing."""
 
@@ -103,36 +109,27 @@ class BasketSink(Sink):
     pick it up. This is what makes multi-stage query networks
     (Figure 3) composable.
 
-    With a producer bound (:meth:`bind_producer`), each appended oid
-    range is stamped with the producing plan's emit fingerprint and —
-    when a recycler is attached — the payload is adopted as the shared
-    window slice for exactly that range, so a downstream stage's scan
-    of the output basket is a cache hit instead of a
-    re-materialization (fingerprint flow across the stage boundary).
+    With a recycler attached, each appended payload is adopted as the
+    shared window slice for exactly its oid range, so a downstream
+    stage's scan of the output basket is a cache hit instead of a
+    re-materialization.
     """
 
     def __init__(self, basket, recycler=None):
         self.basket = basket
         self.recycler = recycler
         self._producer = None
-        self.stamped_ranges = 0
 
     def bind_producer(self, factory) -> None:
         """Attach the factory whose firings feed this sink; its
-        :meth:`~repro.core.factory.Factory.emit_stamp` provides the
-        per-firing fingerprint (None disables stamping)."""
+        ``last_eval_ms`` is the recompute cost adopted slices carry."""
         self._producer = factory
 
     def deliver(self, result: Relation, now: int) -> None:
-        fp = self._producer.emit_stamp() \
-            if self._producer is not None else None
-        if fp is None:
-            self.basket.append_relation(result, now)
-            return
         schema = self.basket.schema
         if result.names != schema.names:
             result = result.renamed(schema.names)
-        lo, hi = self.basket.append_stamped(result, now, fp)
+        lo, hi = self.basket.append_relation(result, now)
         if self.recycler is None or hi <= lo:
             return
         # only adopt when the payload is exactly what relation(lo, hi)
@@ -140,10 +137,10 @@ class BasketSink(Sink):
         # coerced on append and the payload no longer matches
         if all(result.column(c.name).dtype == c.dtype
                for c in schema.columns):
-            self.stamped_ranges += 1
             self.recycler.adopt_slice(
-                self.basket.name, lo, hi, result, fp,
-                cost_ms=self._producer.last_eval_ms)
+                self.basket.name, lo, hi, result,
+                cost_ms=self._producer.last_eval_ms
+                if self._producer is not None else 0.0)
 
 
 class QueueSink(Sink):
@@ -292,7 +289,7 @@ class Emitter:
 
     Sink registration is thread-safe: the network edge attaches and
     detaches subscriber sinks from connection threads while the
-    scheduler (or a parallel worker) is delivering.
+    scheduler is delivering.
     """
 
     def __init__(self, name: str):

@@ -43,8 +43,7 @@ from repro.errors import (BindError, CatalogError, ReplayGap, StoreError,
                           StreamError)
 from repro.mal.bat import BAT
 from repro.mal.compiler import compile_plan
-from repro.mal.fingerprint import (cached_program_fingerprint,
-                                   fingerprint_cache_stats)
+from repro.mal.fingerprint import fingerprint_cache_stats
 from repro.mal.interpreter import MALContext, MALInterpreter
 from repro.mal.program import MALProgram
 from repro.mal.relation import Relation
@@ -85,7 +84,7 @@ class ContinuousQuery:
         self.incremental_analysis = incremental_analysis
         # name of the output-basket stream, when results are chained
         self.output_stream: Optional[str] = None
-        # registration knobs, kept for snapshot round-trips
+        # registration knobs, kept for checkpoint round-trips
         self.knobs: Dict[str, Any] = {}
 
     def __repr__(self) -> str:
@@ -99,11 +98,6 @@ class DataCellEngine:
                  recycler_enabled: bool = True,
                  recycler_budget_bytes: int = DEFAULT_BUDGET_BYTES,
                  recycler_verify: bool = False,
-                 recycler_policy: str = "benefit",
-                 recycler_min_cost_ms: float = 0.0,
-                 recycler_autotune: bool = False,
-                 recycler_autotune_ceiling: Optional[int] = None,
-                 parallel_workers: Optional[int] = None,
                  compile_plans: bool = True,
                  interp_profile: bool = False,
                  data_dir: Optional[str] = None,
@@ -113,35 +107,25 @@ class DataCellEngine:
                  log_inline: bool = False,
                  retain_ms: Optional[int] = None,
                  retain_bytes: Optional[int] = None):
-        """``parallel_workers`` sizes the scheduler's firing pool:
-        ``None``/``1`` (default) keeps the serial cascade — the
-        deterministic path every SimulatedClock run gets unless
-        parallelism is explicitly requested — ``0`` or ``"auto"`` uses
-        one worker per core, any other int is a literal thread count.
-        Emitted results are byte-identical either way.
-
-        ``recycler_policy`` selects the cache eviction policy:
-        ``"benefit"`` (default) ranks entries by benefit density
-        (recompute cost x reuse frequency per byte, the MonetDB
-        Recycler heuristic), ``"lru"`` is pure recency.
-
-        ``recycler_min_cost_ms`` is the cache admission floor: entries
-        whose recorded recompute cost is below it are never cached
-        (cheap intermediates cost more in budget pressure than their
-        reuse saves).
-
-        ``recycler_autotune`` turns on the budget autotuner: the
-        scheduler grows ``budget_bytes`` (up to
-        ``recycler_autotune_ceiling``, default 64 MB) when eviction
-        churn outpaces cache hits, and shrinks it back toward the
-        configured budget when the cache sits idle — so an
+        """``recycler_enabled`` shares window slices and operator
+        intermediates across standing queries
+        (:mod:`repro.core.recycler`); entries are evicted by benefit
+        density (recompute cost x reuse frequency per byte, the MonetDB
+        Recycler heuristic). ``recycler_budget_bytes`` is the memory the
+        cache may always use: the scheduler grows the live budget from
+        there (up to the stock 64 MB) when eviction churn outpaces
+        cache hits and shrinks it back when the cache sits idle — so an
         under-provisioned budget cannot make recycler-on slower than
-        recycler-off.
+        recycler-off. ``recycler_verify`` re-executes every cache hit
+        and asserts the recycled value equals the fresh one (the
+        equivalence oracle mode tests run).
 
         ``compile_plans`` (default on) slot-compiles each registered
         continuous plan into pre-bound thunks at registration
         (:func:`repro.mal.compiler.compile_program`); firing then skips
-        the interpreter's per-instruction dispatch entirely.
+        the interpreter's per-instruction dispatch entirely. With it
+        off (or for a plan that fails to compile) the factory fires on
+        the bare interpreter — the oracle, which never recycles.
         ``interp_profile`` additionally records per-opcode cumulative
         wall time on every firing (the ``.interp`` monitor pane).
 
@@ -149,8 +133,8 @@ class DataCellEngine:
         (:mod:`repro.store`): every admitted tuple is mirrored to an
         append-only segmented log per stream, the catalog and standing-
         query definitions are checkpointed there, and constructing an
-        engine over an existing ``data_dir`` *recovers* — baskets,
-        window cursors and emit stamps are rebuilt so emissions resume
+        engine over an existing ``data_dir`` *recovers* — baskets and
+        window cursors are rebuilt so emissions resume
         byte-identically to an uninterrupted run. ``durability`` picks
         the write discipline: ``"async"`` (default) group-commits with
         one flush per group, ``"fsync"`` additionally fsyncs,
@@ -176,22 +160,19 @@ class DataCellEngine:
         self.catalog = Catalog()
         self.recycler = Recycler(recycler_budget_bytes,
                                  enabled=recycler_enabled,
-                                 verify=recycler_verify,
-                                 policy=recycler_policy,
-                                 min_cost_ms=recycler_min_cost_ms,
-                                 autotune=recycler_autotune,
-                                 autotune_ceiling_bytes=(
-                                     recycler_autotune_ceiling))
+                                 verify=recycler_verify)
         self.compile_plans = bool(compile_plans)
         self.interp_profile = bool(interp_profile)
         self.scheduler = PetriNetScheduler(
             self.clock,
-            recycler=self.recycler if recycler_enabled else None,
-            parallel_workers=parallel_workers)
+            recycler=self.recycler if recycler_enabled else None)
         self.monitor = Monitor(self)
         self._receptors: Dict[str, List[Receptor]] = {}
         self._queries: Dict[str, ContinuousQuery] = {}
         self._qcounter = 0
+        # ring bound for built-in result sinks, set by an attached
+        # server (see bound_result_sinks)
+        self._collect_bound: Optional[int] = None
         # the attached network edges, when serving: the framed
         # protocol server and the Postgres wire-protocol front end
         self.net_edge = None
@@ -226,8 +207,7 @@ class DataCellEngine:
         return self.durability != "off"
 
     def close(self) -> None:
-        """Checkpoint (when durable), close the stream logs, and
-        release the scheduler's worker pool."""
+        """Checkpoint (when durable) and close the stream logs."""
         if self.durable and self._logs:
             try:
                 self.checkpoint()
@@ -236,7 +216,6 @@ class DataCellEngine:
         for log in self._logs.values():
             log.close()
         self._logs = {}
-        self.scheduler.shutdown()
 
     def __enter__(self) -> "DataCellEngine":
         return self
@@ -306,8 +285,6 @@ class DataCellEngine:
 
     def _match_positions(self, table, where: Optional[ast.Expr]):
         """Row positions of *table* matching *where* (all when None)."""
-        import numpy as np
-
         from repro.mal import kernel
         from repro.mal.bat import all_candidates
 
@@ -531,7 +508,8 @@ class DataCellEngine:
 
         ``collect_max_batches`` bounds the query's built-in
         :class:`CollectingSink` ring (oldest batches dropped once
-        full) — recommended for long-lived live/server deployments.
+        full); left unset, a served engine applies its server's bound
+        (:meth:`bound_result_sinks`).
 
         ``from_start`` / ``from_offset`` start the query's stream
         cursors in the *past* instead of at the head: history still in
@@ -579,7 +557,9 @@ class DataCellEngine:
         analysis, resolved_mode = self._resolve_mode(plan, specs, mode)
 
         emitter = Emitter(name)
-        collecting = CollectingSink(max_batches=collect_max_batches)
+        collecting = CollectingSink(
+            max_batches=collect_max_batches
+            if collect_max_batches is not None else self._collect_bound)
         emitter.add_sink(collecting)
         if sink is not None:
             emitter.add_sink(sink)
@@ -588,8 +568,8 @@ class DataCellEngine:
             from repro.core.emitter import BasketSink
 
             if self.catalog.is_stream(output_stream):
-                # reuse a pre-existing stream (snapshot restore) when
-                # the schema matches the query's output
+                # reuse a pre-existing stream (recovery) when the
+                # schema matches the query's output
                 out_basket = self.basket(output_stream)
                 if out_basket.schema.names != plan.schema.names:
                     raise StreamError(
@@ -642,9 +622,8 @@ class DataCellEngine:
             specs, baskets, emitter, min_batch, max_delay_ms,
             cache_enabled, starts=starts)
         if out_sink is not None:
-            # chained networks: let the output basket stamp each
-            # appended range with the producing plan's emit fingerprint
-            # (factories without stamps return None and append plain)
+            # chained networks: adopted emit payloads carry the
+            # producer's evaluation time as their recompute cost
             out_sink.bind_producer(factory)
         self.scheduler.add_factory(factory)
         # census for the recycler's sharing-based admission filter:
@@ -725,11 +704,6 @@ class DataCellEngine:
                     anchor = int(arr[0])
             return sub, anchor
 
-        # content identity of this plan's emissions; shared by every
-        # mode so chained consumers recognise equal payloads regardless
-        # of how the producer executed
-        plan_fp = cached_program_fingerprint(continuous_program) \
-            if self.recycler.enabled else None
         if mode == "incremental":
             trackers = {}
             for stream, basket in baskets.items():
@@ -738,7 +712,7 @@ class DataCellEngine:
                     specs[stream], basket, sub, anchor_time=anchor)
             return IncrementalFactory(name, analysis, trackers, baskets,
                                       self.catalog, emitter,
-                                      cache_enabled, plan_fp=plan_fp)
+                                      cache_enabled)
         window_states = {}
         for stream, basket in baskets.items():
             sub, anchor = _subscribe(stream, basket)
@@ -746,7 +720,7 @@ class DataCellEngine:
                                                 sub, anchor_time=anchor)
         if mode == "delta":
             return DeltaFactory(name, analysis, window_states, baskets,
-                                self.catalog, emitter, plan_fp=plan_fp)
+                                self.catalog, emitter)
         return ReevalFactory(name, continuous_program, plan,
                              window_states, baskets, self.catalog,
                              emitter, min_batch, max_delay_ms,
@@ -803,6 +777,15 @@ class DataCellEngine:
     def results(self, query_name: str) -> CollectingSink:
         return self.continuous_query(query_name).sink
 
+    def bound_result_sinks(self, max_batches: int) -> None:
+        """Bound the built-in :class:`CollectingSink` of every standing
+        query, registered already or from now on — a server calls this
+        at start so a long-running deployment does not hoard history,
+        whichever front end a query is registered through."""
+        self._collect_bound = max_batches
+        for query in self.queries():
+            query.sink.set_max_batches(max_batches)
+
     # ------------------------------------------------------------------
     # driving the net
     # ------------------------------------------------------------------
@@ -841,9 +824,8 @@ class DataCellEngine:
 
     def interp_stats(self) -> Dict[str, Any]:
         """Plan-execution counters: slot-compiler activity, digest-
-        cache hit rates, emit-stamp amortization, per-opcode profile
-        (when ``interp_profile`` is on) and the autotuner's budget
-        trajectory."""
+        cache hit rates, per-opcode profile (when ``interp_profile``
+        is on) and the autotuner's budget trajectory."""
         from repro.mal.compiler import compile_stats
 
         out: Dict[str, Any] = {}
@@ -851,16 +833,12 @@ class DataCellEngine:
         out.update(fingerprint_cache_stats())
         compiled = 0
         interpreted = 0
-        stamps = 0
         profile: Dict[str, List[float]] = {}
         for factory in self.scheduler.factories:
             if getattr(factory, "compiled", None) is not None:
                 compiled += 1
             elif isinstance(factory, ReevalFactory):
                 interpreted += 1
-            stamper = getattr(factory, "_stamper", None)
-            if stamper is not None:
-                stamps += stamper.stamps
             for opcode, (calls, ms) in getattr(
                     factory, "opcode_profile", {}).items():
                 cell = profile.setdefault(opcode, [0, 0.0])
@@ -868,13 +846,11 @@ class DataCellEngine:
                 cell[1] += ms
         out["factories_compiled"] = compiled
         out["factories_interpreted"] = interpreted
-        out["emit_stamps"] = stamps
         out["profile_enabled"] = int(self.interp_profile)
         out["opcode_profile"] = {
             op: {"calls": int(calls), "ms": round(ms, 3)}
             for op, (calls, ms) in sorted(
                 profile.items(), key=lambda kv: -kv[1][1])}
-        out["autotune"] = int(self.recycler.autotune)
         out["budget_bytes"] = self.recycler.budget_bytes
         out["budget_grows"] = self.recycler.budget_grows
         out["budget_shrinks"] = self.recycler.budget_shrinks
@@ -959,9 +935,7 @@ class DataCellEngine:
                 "next_oid": basket.next_oid,
                 "total_in": basket.total_in,
                 "total_dropped": basket.total_dropped,
-                "high_water": basket.high_water,
-                "stamps": [[lo, hi, fp]
-                           for lo, hi, fp in basket.range_stamps()]}
+                "high_water": basket.high_water}
         cursors = {q.name: {"mode": q.mode,
                             "streams": q.factory.cursor_snapshot()}
                    for q in self._queries.values()}
@@ -1037,7 +1011,7 @@ class DataCellEngine:
 
         Sources, in trust order: sealed log segments and the re-scanned
         (possibly torn) tail; the last checkpoint's ``state.json``
-        (cursor snapshots, basket bounds, emit stamps); ``catalog`` and
+        (cursor snapshots, basket bounds); ``catalog`` and
         ``queries.json`` definitions. Output-stream logs are truncated
         back to the checkpoint so re-fired producer windows regenerate
         the tail instead of duplicating it.
@@ -1104,10 +1078,6 @@ class DataCellEngine:
                     basket.total_in = end
                 basket.high_water = max(
                     int(bmeta.get("high_water", 0)), len(basket))
-                basket._stamps = [
-                    (int(lo), int(hi), fp)
-                    for lo, hi, fp in bmeta.get("stamps", [])
-                    if actual_lo <= int(lo) and int(hi) <= end]
                 self._attach_durable(basket, log)
             # re-register standing queries, then wind their cursors
             # back to the checkpoint
@@ -1233,100 +1203,6 @@ class DataCellEngine:
         if self.last_checkpoint_error is not None:
             out["checkpoint_error"] = repr(self.last_checkpoint_error)
         return out
-
-    # ------------------------------------------------------------------
-    # snapshot / restore
-    # ------------------------------------------------------------------
-
-    def save(self, directory: str) -> None:
-        """Persist the whole engine state to *directory*: tables,
-        stream schemas and basket contents, and every standing query's
-        definition.
-
-        Restore semantics (see :meth:`restore`): standing queries are
-        re-registered and resume with the data arriving after the
-        restore point; tuples retained in baskets stay available to
-        one-time queries and to the archive path.
-        """
-        import json
-        import os
-
-        import numpy as np
-
-        from repro.storage.persistence import save_catalog
-
-        save_catalog(self.catalog, directory)
-        baskets_dir = os.path.join(directory, "baskets")
-        os.makedirs(baskets_dir, exist_ok=True)
-        basket_meta = {}
-        for name, basket in self.scheduler.baskets.items():
-            bdir = os.path.join(baskets_dir, name)
-            os.makedirs(bdir, exist_ok=True)
-            for coldef in basket.schema.columns:
-                np.save(os.path.join(bdir, coldef.name + ".npy"),
-                        basket.column(coldef.name).values,
-                        allow_pickle=coldef.dtype.is_string)
-            np.save(os.path.join(bdir, "__arrival.npy"),
-                    basket._arrival.values)
-            basket_meta[name] = {"first_oid": basket.first_oid,
-                                 "total_in": basket.total_in,
-                                 "total_dropped": basket.total_dropped}
-        queries = []
-        for query in self._queries.values():
-            entry = dict(query.knobs)
-            entry.update({"name": query.name, "sql": query.sql_text,
-                          "output_stream": query.output_stream})
-            queries.append(entry)
-        with open(os.path.join(directory, "engine.json"), "w") as f:
-            json.dump({"now": self.now(), "baskets": basket_meta,
-                       "queries": queries}, f, indent=2)
-
-    @classmethod
-    def restore(cls, directory: str,
-                clock: Optional[Clock] = None) -> "DataCellEngine":
-        """Rebuild an engine saved with :meth:`save`."""
-        import json
-        import os
-
-        import numpy as np
-
-        from repro.storage.persistence import load_catalog
-
-        with open(os.path.join(directory, "engine.json")) as f:
-            manifest = json.load(f)
-        engine = cls(clock=clock if clock is not None
-                     else SimulatedClock(manifest["now"]))
-        load_catalog(directory, into=engine.catalog)
-        # materialize baskets for every stream definition
-        for stream_def in engine.catalog.streams():
-            basket = Basket(stream_def.name, stream_def.schema)
-            engine.scheduler.add_basket(basket)
-            engine._receptors[basket.name] = []
-        for name, meta in manifest["baskets"].items():
-            basket = engine.basket(name)
-            bdir = os.path.join(directory, "baskets", name)
-            for coldef in basket.schema.columns:
-                values = np.load(
-                    os.path.join(bdir, coldef.name + ".npy"),
-                    allow_pickle=coldef.dtype.is_string)
-                basket.column(coldef.name).extend(values)
-            arrival = np.load(os.path.join(bdir, "__arrival.npy"))
-            basket._arrival.extend(arrival)
-            shift = meta["first_oid"]
-            for coldef in basket.schema.columns:
-                basket.column(coldef.name).hseqbase = shift
-            basket._arrival.hseqbase = shift
-            basket.total_in = meta["total_in"]
-            basket.total_dropped = meta["total_dropped"]
-        for entry in manifest["queries"]:
-            engine.register_continuous(
-                entry["sql"], name=entry["name"], mode=entry["mode"],
-                min_batch=entry["min_batch"],
-                max_delay_ms=entry["max_delay_ms"],
-                cache_enabled=entry["cache_enabled"],
-                output_stream=entry["output_stream"],
-                collect_max_batches=entry.get("collect_max_batches"))
-        return engine
 
     # ------------------------------------------------------------------
     # inspection

@@ -35,8 +35,7 @@ from repro.core.incremental import IncrementalAnalysis, IncrementalExecutor
 from repro.core.windows import BasicWindowTracker, WindowState
 from repro.errors import FactoryError, MALError
 from repro.mal.compiler import compile_program, record_compile_fallback
-from repro.mal.fingerprint import (EmitStamper, cached_fingerprints,
-                                   cached_program_fingerprint)
+from repro.mal.fingerprint import cached_fingerprints
 from repro.mal.interpreter import MALContext, MALInterpreter
 from repro.mal.program import MALProgram
 from repro.mal.relation import Relation
@@ -89,9 +88,9 @@ class Factory:
         # recompute cost a chained output basket charges its adopted
         # emit payloads with
         self.last_eval_ms = 0.0
-        # one firing at a time per factory: the parallel scheduler only
-        # ever schedules a factory into one wave slot, but engine-level
-        # callers (live mode, shell) may also fire concurrently
+        # one firing at a time per factory: the scheduler thread fires
+        # serially, but engine-level callers (live mode, shell) may
+        # also fire concurrently
         self._fire_lock = threading.Lock()
 
     # scheduler protocol ------------------------------------------------
@@ -149,25 +148,8 @@ class Factory:
         evaluation."""
         return None
 
-    def emit_stamp(self) -> Optional[str]:
-        """Emit fingerprint for the firing currently being delivered,
-        or None when this factory does not stamp its output (no
-        fingerprints, or an execution mode without them). A chained
-        :class:`~repro.core.emitter.BasketSink` consults this while
-        :meth:`fire` holds the firing lock."""
-        return None
-
     def input_streams(self) -> List[str]:
         return sorted(self.baskets)
-
-    def write_streams(self) -> List[str]:
-        """Baskets this factory appends results to (its output
-        baskets); the parallel scheduler's conflict analysis keys on
-        these."""
-        from repro.core.emitter import BasketSink
-
-        return sorted({sink.basket.name for sink in self.emitter.sinks
-                       if isinstance(sink, BasketSink)})
 
     def cursor_snapshot(self) -> Dict[str, dict]:
         """Per-stream window-cursor snapshots for the engine's durable
@@ -221,26 +203,6 @@ class ReevalFactory(Factory):
         self.min_batch = max(int(min_batch), 1)
         self.max_delay_ms = max_delay_ms
         self.recycler = recycler
-        # structural fingerprints are a property of the (static)
-        # program: memoized per plan, consulted every firing
-        self._fingerprints = cached_fingerprints(program) \
-            if recycler is not None else None
-        # whole-plan identity for stamping chained emits; the
-        # per-firing emit fingerprint combines it with the input
-        # window ranges the firing evaluated. The stamper pre-hashes
-        # the plan prefix so each firing digests only the range text
-        self._plan_fp = cached_program_fingerprint(program) \
-            if recycler is not None else None
-        self._stamper = EmitStamper(self._plan_fp) \
-            if self._plan_fp is not None else None
-        # recyclable fingerprints for the recycler's sharing census,
-        # plus the cached whole-plan admission decision
-        self.recycle_fps = [info.fp for info in (self._fingerprints or [])
-                            if info is not None and info.recyclable]
-        self._gate_version = -1
-        self._gate_recycle = True
-        self._gate_modes: Optional[tuple] = None
-        self._emit_fp: Optional[str] = None
         # slot-compile once at registration; a compile failure (open
         # opcode table, externally injected bindings) falls back to
         # the interpreter rather than rejecting the query
@@ -250,6 +212,16 @@ class ReevalFactory(Factory):
                 self.compiled = compile_program(program)
             except MALError:
                 record_compile_fallback()
+        # recyclable fingerprints for the recycler's sharing census
+        # (only the compiled loop recycles), plus the cached whole-plan
+        # admission decision
+        if recycler is not None and self.compiled is not None:
+            self.recycle_fps = [
+                info.fp for info in cached_fingerprints(program)
+                if info is not None and info.recyclable]
+        self._gate_version = -1
+        self._gate_recycle = True
+        self._gate_modes: Optional[tuple] = None
         # per-opcode [calls, cumulative_ms], populated when profiling
         # is on (the firing lock serializes updates)
         self.profile_enabled = bool(profile)
@@ -310,9 +282,6 @@ class ReevalFactory(Factory):
                          stream_reader=lambda name: slices[name],
                          basket_hooks=hooks)
         result = self._run_plan(ctx, ranges)
-        if self._stamper is not None:
-            self._emit_fp = self._stamper.stamp(
-                [(s, lo, hi) for s, (lo, hi) in ranges.items()])
         return result, {stream: hi for stream, (_lo, hi)
                         in ranges.items()}
 
@@ -321,11 +290,13 @@ class ReevalFactory(Factory):
         """Dispatch one firing to the specialized executor.
 
         Compiled plans take the slot loop (recycled or bare); plans
-        that failed to compile keep the interpreter, bit-for-bit
-        equivalent by construction."""
-        recycling = (self.recycler is not None
-                     and self.recycler.enabled)
-        if recycling and self.recycle_fps:
+        that failed to compile run on the bare interpreter — the
+        oracle, which never consults the recycler."""
+        if self.compiled is None:
+            return MALInterpreter(ctx).run(self.program)
+        # recycle_fps is empty without a recycler or a recyclable step
+        recycling = bool(self.recycle_fps) and self.recycler.enabled
+        if recycling:
             # whole-plan admission: when the sharing census proves no
             # instruction of this plan can produce a cache hit, run
             # the bare loop. Cached until the census changes, so the
@@ -335,30 +306,22 @@ class ReevalFactory(Factory):
                 self._gate_version = version
                 self._gate_recycle = self.recycler.plan_should_recycle(
                     self.recycle_fps)
-                # per-step admission snapshot for the compiled loop:
-                # steps the ledger retired run the bare thunk with no
-                # per-fire recycler call at all
-                if self._gate_recycle and self.compiled is not None:
+                # per-step admission snapshot: steps the ledger
+                # retired run the bare thunk with no per-fire
+                # recycler call at all
+                if self._gate_recycle:
                     self._gate_modes = self.compiled.attempt_modes(
                         self.recycler)
             recycling = self._gate_recycle
-        if self.compiled is not None:
-            if self.profile_enabled:
-                return self.compiled.run_profiled(
-                    ctx, self.opcode_profile,
-                    self.recycler if recycling else None, ranges,
-                    modes=self._gate_modes if recycling else None)
-            if recycling:
-                return self.compiled.run_recycled(
-                    ctx, self.recycler, ranges, self._gate_modes)
-            return self.compiled.run(ctx)
-        interp = MALInterpreter(ctx, recycler=self.recycler,
-                                fingerprints=self._fingerprints,
-                                window_ranges=ranges)
-        return interp.run(self.program)
-
-    def emit_stamp(self) -> Optional[str]:
-        return self._emit_fp
+        if self.profile_enabled:
+            return self.compiled.run_profiled(
+                ctx, self.opcode_profile,
+                self.recycler if recycling else None, ranges,
+                modes=self._gate_modes if recycling else None)
+        if recycling:
+            return self.compiled.run_recycled(
+                ctx, self.recycler, ranges, self._gate_modes)
+        return self.compiled.run(ctx)
 
     def _commit(self, now: int,
                 consumed: Optional[Dict[str, int]]) -> None:
@@ -381,21 +344,13 @@ class IncrementalFactory(Factory):
     def __init__(self, name: str, analysis: IncrementalAnalysis,
                  trackers: Dict[str, BasicWindowTracker],
                  baskets: Dict[str, Basket], catalog: Catalog,
-                 emitter: Emitter, cache_enabled: bool = True,
-                 plan_fp: Optional[str] = None):
+                 emitter: Emitter, cache_enabled: bool = True):
         super().__init__(name, baskets, emitter)
         self.analysis = analysis
         self.trackers = trackers
         self.catalog = catalog
         self.executor = IncrementalExecutor(
             analysis, ExecutionContext(catalog), cache_enabled)
-        # whole-plan identity for stamping chained emits; per firing it
-        # is combined with the full-window oid ranges so the stamp
-        # matches what a reeval factory over the same windows would emit
-        self._plan_fp = plan_fp
-        self._stamper = EmitStamper(plan_fp) \
-            if plan_fp is not None else None
-        self._emit_fp: Optional[str] = None
 
     def poll(self, now: int) -> None:
         """Process every newly completed basic window exactly once."""
@@ -430,14 +385,7 @@ class IncrementalFactory(Factory):
         for stream, tracker in self.trackers.items():
             _k, bws = tracker.window_composition()
             compositions[stream] = bws
-        if self._stamper is not None:
-            self._emit_fp = self._stamper.stamp(
-                [(stream, *tracker.window_bounds())
-                 for stream, tracker in self.trackers.items()])
         return self.executor.fire(compositions), None
-
-    def emit_stamp(self) -> Optional[str]:
-        return self._emit_fp
 
     def _commit(self, now: int, consumed: None) -> None:
         floors: Dict[str, int] = {}
@@ -478,7 +426,7 @@ class DeltaFactory(Factory):
     def __init__(self, name: str, analysis: IncrementalAnalysis,
                  window_states: Dict[str, WindowState],
                  baskets: Dict[str, Basket], catalog: Catalog,
-                 emitter: Emitter, plan_fp: Optional[str] = None):
+                 emitter: Emitter):
         from repro.core.delta import DeltaExecutor
 
         super().__init__(name, baskets, emitter)
@@ -486,10 +434,6 @@ class DeltaFactory(Factory):
         self.window_states = window_states
         self.catalog = catalog
         self.executor = DeltaExecutor(analysis, catalog)
-        self._plan_fp = plan_fp
-        self._stamper = EmitStamper(plan_fp) \
-            if plan_fp is not None else None
-        self._emit_fp: Optional[str] = None
 
     def enabled(self, now: int) -> bool:
         if self.state != RUNNING:
@@ -526,17 +470,11 @@ class DeltaFactory(Factory):
             ranges[stream] = self.baskets[stream].clamp_range(*window)
             self.tuples_in += max(arrive[1] - arrive[0], 0)
         result = self.executor.fire(deltas, self._read)
-        if self._stamper is not None:
-            self._emit_fp = self._stamper.stamp(
-                [(s, lo, hi) for s, (lo, hi) in ranges.items()])
         return result, {stream: hi for stream, (_lo, hi)
                         in ranges.items()}
 
     def _read(self, stream: str, lo: int, hi: int) -> Relation:
         return self.baskets[stream].relation(lo, hi)
-
-    def emit_stamp(self) -> Optional[str]:
-        return self._emit_fp
 
     def _commit(self, now: int,
                 consumed: Optional[Dict[str, int]]) -> None:

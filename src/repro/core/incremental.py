@@ -468,11 +468,10 @@ class IncrementalExecutor:
 
     @staticmethod
     def _concat(pieces: List[Relation], schema_node: PlanNode) -> Relation:
-        live = [p for p in pieces if p.row_count >= 0]
-        if not live:
+        if not pieces:
             return Relation.empty(schema_node.schema)
-        out = live[0]
-        for piece in live[1:]:
+        out = pieces[0]
+        for piece in pieces[1:]:
             out = out.concat(piece)
         return out
 

@@ -120,14 +120,6 @@ class Monitor:
         lines.append(f"  network totals: in={total_in} out={total_out} "
                      f"busy={busy:.4f}s")
         sched = eng.scheduler
-        if sched.parallel_workers > 1:
-            pstats = sched.parallel_stats()
-            lines.append(
-                f"  scheduler [parallel={pstats['workers']} workers]: "
-                f"waves={pstats['waves']} "
-                f"max_width={pstats['max_wave_width']} "
-                f"avg_width={pstats['avg_wave_width']} "
-                f"parallel_fires={pstats['parallel_fires']}")
         if sched.failed_total:
             lines.append(f"  failures: total={sched.failed_total} "
                          f"(last {len(sched.failed)} kept)")
@@ -136,7 +128,7 @@ class Monitor:
             stats = recycler.stats()
             state = "on" if stats["enabled"] else "off"
             lines.append(
-                f"  recycler [{state}] ({stats['policy']}): "
+                f"  recycler [{state}]: "
                 f"hits={stats['hits']} "
                 f"misses={stats['misses']} "
                 f"slice_hits={stats['slice_hits']} "
@@ -145,11 +137,9 @@ class Monitor:
                 f"invalidations={stats['invalidations']} "
                 f"entries={stats['entries']} "
                 f"bytes={stats['bytes']}/{stats['budget_bytes']}")
-            if stats["admission_rejects"] or stats["reuse_decays"]:
+            if stats["reuse_decays"]:
                 lines.append(
-                    f"    admission: min_cost={stats['min_cost_ms']:.1f}ms "
-                    f"rejects={stats['admission_rejects']} "
-                    f"reuse_decays={stats['reuse_decays']}")
+                    f"    reuse_decays={stats['reuse_decays']}")
             if stats["chain_stamped"] or stats["bytes_saved"]:
                 lines.append(
                     f"    chain: stamped={stats['chain_stamped']} "
@@ -244,8 +234,7 @@ class Monitor:
             f"fallbacks={stats['compile_fallbacks']})",
             f"  fingerprints: cache hits={stats['fp_cache_hits']} "
             f"misses={stats['fp_cache_misses']} "
-            f"entries={stats['fp_cache_entries']} | "
-            f"emit stamps={stats['emit_stamps']}",
+            f"entries={stats['fp_cache_entries']}",
         ]
         if stats["opcode_profile"]:
             lines.append("  per-opcode (cumulative):")
@@ -255,8 +244,7 @@ class Monitor:
         elif not stats["profile_enabled"]:
             lines.append("  per-opcode: (profiling off — construct the "
                          "engine with interp_profile=True)")
-        tuner = "on" if stats["autotune"] else "off"
-        lines.append(f"  autotuner [{tuner}]: "
+        lines.append(f"  autotuner: "
                      f"budget={stats['budget_bytes']} bytes "
                      f"grows={stats['budget_grows']} "
                      f"shrinks={stats['budget_shrinks']}")

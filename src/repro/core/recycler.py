@@ -28,28 +28,23 @@ budget bounds the rest, and :meth:`Recycler.purge_basket` guards
 the one true-staleness case (a stream dropped and re-created under the
 same name restarts its oid sequence).
 
-Two budget-eviction policies are available (``policy=``):
-
-* ``"benefit"`` (default) — MonetDB's recycler weighting (Ivanova et
-  al.): evict the entry with the lowest *benefit density*
-  ``cost_ms × (1 + reuses) / nbytes``, i.e. cheapest to recompute,
-  least reused, largest. Every entry records its evaluation wall time
-  at insert (the interpreter brackets each instruction; window-slice
-  materialization is timed here) and counts its reuses; recency is
-  only the tie-breaker, so a hot-but-large intermediate survives a
-  churn of one-shot entries that plain LRU would let push it out.
-* ``"lru"`` — the original recency-only order, preserved for the
-  equivalence suite and as an ablation baseline.
+Budget eviction follows MonetDB's recycler weighting (Ivanova et al.):
+evict the entry with the lowest *benefit density* ``cost_ms × (1 +
+reuses) / nbytes``, i.e. cheapest to recompute, least reused, largest.
+Every entry records its evaluation wall time at insert (the compiled
+loop brackets each step; window-slice materialization is timed here)
+and counts its reuses; recency is only the tie-breaker, so a
+hot-but-large intermediate survives a churn of one-shot entries. The
+budget sizes itself between the configured ``budget_bytes`` and the
+stock 64 MB (:meth:`Recycler.autotune_tick`).
 
 A third sharing layer rides on the same cache: **chained emit
 payloads**. When a factory appends a firing's result into an
-``output_stream`` basket, the appended oid range is stamped with the
-producing plan's fingerprint (:func:`repro.mal.fingerprint.
-emit_fingerprint`) and the payload is adopted as the window slice for
-exactly that range (:meth:`Recycler.adopt_slice`). A downstream
-stage's scan of the output basket then resolves to the upstream emit
-payload directly — the stage boundary is a cache hit, not a
-re-materialization.
+``output_stream`` basket, the payload is adopted as the window slice
+for exactly the appended oid range (:meth:`Recycler.adopt_slice`). A
+downstream stage's scan of the output basket then resolves to the
+upstream emit payload directly — the stage boundary is a cache hit,
+not a re-materialization.
 
 Cached values are shared across factories and must be treated as
 immutable — the kernel's operators are pure (they allocate fresh
@@ -74,15 +69,10 @@ _SLICE = "slice"
 _INS = "ins"
 
 DEFAULT_BUDGET_BYTES = 64 << 20
-POLICIES = ("benefit", "lru")
 
 # every N dead-entry eviction scans, halve all reuse counters so stale
 # high-benefit entries cannot pin the budget forever (reuse decay)
 REUSE_DECAY_SCANS = 32
-# stores a fingerprint may accumulate without a single reuse before the
-# admission filter stops attempting it (halved back on the decay clock,
-# and reset outright when a new standing query registers)
-COLD_FP_STORES = 32
 # allowance per attempt for the bookkeeping the recycler cannot time
 # itself (the caller's key build and call dispatch); the dominant costs
 # — probe, store, eviction accounting — are measured live inside
@@ -148,50 +138,32 @@ class _Entry:
 class Recycler:
     """A per-engine cache of shareable streaming intermediates.
 
-    ``policy`` picks the budget-eviction order: ``"benefit"`` (cost ×
-    reuses / bytes, recency as tie-breaker) or ``"lru"`` (recency
-    only). ``verify=True`` turns on the equivalence mode used by
-    tests: the interpreter re-executes every instruction that hits the
-    cache and asserts the recycled value matches the freshly computed
-    one.
+    ``verify=True`` turns on the equivalence mode used by tests: the
+    compiled loop re-executes every step that hits the cache and
+    asserts the recycled value matches the freshly computed one.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_BUDGET_BYTES,
-                 enabled: bool = True, verify: bool = False,
-                 policy: str = "benefit", min_cost_ms: float = 0.0,
-                 autotune: bool = False,
-                 autotune_ceiling_bytes: Optional[int] = None):
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown recycler policy {policy!r} "
-                f"(expected one of {POLICIES})")
+                 enabled: bool = True, verify: bool = False):
         self.budget_bytes = int(budget_bytes)
         self.enabled = enabled
         self.verify = verify
-        self.policy = policy
         # budget autotuner (see autotune_tick): the configured budget is
         # the floor (never give back memory the user asked for less of),
-        # the ceiling defaults to the stock 64 MB unless the user set a
-        # larger budget outright
-        self.autotune = bool(autotune)
+        # the ceiling is the stock 64 MB unless the user set a larger
+        # budget outright
         self.budget_floor = self.budget_bytes
-        self.budget_ceiling = (int(autotune_ceiling_bytes)
-                               if autotune_ceiling_bytes
-                               else max(self.budget_bytes,
-                                        DEFAULT_BUDGET_BYTES))
+        self.budget_ceiling = max(self.budget_bytes, DEFAULT_BUDGET_BYTES)
         self.budget_grows = 0
         self.budget_shrinks = 0
         self.budget_trajectory = [self.budget_bytes]
         self._tune_evictions0 = 0
         self._tune_hits0 = 0
         self._tune_idle_windows = 0
-        # admission floor: entries cheaper to recompute than this are
-        # never cached (they cost more in budget pressure than they save)
-        self.min_cost_ms = float(min_cost_ms)
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
-        # concurrent factory firings (the scheduler's worker pool)
-        # share this cache: every get/put/evict holds the lock so the
-        # LRU order, byte accounting and counters stay consistent.
+        # the scheduler thread, live receptors and the shell share this
+        # cache: every get/put/evict holds the lock so the recency
+        # order, byte accounting and counters stay consistent.
         # Payload materialization happens outside the lock — a racing
         # double-materialize is benign (both values are equal; one
         # wins the put)
@@ -209,16 +181,9 @@ class Recycler:
         # chained emit payloads adopted / resolved at stage boundaries
         self.chain_stamped = 0
         self.chain_hits = 0
-        # admission filter + reuse decay bookkeeping
-        self.admission_rejects = 0
+        # reuse decay bookkeeping
         self.reuse_decays = 0
         self._dead_scans = 0
-        # cold-fingerprint admission filter: per-fp stores that never
-        # saw one reuse; fps past COLD_FP_STORES are skipped entirely
-        # (no key build, no lookup, no store) until a decay or a query
-        # registration re-probes them. One hit whitelists the fp.
-        self._fp_cold_stores: Dict[str, int] = {}
-        self._fp_hot: set = set()
         self.cold_skips = 0
         # registration-time census: how many registered consumers carry
         # each instruction fingerprint. Instruction keys embed the
@@ -239,10 +204,9 @@ class Recycler:
         # per-plan recycling decision until the census changes
         self.census_version = 0
         self.plan_skips = 0
-        # why entries left: budget pressure (per policy), vacuumed
-        # windows, stream drop
-        self.eviction_reasons: Dict[str, int] = {
-            "lru": 0, "benefit": 0, "dead": 0, "purge": 0}
+        # why entries were invalidated: vacuumed windows, stream drop
+        # (budget-pressure victims are counted in ``evictions``)
+        self.eviction_reasons: Dict[str, int] = {"dead": 0, "purge": 0}
 
     def __len__(self) -> int:
         with self._mutex:
@@ -282,15 +246,11 @@ class Recycler:
             self.chain_hits += 1
 
     def _pick_victim(self) -> tuple:
-        """Key of the next budget-pressure victim under the policy.
-
-        ``"lru"`` takes the head of the recency order. ``"benefit"``
-        scans for the minimum benefit density; iteration follows the
-        recency order (LRU first), and a strictly-lower comparison
-        keeps the earliest minimum — i.e. LRU breaks density ties.
+        """Key of the next budget-pressure victim: the minimum benefit
+        density. Iteration follows the recency order (LRU first), and
+        a strictly-lower comparison keeps the earliest minimum — i.e.
+        LRU breaks density ties.
         """
-        if self.policy == "lru":
-            return next(iter(self._entries))
         victim_key = None
         victim_density = float("inf")
         for key, entry in self._entries.items():
@@ -306,9 +266,6 @@ class Recycler:
         nbytes = payload_nbytes(value)
         if nbytes > self.budget_bytes:
             return  # larger than the whole cache: not worth keeping
-        if self.min_cost_ms > 0.0 and cost_ms < self.min_cost_ms:
-            self.admission_rejects += 1
-            return  # cheaper to recompute than to cache
         old = self._entries.pop(key, None)
         if old is not None:
             self.bytes_used -= old.nbytes
@@ -321,7 +278,6 @@ class Recycler:
             self._resolve_entry(victim_key, victim)
             self.bytes_used -= victim.nbytes
             self.evictions += 1
-            self.eviction_reasons[self.policy] += 1
 
     # -- shared window slices ------------------------------------------
 
@@ -353,18 +309,16 @@ class Recycler:
         return rel, (lo, hi)
 
     def adopt_slice(self, basket_name: str, lo: int, hi: int,
-                    rel: Relation, fp: str,
-                    cost_ms: float = 0.0) -> None:
+                    rel: Relation, cost_ms: float = 0.0) -> None:
         """Adopt a chained emit payload as the slice for ``[lo, hi)``.
 
         Called by a :class:`~repro.core.emitter.BasketSink` right after
         it appended *rel* to output basket *basket_name* at that oid
-        range, with *fp* the producing plan's emit fingerprint
-        (provenance; the basket records it per range) and *cost_ms*
-        the upstream firing's evaluation wall time — what the entry
-        saves a downstream stage from paying again. A later
-        :meth:`window_slice` for exactly that range then returns the
-        emitted payload without re-materializing the basket window.
+        range, with *cost_ms* the upstream firing's evaluation wall
+        time — what the entry saves a downstream stage from paying
+        again. A later :meth:`window_slice` for exactly that range then
+        returns the emitted payload without re-materializing the basket
+        window.
         """
         if not self.enabled or hi <= lo:
             return
@@ -401,9 +355,6 @@ class Recycler:
                 cell[3] += (time.perf_counter() - started) * 1000.0
                 return False, None
             self.hits += 1
-            if fp not in self._fp_hot:
-                self._fp_hot.add(fp)
-                self._fp_cold_stores.pop(fp, None)
             cell[1] += entry.cost_ms
             self._account_hit(entry)
             cell[3] += (time.perf_counter() - started) * 1000.0
@@ -418,7 +369,6 @@ class Recycler:
         with self._mutex:
             for fp in fps:
                 self._fp_refs[fp] = self._fp_refs.get(fp, 0) + 1
-            self._fp_cold_stores.clear()
             # a new consumer changes every fingerprint's sharing
             # economics: all net-benefit verdicts restart from scratch
             self._fp_benefit.clear()
@@ -446,23 +396,12 @@ class Recycler:
         the steady-state cost of a non-sharing plan is one integer
         compare per firing."""
         refs = self._fp_refs
-        if not refs:
-            return True
-        hot = self._fp_hot
-        decided_all = True
         for fp in fps:
             n = refs.get(fp)
-            if n is None:
-                if fp in hot:
-                    return True
-                decided_all = False
-                continue
-            if n >= 2 and self._fp_worthwhile(fp):
+            if n is None or (n >= 2 and self._fp_worthwhile(fp)):
                 return True
-        if decided_all:
-            self.plan_skips += 1
-            return False
-        return True
+        self.plan_skips += 1
+        return False
 
     def _fp_worthwhile(self, fp: str) -> bool:
         """Net-benefit verdict: False once a trusted sample shows the
@@ -477,74 +416,37 @@ class Recycler:
 
         Instruction keys embed the firing's window ranges, so an entry
         can only ever be reused by a *second* consumer carrying the
-        same fingerprint. With a registration census (engine paths)
-        the sharing check is exact — attempt only fingerprints at
-        least two registered consumers carry — and the net-benefit
-        ledger then retires fingerprints whose hits demonstrably save
-        less than the bookkeeping overhead. Without a census (bare
-        recyclers) fall back to counting stores-without-reuse, cut off
-        at :data:`COLD_FP_STORES`, where one observed hit whitelists
-        the fingerprint. Either way workloads that cannot profit stop
-        paying key-build/lookup/store/eviction overhead — what keeps
-        recycler-on from running slower than recycler-off. Reads are
-        lock-free (racing updates only delay a cutover by a store or
-        two).
+        same fingerprint. The registration census makes that check
+        exact — attempt only fingerprints at least two registered
+        consumers carry — and the net-benefit ledger then retires
+        fingerprints whose hits demonstrably save less than the
+        bookkeeping overhead, so workloads that cannot profit stop
+        paying key-build/lookup/store/eviction overhead. A fingerprint
+        no consumer registered (a recycler driven without an engine)
+        is always attempted. Compiled plans snapshot the answers into a
+        per-step mask once per :attr:`census_version`: every decision
+        that flips one — retain, release, ledger verdicts, decay —
+        bumps the version, which is what makes the snapshot sound.
+        Reads are lock-free (racing updates only delay a cutover by a
+        store or two).
         """
         refs = self._fp_refs.get(fp)
-        if refs is not None:
-            if refs >= 2 and self._fp_worthwhile(fp):
-                return True
-            self.cold_skips += 1
-            return False
-        if fp in self._fp_hot:
-            return True
-        if self._fp_cold_stores.get(fp, 0) < COLD_FP_STORES:
+        if refs is None or (refs >= 2 and self._fp_worthwhile(fp)):
             return True
         self.cold_skips += 1
         return False
 
-    def attempt_mode(self, fp: str) -> int:
-        """Snapshot of :meth:`should_attempt` for censused
-        fingerprints, so compiled factories can bake a per-step
-        execution mask once per :attr:`census_version` instead of
-        consulting the recycler on every firing.
-
-        Returns ``1`` (attempt recycling), ``0`` (run the bare thunk —
-        unshared or retired by the net-benefit ledger), or ``2``
-        (uncensused: the cold-store cutoff moves without bumping
-        ``census_version``, so the caller must keep calling
-        :meth:`should_attempt` per firing). Every decision that flips
-        a ``0``/``1`` answer for a censused fingerprint — retain,
-        release, ledger verdicts, decay — bumps ``census_version``,
-        which is what makes the snapshot sound."""
-        refs = self._fp_refs.get(fp)
-        if refs is None:
-            return 2
-        if refs >= 2 and self._fp_worthwhile(fp):
-            return 1
-        self.cold_skips += 1
-        return 0
-
-    def reset_cold(self) -> None:
-        """Forget store-count cold verdicts (a new standing query may
-        share fingerprints that had no sharers before)."""
-        with self._mutex:
-            self._fp_cold_stores.clear()
-
     def store(self, key: tuple, value: Any,
               cost_ms: float = 0.0) -> None:
         """Publish an instruction result; *cost_ms* is the evaluation
-        wall time the interpreter measured for it (the recompute cost
-        the benefit-density policy weighs)."""
+        wall time the compiled loop measured for it (the recompute
+        cost the benefit-density eviction weighs)."""
         if not self.enabled:
             return
         started = time.perf_counter()
         with self._mutex:
             self._put(key, value, key[2], cost_ms)
             fp = key[1]
-            if fp not in self._fp_hot:
-                self._fp_cold_stores[fp] = \
-                    self._fp_cold_stores.get(fp, 0) + 1
             cell = self._fp_benefit.get(fp)
             if cell is None:
                 cell = self._fp_benefit[fp] = [0.0, 0.0, 0.0, 0.0]
@@ -572,7 +474,7 @@ class Recycler:
         pathological small-budget regime (e.g. 8 KB with thousands of
         evictions per second) tunes itself out within a few windows.
         """
-        if not self.autotune or not self.enabled:
+        if not self.enabled:
             return
         with self._mutex:
             evictions = self.evictions - self._tune_evictions0
@@ -620,8 +522,6 @@ class Recycler:
             if self._dead_scans % REUSE_DECAY_SCANS == 0:
                 for entry in self._entries.values():
                     entry.reuses >>= 1
-                for fp in list(self._fp_cold_stores):
-                    self._fp_cold_stores[fp] >>= 1
                 # decay magnitudes but not the trust count (cell[2]):
                 # halving it below FP_VERDICT_MIN_ENTRIES would re-open
                 # probation on a timer, and one slow-accruing
@@ -685,7 +585,6 @@ class Recycler:
         with self._mutex:
             return {
                 "enabled": int(self.enabled),
-                "policy": self.policy,
                 "entries": len(self._entries),
                 "bytes": self.bytes_used,
                 "budget_bytes": self.budget_bytes,
@@ -695,21 +594,16 @@ class Recycler:
                 "slice_misses": self.slice_misses,
                 "chain_stamped": self.chain_stamped,
                 "chain_hits": self.chain_hits,
-                "min_cost_ms": self.min_cost_ms,
-                "admission_rejects": self.admission_rejects,
                 "reuse_decays": self.reuse_decays,
                 "cold_skips": self.cold_skips,
                 "plan_skips": self.plan_skips,
-                "cold_fps": (sum(
-                    1 for v in self._fp_refs.values() if v < 2)
-                    + sum(1 for v in self._fp_cold_stores.values()
-                          if v >= COLD_FP_STORES)),
+                "cold_fps": sum(
+                    1 for v in self._fp_refs.values() if v < 2),
                 "bytes_saved": self.bytes_saved,
                 "cost_saved_ms": round(self.cost_saved_ms, 3),
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
                 "eviction_reasons": dict(self.eviction_reasons),
-                "autotune": int(self.autotune),
                 "budget_floor": self.budget_floor,
                 "budget_ceiling": self.budget_ceiling,
                 "budget_grows": self.budget_grows,
@@ -718,8 +612,7 @@ class Recycler:
             }
 
     def __repr__(self) -> str:
-        return (f"Recycler(policy={self.policy}, "
-                f"entries={len(self._entries)}, "
+        return (f"Recycler(entries={len(self._entries)}, "
                 f"bytes={self.bytes_used}, hits={self.hits}, "
                 f"misses={self.misses})")
 

@@ -15,30 +15,15 @@ The scheduler runs against a :class:`~repro.core.clock.Clock`; with a
 :class:`~repro.core.clock.SimulatedClock` whole benchmark runs are
 deterministic.
 
-Parallel firing
----------------
-
-With ``parallel_workers > 1`` each cascade round computes the enabled
-set, partitions it into conflict-free *waves* via a read/write
-dependency graph over basket names (two factories conflict iff one
-writes a basket the other reads or writes), and fires every wave on a
-shared :class:`~concurrent.futures.ThreadPoolExecutor`. Chained query
-networks stay correct because a factory writing an output basket lands
-in an earlier wave than any enabled factory reading it, preserving the
-serial (topological) firing order; factories that conflict with nothing
-fire concurrently. The numpy kernels release the GIL, so independent
-standing queries genuinely overlap on multicore hosts. The serial path
-(``parallel_workers == 1``) remains the default — simulated-clock runs
-stay deterministic unless parallelism is explicitly requested — and
-both paths produce byte-identical emitted results.
+Firing is serial: one scheduler thread fires each enabled factory to
+quiescence, in registration order, so a chained network cascades
+producer-before-consumer within a step.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro.core.basket import Basket
 from repro.core.clock import Clock, SimulatedClock
@@ -61,12 +46,9 @@ class PetriNetScheduler:
     """Event-driven orchestration of receptors, factories, baskets."""
 
     def __init__(self, clock: Clock, recycler=None,
-                 parallel_workers: Optional[int] = 1,
                  max_failed_kept: int = _MAX_FAILED_KEPT):
         self.clock = clock
         self.recycler = recycler
-        self.parallel_workers = self._resolve_workers(parallel_workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
         self.receptors: List[Receptor] = []
         self.factories: List[Factory] = []
         self.baskets: Dict[str, Basket] = {}
@@ -74,51 +56,8 @@ class PetriNetScheduler:
         self.total_fired = 0
         self.failed: Deque[FactoryError] = deque(maxlen=max_failed_kept)
         self.failed_total = 0
-        # parallel-execution counters (monitor/shell read these)
-        self.wave_count = 0
-        self.wave_width_max = 0
-        self.wave_width_sum = 0
-        self.parallel_fires = 0
         # stop-the-net switch for inspection (demo pause button)
         self.paused = False
-
-    @staticmethod
-    def _resolve_workers(parallel_workers) -> int:
-        """``None``/``1`` = serial; ``0``/``"auto"`` = one worker per
-        core; any other positive int is taken literally."""
-        if isinstance(parallel_workers, bool):
-            # bool is an int subtype: True == 1 would silently run the
-            # net serially when the caller asked for parallelism (and
-            # False == 0 would silently mean "auto")
-            raise SchedulerError(
-                f"parallel_workers must be an int, None or 'auto', got "
-                f"{parallel_workers!r}")
-        if parallel_workers is None or parallel_workers == 1:
-            return 1
-        if parallel_workers == 0 or parallel_workers == "auto":
-            return max(os.cpu_count() or 1, 1)
-        workers = int(parallel_workers)
-        if workers < 1:
-            raise SchedulerError(
-                f"parallel_workers must be >= 1 (or 0/'auto'), got "
-                f"{parallel_workers!r}")
-        return workers
-
-    # -- worker pool lifecycle -----------------------------------------
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.parallel_workers,
-                thread_name_prefix="datacell-worker")
-        return self._pool
-
-    def shutdown(self) -> None:
-        """Release worker threads (idempotent; the pool is re-created
-        lazily if the net steps again)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     # -- registration --------------------------------------------------
 
@@ -175,10 +114,8 @@ class PetriNetScheduler:
             return {"ingested": ingested, "fired": 0, "dropped": 0}
 
         fired = 0
-        fire_round = self._serial_round if self.parallel_workers == 1 \
-            else self._parallel_round
         for _round in range(_MAX_CASCADE):
-            progressed = fire_round(now)
+            progressed = self._fire_round(now)
             fired += progressed
             if progressed == 0:
                 break
@@ -197,134 +134,29 @@ class PetriNetScheduler:
         self.total_fired += fired
         return {"ingested": ingested, "fired": fired, "dropped": dropped}
 
-    # -- firing rounds ---------------------------------------------------
-
-    def _burst(self, factory: Factory, now: int
-               ) -> Tuple[int, Optional[Exception]]:
-        """Fire *factory* until it quiesces; ``(fires, error)``.
-
-        Runs on a worker thread in parallel mode, so errors are
-        returned rather than raised — the scheduler thread decides
-        whether to quarantine (FactoryError) or abort the step
-        (SchedulerError and anything unexpected).
-        """
-        burst = 0
-        try:
-            while factory.enabled(now):
-                factory.fire(now)
-                burst += 1
-                if burst > _MAX_BURST:
-                    raise SchedulerError(
-                        f"factory {factory.name!r} stayed enabled "
-                        f"after {_MAX_BURST} consecutive firings "
-                        f"(did not quiesce; consuming nothing?)")
-        except Exception as exc:
-            return burst, exc
-        return burst, None
-
-    def _settle(self, fired: int, exc: Optional[Exception]) -> int:
-        """Apply one burst outcome on the scheduler thread."""
-        if exc is None:
-            return fired
-        if isinstance(exc, FactoryError):
-            self._record_failure(exc)
-            return fired
-        raise exc
-
-    def _serial_round(self, now: int) -> int:
-        """Today's single-threaded cascade round (the default path)."""
+    def _fire_round(self, now: int) -> int:
+        """One cascade round: poll, then fire each factory until it
+        quiesces. A :class:`FactoryError` quarantines that factory and
+        the round carries on; anything else raises where it happens."""
         progressed = 0
         for factory in self.factories:
             if factory.state == FAILED:
                 continue
+            burst = 0
             try:
                 factory.poll(now)
+                while factory.enabled(now):
+                    factory.fire(now)
+                    burst += 1
+                    if burst > _MAX_BURST:
+                        raise SchedulerError(
+                            f"factory {factory.name!r} stayed enabled "
+                            f"after {_MAX_BURST} consecutive firings "
+                            f"(did not quiesce; consuming nothing?)")
             except FactoryError as exc:
                 self._record_failure(exc)
-                continue
-            progressed += self._settle(*self._burst(factory, now))
+            progressed += burst
         return progressed
-
-    def _parallel_round(self, now: int) -> int:
-        """One cascade round fired wave-by-wave on the worker pool."""
-        runnable = [f for f in self.factories if f.state != FAILED]
-        if not runnable:
-            return 0
-        pool = self._ensure_pool()
-        # poll phase: each poll touches only its own factory's cursors
-        # and caches (baskets are internally locked for reads), so all
-        # polls run concurrently; the base class's poll is a no-op and
-        # is skipped outright
-        pollers = [f for f in runnable
-                   if type(f).poll is not Factory.poll]
-        if pollers:
-            def _poll(factory: Factory) -> Optional[FactoryError]:
-                try:
-                    factory.poll(now)
-                except FactoryError as exc:
-                    return exc
-                return None
-
-            for exc in pool.map(_poll, pollers):
-                if exc is not None:
-                    self._record_failure(exc)
-        enabled = [f for f in runnable
-                   if f.state != FAILED and f.enabled(now)]
-        progressed = 0
-        for wave in self._partition_waves(enabled):
-            self.wave_count += 1
-            self.wave_width_max = max(self.wave_width_max, len(wave))
-            self.wave_width_sum += len(wave)
-            if len(wave) == 1:
-                # no concurrency to gain: fire on the scheduler thread
-                progressed += self._settle(*self._burst(wave[0], now))
-                continue
-            futures = [pool.submit(self._burst, factory, now)
-                       for factory in wave]
-            outcomes = [future.result() for future in futures]
-            self.parallel_fires += sum(fired for fired, _exc in outcomes)
-            # settle every outcome before raising: a fatal error in one
-            # burst must not drop the other bursts' fire counts or
-            # leave their FactoryErrors unrecorded
-            fatal: Optional[Exception] = None
-            for fired, exc in outcomes:
-                progressed += fired
-                if exc is None:
-                    continue
-                if isinstance(exc, FactoryError):
-                    self._record_failure(exc)
-                elif fatal is None:
-                    fatal = exc
-            if fatal is not None:
-                raise fatal
-        return progressed
-
-    def _partition_waves(self, enabled: List[Factory]
-                         ) -> List[List[Factory]]:
-        """Split the enabled set into conflict-free waves.
-
-        Two factories conflict iff one writes a basket the other reads
-        or writes. Each factory is placed one wave after its latest
-        conflicting predecessor (factory-list order), so conflicting
-        pairs keep the serial firing order — in particular a chained
-        network (``output_stream``) fires writer-before-reader, in
-        topological order — while everything else shares a wave.
-        """
-        waves: List[List[Factory]] = []
-        placed: List[Tuple[Set[str], Set[str], int]] = []
-        for factory in enabled:
-            reads = set(factory.input_streams())
-            writes = set(factory.write_streams())
-            wave_idx = 0
-            for other_reads, other_writes, other_wave in placed:
-                if writes & (other_reads | other_writes) \
-                        or other_writes & reads:
-                    wave_idx = max(wave_idx, other_wave + 1)
-            placed.append((reads, writes, wave_idx))
-            if wave_idx == len(waves):
-                waves.append([])
-            waves[wave_idx].append(factory)
-        return waves
 
     # -- simulation drivers ------------------------------------------------
 
@@ -375,17 +207,6 @@ class PetriNetScheduler:
 
     # -- monitoring ----------------------------------------------------------
 
-    def parallel_stats(self) -> Dict[str, float]:
-        """Worker-pool utilization counters (all zero on the serial
-        path)."""
-        avg = (self.wave_width_sum / self.wave_count
-               if self.wave_count else 0.0)
-        return {"workers": self.parallel_workers,
-                "waves": self.wave_count,
-                "max_wave_width": self.wave_width_max,
-                "avg_wave_width": round(avg, 3),
-                "parallel_fires": self.parallel_fires}
-
     def network_stats(self) -> Dict[str, Dict]:
         out = {
             "steps": self.steps,
@@ -394,7 +215,6 @@ class PetriNetScheduler:
             "factories": {f.name: f.stats() for f in self.factories},
             "failed": [str(e) for e in self.failed],
             "failed_total": self.failed_total,
-            "parallel": self.parallel_stats(),
         }
         if self.recycler is not None:
             out["recycler"] = self.recycler.stats()

@@ -343,17 +343,6 @@ class BasicWindowTracker:
         k = self._next_window
         return k, list(range(k, k + self.n_basic))
 
-    def window_bounds(self) -> Tuple[int, int]:
-        """Absolute oid range [lo, hi) of the next full window to fire.
-
-        The same range a reeval cursor would evaluate — used to stamp
-        emissions with a content fingerprint comparable across modes.
-        """
-        k = self._next_window
-        lo, _ = self._bw_bounds(k)
-        _, hi = self._bw_bounds(k + self.n_basic - 1)
-        return lo, hi
-
     def advance(self) -> List[int]:
         """Finish the current window; returns evictable bw indexes."""
         self.fires += 1

@@ -459,8 +459,7 @@ class CompiledProgram:
     instruction fingerprints the recycled path consults. Compiled
     programs hold no run state (registers are allocated per call), so
     one compilation is safely shared by every factory whose program is
-    structurally identical — and by concurrent firings on the worker
-    pool.
+    structurally identical.
     """
 
     __slots__ = ("name", "nslots", "steps", "thunks")
@@ -499,17 +498,13 @@ class CompiledProgram:
                 regs[d] = v
 
     def _recycled_step(self, step: CompiledStep, ctx, regs,
-                       recycler, window_ranges,
-                       check: bool = True) -> None:
+                       recycler, window_ranges) -> None:
         info = step.info
-        if check and not recycler.should_attempt(info.fp):
-            step.thunk(ctx, regs)
-            return
         try:
             ranges = [(s,) + window_ranges[s] for s in info.streams]
         except KeyError:
             # a lineage stream this run has no window for — execute
-            # without caching (mirrors the interpreter)
+            # without caching
             step.thunk(ctx, regs)
             return
         key = recycler.instruction_key(info.fp, ranges)
@@ -539,46 +534,31 @@ class CompiledProgram:
     def run_recycled(self, ctx, recycler,
                      window_ranges: Dict[str, tuple],
                      modes: Optional[tuple] = None) -> Any:
-        """One firing consulting the recycler by slot: recyclable steps
+        """One firing consulting the recycler by slot: admitted steps
         look up their (fingerprint, window-ranges) key before invoking
         the thunk; misses execute, bind and publish.
 
-        *modes* is an optional per-step admission mask (aligned with
-        :attr:`steps`) the factory snapshots once per recycler
-        ``census_version``: ``0`` runs the bare thunk, ``1`` attempts
-        recycling without re-checking admission, ``2`` consults
-        ``should_attempt`` per firing (uncensused fingerprints whose
-        cold-store cutoff moves without a version bump). Without a
-        mask every recyclable step pays the per-fire admission call."""
+        *modes* is the per-step admission mask (:meth:`attempt_modes`)
+        the factory snapshots once per recycler ``census_version``;
+        without one it is taken afresh for this firing."""
         regs: List[Any] = [None] * self.nslots
         if modes is None:
-            for step in self.steps:
-                info = step.info
-                if info is None or not info.recyclable:
-                    step.thunk(ctx, regs)
-                else:
-                    self._recycled_step(step, ctx, regs, recycler,
-                                        window_ranges)
-        else:
-            for step, mode in zip(self.steps, modes):
-                if mode == 0:
-                    step.thunk(ctx, regs)
-                else:
-                    self._recycled_step(step, ctx, regs, recycler,
-                                        window_ranges, check=mode == 2)
+            modes = self.attempt_modes(recycler)
+        for step, mode in zip(self.steps, modes):
+            if mode:
+                self._recycled_step(step, ctx, regs, recycler,
+                                    window_ranges)
+            else:
+                step.thunk(ctx, regs)
         return ctx.result
 
     def attempt_modes(self, recycler) -> tuple:
         """Per-step admission mask for :meth:`run_recycled`, valid
         until the recycler's ``census_version`` changes."""
-        modes = []
-        for step in self.steps:
-            info = step.info
-            if info is None or not info.recyclable:
-                modes.append(0)
-            else:
-                modes.append(recycler.attempt_mode(info.fp))
-        return tuple(modes)
+        return tuple(
+            step.info is not None and step.info.recyclable
+            and recycler.should_attempt(step.info.fp)
+            for step in self.steps)
 
     def run_profiled(self, ctx, profile: Dict[str, List[float]],
                      recycler=None,
@@ -591,16 +571,17 @@ class CompiledProgram:
         updates, so no extra locking here)."""
         regs: List[Any] = [None] * self.nslots
         perf = _time.perf_counter
-        for i, step in enumerate(self.steps):
+        if recycler is None:
+            modes = (False,) * len(self.steps)
+        elif modes is None:
+            modes = self.attempt_modes(recycler)
+        for step, mode in zip(self.steps, modes):
             started = perf()
-            info = step.info
-            if (recycler is None or info is None or not info.recyclable
-                    or (modes is not None and modes[i] == 0)):
-                step.thunk(ctx, regs)
+            if mode:
+                self._recycled_step(step, ctx, regs, recycler,
+                                    window_ranges)
             else:
-                self._recycled_step(
-                    step, ctx, regs, recycler, window_ranges,
-                    check=modes is None or modes[i] == 2)
+                step.thunk(ctx, regs)
             elapsed_ms = (perf() - started) * 1000.0
             cell = profile.get(step.opcode)
             if cell is None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.mal.program import Const, Instruction, MALProgram, Var
 
@@ -147,55 +147,34 @@ def _fingerprint_instruction(instr: Instruction, env: Dict[str, tuple]
     return InstructionFP(fp, frozenset(streams), recyclable)
 
 
-def program_fingerprint(program: MALProgram) -> str:
-    """One digest for the whole program's structure (plan identity)."""
-    parts: List[str] = []
-    for info in fingerprint_program(program):
-        parts.append("-" if info is None else info.fp)
-    return _digest("|".join(parts))
-
-
 # ---------------------------------------------------------------------
 # per-plan digest cache
 # ---------------------------------------------------------------------
 #
-# A factory's program is static after registration, yet fingerprints
-# used to be recomputed wherever they were needed (factory init, plan
-# identity, engine registration). The memo below computes the full
-# per-instruction analysis at most once per (program, version); the
-# program's ``version`` counter invalidates the entry if the program is
-# ever mutated after being fingerprinted. Keyed weakly so dropped
-# queries do not pin their programs.
+# A factory's program is static after registration, so the
+# per-instruction analysis is computed at most once per (program,
+# version); the program's ``version`` counter invalidates the entry if
+# the program is ever mutated after being fingerprinted. Keyed weakly
+# so dropped queries do not pin their programs.
 
 _FP_CACHE: "weakref.WeakKeyDictionary[MALProgram, tuple]" = \
     weakref.WeakKeyDictionary()
 _FP_STATS = {"hits": 0, "misses": 0}
 
 
-def _cached_analysis(program: MALProgram) -> tuple:
-    version = getattr(program, "version", None)
-    entry = _FP_CACHE.get(program)
-    if entry is not None and entry[0] == version:
-        _FP_STATS["hits"] += 1
-        return entry
-    _FP_STATS["misses"] += 1
-    fps = fingerprint_program(program)
-    parts = ["-" if info is None else info.fp for info in fps]
-    entry = (version, fps, _digest("|".join(parts)))
-    _FP_CACHE[program] = entry
-    return entry
-
-
 def cached_fingerprints(program: MALProgram
                         ) -> List[Optional[InstructionFP]]:
     """Memoized :func:`fingerprint_program` (treat the list as
     read-only — it is shared across callers)."""
-    return _cached_analysis(program)[1]
-
-
-def cached_program_fingerprint(program: MALProgram) -> str:
-    """Memoized :func:`program_fingerprint`."""
-    return _cached_analysis(program)[2]
+    version = getattr(program, "version", None)
+    entry = _FP_CACHE.get(program)
+    if entry is not None and entry[0] == version:
+        _FP_STATS["hits"] += 1
+        return entry[1]
+    _FP_STATS["misses"] += 1
+    fps = fingerprint_program(program)
+    _FP_CACHE[program] = (version, fps)
+    return fps
 
 
 def fingerprint_cache_stats() -> Dict[str, int]:
@@ -203,68 +182,3 @@ def fingerprint_cache_stats() -> Dict[str, int]:
     return {"fp_cache_hits": _FP_STATS["hits"],
             "fp_cache_misses": _FP_STATS["misses"],
             "fp_cache_entries": len(_FP_CACHE)}
-
-
-def emit_fingerprint(plan_fp: str,
-                     ranges: Iterable[Tuple[str, int, int]]) -> str:
-    """Digest identifying one emit payload of a chained plan.
-
-    Combines the producing plan's structural fingerprint
-    (:func:`program_fingerprint`) with the absolute oid ranges of the
-    stream windows that firing evaluated — the same plan over the same
-    windows always emits the same payload, so the digest is a content
-    identity for the appended output-basket range. Output baskets
-    stamp each appended range with it (:meth:`repro.core.basket.
-    Basket.append_stamped`) and the recycler adopts the payload under
-    the matching slice key, which is how fingerprint lineage flows
-    across a stage boundary instead of stopping at leaf stream
-    windows.
-    """
-    parts = [plan_fp]
-    for name, lo, hi in sorted(ranges):
-        parts.append(f"{str(name).lower()}:{lo}:{hi}")
-    return _digest("|".join(parts))
-
-
-class EmitStamper:
-    """Amortized :func:`emit_fingerprint` for one producing plan.
-
-    A factory stamps every firing with the same plan fingerprint; only
-    the window oid-ranges vary. Pre-hashing the plan prefix once and
-    cloning the hash state per firing (``hashlib``'s ``copy``) means
-    each stamp digests only the few bytes of range text — and produces
-    exactly the digest :func:`emit_fingerprint` would, so stamps from
-    amortized and unamortized producers always match.
-    """
-
-    __slots__ = ("plan_fp", "_base", "stamps")
-
-    def __init__(self, plan_fp: str):
-        self.plan_fp = plan_fp
-        self._base = hashlib.sha1(plan_fp.encode("utf-8"))
-        self.stamps = 0
-
-    def stamp(self, ranges: Iterable[Tuple[str, int, int]]) -> str:
-        digest = self._base.copy()
-        for name, lo, hi in sorted(ranges):
-            digest.update(
-                f"|{str(name).lower()}:{lo}:{hi}".encode("utf-8"))
-        self.stamps += 1
-        return digest.hexdigest()[:16]
-
-
-def shared_prefix(programs: Sequence[MALProgram]) -> List[str]:
-    """Instruction digests every program in *programs* computes.
-
-    A diagnostic helper (the monitor's "how much work is shareable"
-    view): returns the fingerprints that occur in all programs'
-    recyclable instruction sets.
-    """
-    if not programs:
-        return []
-    common: Optional[set] = None
-    for program in programs:
-        fps = {info.fp for info in fingerprint_program(program)
-               if info is not None and info.recyclable}
-        common = fps if common is None else common & fps
-    return sorted(common or ())

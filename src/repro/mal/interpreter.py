@@ -11,7 +11,6 @@ opcodes that bind, lock and drain stream baskets.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
@@ -62,10 +61,6 @@ def opcode(name: str):
     return deco
 
 
-def has_opcode(name: str) -> bool:
-    return name in _OPCODES
-
-
 def lookup_opcode(name: str, line: Optional[int] = None,
                   plan: str = "") -> OpImpl:
     """Resolve *name* to its implementation, exactly once.
@@ -90,75 +85,18 @@ def lookup_opcode(name: str, line: Optional[int] = None,
 class MALInterpreter:
     """Straight-line interpreter with a variable environment per run.
 
-    With a :class:`~repro.core.recycler.Recycler` attached (plus the
-    program's instruction fingerprints and the oid-ranges of the stream
-    windows this run reads), every recyclable instruction consults the
-    cross-query cache before executing: a hit binds the shared cached
-    value; a miss executes and publishes the result for the other
-    standing queries sharing the basket window.
-    """
+    The reference executor: it never consults the recycler, so the
+    compiled (and recycled) paths are checked against it."""
 
-    def __init__(self, ctx: MALContext, recycler=None,
-                 fingerprints=None, window_ranges=None):
+    def __init__(self, ctx: MALContext):
         self.ctx = ctx
-        self.recycler = recycler
-        self.fingerprints = fingerprints
-        self.window_ranges = window_ranges or {}
 
     def run(self, program: MALProgram,
             env: Optional[Dict[str, Any]] = None) -> Optional[Relation]:
         env = env if env is not None else {}
-        recycling = (self.recycler is not None
-                     and self.fingerprints is not None
-                     and len(self.fingerprints) == len(program.instructions))
         for i, instr in enumerate(program.instructions):
-            if recycling:
-                self._recycled_step(instr, self.fingerprints[i], env, i)
-            else:
-                self._step(instr, env, i)
+            self._step(instr, env, i)
         return self.ctx.result
-
-    def _recycled_step(self, instr: Instruction, info,
-                       env: Dict[str, Any],
-                       line: Optional[int] = None) -> None:
-        if info is None or not info.recyclable:
-            self._step(instr, env, line)
-            return
-        if not self.recycler.should_attempt(info.fp):
-            self._step(instr, env, line)
-            return
-        try:
-            ranges = [(s,) + self.window_ranges[s] for s in info.streams]
-        except KeyError:
-            # a lineage stream this run has no window for (should not
-            # happen for factory programs) — execute without caching
-            self._step(instr, env, line)
-            return
-        key = self.recycler.instruction_key(info.fp, ranges)
-        found, value = self.recycler.lookup(key)
-        if found:
-            if self.recycler.verify:
-                self._verify_hit(instr, env, value, line)
-            self._bind(instr, value, env)
-            return
-        # bracket the evaluation: the wall time is the entry's
-        # recompute cost, which the benefit-density policy weighs
-        # against its size at eviction time
-        started = time.perf_counter()
-        value = self._execute(instr, env, line)
-        cost_ms = (time.perf_counter() - started) * 1000.0
-        self._bind(instr, value, env)
-        self.recycler.store(key, value, cost_ms=cost_ms)
-
-    def _verify_hit(self, instr: Instruction, env: Dict[str, Any],
-                    cached: Any, line: Optional[int] = None) -> None:
-        from repro.core.recycler import payloads_equal
-
-        fresh = self._execute(instr, env, line)
-        if not payloads_equal(cached, fresh):
-            raise MALError(
-                f"recycler verify failed for {instr.opcode}: cached "
-                f"{cached!r} != fresh {fresh!r}")
 
     def _step(self, instr: Instruction, env: Dict[str, Any],
               line: Optional[int] = None) -> None:
@@ -522,10 +460,6 @@ def _dynamic_scalar_call(ctx: MALContext, name: str, *args: BAT) -> BAT:
     from repro.sql import functions as funcs
 
     return funcs.lookup(name).impl(*args)
-
-
-class _CalcDispatch:
-    """Fallback: ``calc.<fn>`` opcodes route to the function registry."""
 
 
 def _ensure_calc(name: str) -> None:

@@ -134,26 +134,11 @@ class MALProgram:
         self.instructions.append(instruction)
         self.version += 1
 
-    def prepend(self, instruction: Instruction) -> None:
-        self.instructions.insert(0, instruction)
-        self.version += 1
-
     def opcodes(self) -> List[str]:
         return [i.opcode for i in self.instructions]
 
     def count_module(self, module: str) -> int:
         return sum(1 for i in self.instructions if i.module == module)
-
-    def fingerprint(self) -> str:
-        """Structural digest of this program (SSA-name independent).
-
-        Two independently compiled programs doing identical work over
-        identical sources share a fingerprint; see
-        :mod:`repro.mal.fingerprint` for the canonicalization rules.
-        """
-        from repro.mal.fingerprint import cached_program_fingerprint
-
-        return cached_program_fingerprint(self)
 
     def copy(self) -> "MALProgram":
         out = MALProgram(self.name, self.kind)

@@ -47,7 +47,8 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.core.clock import WallClock
-from repro.core.emitter import QueueSink, SubscriberCursor
+from repro.core.emitter import (SERVED_MAX_BATCHES, QueueSink,
+                                SubscriberCursor)
 from repro.core.engine import DataCellEngine
 from repro.core.live import drain_scheduler
 from repro.core.receptor import SocketReceptor
@@ -365,15 +366,17 @@ class DataCellServer:
                  max_pending_batches: int = 64,
                  block_timeout_s: float = 5.0,
                  max_client_queue: int = 256,
-                 collect_max_batches: Optional[int] = 1024,
+                 collect_max_batches: Optional[int] = SERVED_MAX_BATCHES,
                  replay_chunk_rows: int = 2048,
                  io_loop: Optional[IOLoop] = None):
         """``port=0`` binds an ephemeral port (read :attr:`port` after
         :meth:`start`). ``admission``/``max_pending_batches`` shape the
         per-producer admission queues; ``max_client_queue`` bounds each
-        subscriber's delivery queue; ``collect_max_batches`` retro-bounds
-        every standing query's built-in CollectingSink so a long-running
-        server does not hoard history (``None`` leaves them unbounded).
+        subscriber's delivery queue; ``collect_max_batches`` bounds
+        every standing query's built-in CollectingSink — registered
+        before or after :meth:`start`, over either front end — so a
+        long-running server does not hoard history (``None`` leaves
+        them unbounded).
         ``replay_chunk_rows`` bounds how many tuples one stream-replay
         RESULT frame carries while a subscriber catches up. ``io_loop``
         shares an existing :class:`~repro.net.aio.IOLoop` (e.g. with the
@@ -415,8 +418,7 @@ class DataCellServer:
         if self.running:
             raise StreamError("server already started")
         if self.collect_max_batches is not None:
-            for query in self.engine.queries():
-                query.sink.set_max_batches(self.collect_max_batches)
+            self.engine.bound_result_sinks(self.collect_max_batches)
         self.io.acquire()
         try:
             self._aio_server = self.io.call(self._open_listener())

@@ -222,16 +222,6 @@ def error_response(sqlstate: str, text: str,
     return message(ERROR_RESPONSE, bytes(fields))
 
 
-def notice_response(text: str, sqlstate: str = "00000") -> bytes:
-    fields = bytearray()
-    fields += b"S" + cstr("NOTICE")
-    fields += b"V" + cstr("NOTICE")
-    fields += b"C" + cstr(sqlstate)
-    fields += b"M" + cstr(text)
-    fields += b"\x00"
-    return message(NOTICE_RESPONSE, bytes(fields))
-
-
 # -- frontend payload parsers (server side + test client) --------------
 
 def parse_startup_payload(payload: bytes) -> Dict[str, str]:

@@ -32,6 +32,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.core.clock import WallClock
+from repro.core.emitter import SERVED_MAX_BATCHES
 from repro.core.engine import DataCellEngine
 from repro.core.live import drain_scheduler
 from repro.errors import NetError, StreamError
@@ -95,6 +96,9 @@ class PGWireServer:
     def start(self) -> "PGWireServer":
         if self.running:
             raise StreamError("server already started")
+        if self.engine.net_edge is None:
+            # no framed server to size the built-in result sinks
+            self.engine.bound_result_sinks(SERVED_MAX_BATCHES)
         self.io.acquire()
         try:
             self._aio_server = self.io.call(self._open_listener())

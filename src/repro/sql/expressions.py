@@ -47,13 +47,6 @@ class BoundExpr:
         """Python value when this subtree is a constant, else raises."""
         raise BindError("expression is not constant")
 
-    def is_constant(self) -> bool:
-        try:
-            self.const_value()
-            return True
-        except BindError:
-            return False
-
     def sql(self) -> str:
         """Approximate SQL rendering (for plan printing)."""
         raise NotImplementedError

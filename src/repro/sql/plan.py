@@ -294,7 +294,3 @@ def walk_plan(node: PlanNode):
 
 def find_stream_scans(node: PlanNode) -> List[StreamScanNode]:
     return [n for n in walk_plan(node) if isinstance(n, StreamScanNode)]
-
-
-def find_scans(node: PlanNode) -> List[ScanNode]:
-    return [n for n in walk_plan(node) if isinstance(n, ScanNode)]

@@ -1,4 +1,5 @@
-"""Snapshot persistence: save/load a catalog to a directory.
+"""Checkpoint persistence: save/load a catalog and the standing-query
+definitions to a directory (the engine's ``data_dir`` checkpoint).
 
 Layout::
 

@@ -42,8 +42,12 @@ class TestIngestion:
         from repro.mal.relation import Relation
 
         rel = Relation.from_rows(basket.schema, [(7, 7.0)])
-        assert basket.append_relation(rel, now=1) == 1
+        assert basket.append_relation(rel, now=1) == (0, 1)
         assert basket.relation().to_rows() == [(7, 7.0)]
+        # the appended oid range, empty appends included
+        assert basket.append_relation(rel, now=2) == (1, 2)
+        empty = Relation.from_rows(basket.schema, [])
+        assert basket.append_relation(empty, now=3) == (2, 2)
 
 
 class TestOids:
@@ -172,4 +176,4 @@ class TestStats:
         basket.append_rows([(1, 1.0)], now=0)
         stats = basket.stats()
         assert stats == {"size": 1, "total_in": 1, "total_dropped": 0,
-                         "high_water": 1, "subscribers": 0, "stamps": 0}
+                         "high_water": 1, "subscribers": 0}

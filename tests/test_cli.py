@@ -181,20 +181,3 @@ class TestIntermediatesCommand:
         assert "usage:" in run_shell(".intermediates\n")
 
 
-class TestSaveRestoreCommands:
-    def test_roundtrip_through_shell(self, tmp_path):
-        directory = str(tmp_path / "snap")
-        out = run_shell(
-            "CREATE STREAM s (k INT);\n"
-            ".register q SELECT k FROM s;\n"
-            f".save {directory}\n")
-        assert "saved engine state" in out
-        out2 = run_shell(
-            f".restore {directory}\n"
-            ".queries\n")
-        assert "restored engine" in out2
-        assert "q [reeval]" in out2
-
-    def test_usage_lines(self):
-        assert "usage: .save" in run_shell(".save\n")
-        assert "usage: .restore" in run_shell(".restore\n")

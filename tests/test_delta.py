@@ -337,11 +337,11 @@ class TestPropertyDeltaEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# satellite: fingerprint chaining from incremental/delta emissions
+# satellite: slice adoption from incremental/delta emissions
 # ---------------------------------------------------------------------------
 
 
-class TestEmitFingerprints:
+class TestChainedEmits:
     def chained_engine(self, mode):
         engine = DataCellEngine(recycler_enabled=True)
         engine.execute("CREATE STREAM s (k INT, v FLOAT)")
@@ -354,14 +354,14 @@ class TestEmitFingerprints:
         rows = [(i % 4, float(i % 7)) for i in range(200)]
         # slow enough that the stages interleave: each stage1 emission
         # is scanned by stage2 before the next one lands, so the
-        # stamped oid range matches the downstream window exactly
+        # adopted oid range matches the downstream window exactly
         engine.attach_source("s", RateSource(rows, rate=5000))
         engine.run_until_drained()
         assert not engine.scheduler.failed, engine.scheduler.failed
         return engine
 
     @pytest.mark.parametrize("mode", ["incremental", "delta"])
-    def test_emissions_are_stamped_and_chain(self, mode):
+    def test_emissions_are_adopted_and_chain(self, mode):
         engine = self.chained_engine(mode)
         assert engine.continuous_query("stage1").mode == mode
         stats = engine.recycler.stats()
@@ -371,49 +371,12 @@ class TestEmitFingerprints:
 
 
 # ---------------------------------------------------------------------------
-# satellite: recycler admission floor + reuse decay
+# satellite: recycler reuse decay
 # ---------------------------------------------------------------------------
 
 
 def int_payload(n=64):
     return np.arange(n, dtype=np.int64)
-
-
-class TestRecyclerAdmission:
-    def test_cheap_results_rejected(self):
-        rec = Recycler(min_cost_ms=5.0)
-        key = rec.instruction_key("fp", [("s", 0, 10)])
-        rec.store(key, int_payload(), cost_ms=0.01)
-        assert rec.lookup(key) == (False, None)
-        assert rec.stats()["admission_rejects"] == 1
-
-    def test_expensive_results_admitted(self):
-        rec = Recycler(min_cost_ms=5.0)
-        key = rec.instruction_key("fp", [("s", 0, 10)])
-        rec.store(key, int_payload(), cost_ms=50.0)
-        assert rec.lookup(key)[0] is True
-        assert rec.stats()["admission_rejects"] == 0
-
-    def test_zero_floor_admits_everything(self):
-        rec = Recycler()
-        key = rec.instruction_key("fp", [("s", 0, 10)])
-        rec.store(key, int_payload(), cost_ms=0.0)
-        assert rec.lookup(key)[0] is True
-
-    def test_engine_knob_reaches_recycler(self):
-        engine = DataCellEngine(recycler_enabled=True,
-                                recycler_min_cost_ms=1e9)
-        engine.execute("CREATE STREAM s (k INT, v FLOAT)")
-        engine.register_continuous(
-            "SELECT k, v FROM s WHERE v > 0", mode="reeval", name="q")
-        engine.attach_source(
-            "s", RateSource([(i % 3, float(i)) for i in range(100)],
-                            rate=100000))
-        engine.run_until_drained()
-        stats = engine.recycler.stats()
-        assert stats["min_cost_ms"] == 1e9
-        assert stats["admission_rejects"] > 0
-        assert stats["entries"] == 0
 
 
 class TestReuseDecay:

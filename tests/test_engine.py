@@ -269,3 +269,32 @@ class TestExplain:
     def test_explain_rejects_ddl(self, engine):
         with pytest.raises(BindError):
             engine.explain("CREATE TABLE t (a INT)")
+
+
+class TestConstructorSurface:
+    def test_engine_knobs_are_exactly_these(self):
+        """The guard against knob creep: a new engine option must
+        replace one, or argue its way into this list."""
+        import inspect
+
+        from repro.core.engine import DataCellEngine
+
+        params = list(inspect.signature(
+            DataCellEngine.__init__).parameters)[1:]
+        assert params == [
+            "clock", "recycler_enabled", "recycler_budget_bytes",
+            "recycler_verify", "compile_plans", "interp_profile",
+            "data_dir", "durability", "segment_rows",
+            "checkpoint_interval_s", "log_inline", "retain_ms",
+            "retain_bytes"]
+        assert not hasattr(DataCellEngine, "save")
+        assert not hasattr(DataCellEngine, "restore")
+
+    def test_recycler_knobs_are_exactly_these(self):
+        import inspect
+
+        from repro.core.recycler import Recycler
+
+        assert list(inspect.signature(
+            Recycler.__init__).parameters)[1:] == [
+                "budget_bytes", "enabled", "verify"]

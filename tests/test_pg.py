@@ -399,6 +399,43 @@ class TestDialect:
         assert "q2" not in [q.name for q in pg_server.engine.queries()]
         client.close()
 
+    def test_query_registered_on_running_server_is_bounded(self):
+        """A query registered over pg after start gets the server's
+        CollectingSink bound, like the ones registered before it."""
+        engine = _pg_engine()
+        framed = DataCellServer(engine, step_interval_s=0.001,
+                                collect_max_batches=3)
+        framed.start()
+        pg = PGWireServer(engine, drive_scheduler=False,
+                          io_loop=framed.io)
+        pg.start()
+        try:
+            client = MiniPG(pg.host, pg.port)
+            client.query("REGISTER CONTINUOUS late AS "
+                         "SELECT k FROM s WHERE k >= 0")
+            factory = engine.continuous_query("late").factory
+            for i in range(8):
+                client.query(f"INSERT INTO s VALUES ({i}, 1.0, 'x', true)")
+                assert _wait_until(lambda: factory.fires > i)
+            client.close()
+            sink = engine.results("late")
+            assert len(sink.batches) <= 3
+            assert sink.dropped_batches > 0
+        finally:
+            pg.stop()
+            framed.stop()
+            engine.close()
+
+    def test_pg_server_alone_bounds_result_sinks(self, pg_server):
+        from repro.core.emitter import SERVED_MAX_BATCHES
+
+        client = MiniPG(pg_server.host, pg_server.port)
+        client.query("REGISTER CONTINUOUS late AS SELECT k FROM s")
+        client.close()
+        engine = pg_server.engine
+        assert engine.results("q").max_batches == SERVED_MAX_BATCHES
+        assert engine.results("late").max_batches == SERVED_MAX_BATCHES
+
     def test_noops_keep_drivers_happy(self, pg_server):
         client = MiniPG(pg_server.host, pg_server.port)
         assert tags_of(client.query("BEGIN")) == ["BEGIN"]

@@ -2,8 +2,8 @@
 recycler.
 
 Covers fingerprint canonicalization (SSA-name independence, constant
-and stream sensitivity, recyclability verdicts), the recycler's LRU /
-invalidation mechanics, and the end-to-end equivalence guarantee:
+and stream sensitivity, recyclability verdicts), the recycler's
+eviction / invalidation mechanics, and the end-to-end equivalence guarantee:
 recycler-on and recycler-off engines emit byte-identical results for
 the same workload (filter fleets, windowed aggregates, joins).
 """
@@ -18,8 +18,7 @@ from repro.core.engine import DataCellEngine
 from repro.core.recycler import (Recycler, payload_nbytes,
                                  payloads_equal)
 from repro.mal.bat import BAT
-from repro.mal.fingerprint import (fingerprint_program,
-                                   program_fingerprint, shared_prefix)
+from repro.mal.fingerprint import fingerprint_program
 from repro.mal.program import Const, Instruction, MALProgram, Var
 from repro.mal.relation import Relation
 from repro.storage import types as dt
@@ -46,8 +45,6 @@ class TestFingerprint:
         a = fingerprint_program(filter_program(offset=0))
         b = fingerprint_program(filter_program(offset=40))
         assert [i.fp for i in a if i] == [i.fp for i in b if i]
-        assert program_fingerprint(filter_program(offset=0)) == \
-            program_fingerprint(filter_program(offset=40))
 
     def test_constant_sensitivity(self):
         a = fingerprint_program(filter_program(threshold=1.5))
@@ -90,17 +87,6 @@ class TestFingerprint:
                              [Var("never_bound"), Var("never_bound")]))
         assert not fingerprint_program(p)[0].recyclable
 
-    def test_shared_prefix_across_fleet(self):
-        fleet = [filter_program(threshold=5.0, offset=i * 10)
-                 for i in range(4)]
-        common = shared_prefix(fleet)
-        infos = fingerprint_program(fleet[0])
-        assert infos[1].fp in common and infos[2].fp in common
-        # an outlier constant shares no recyclable instruction
-        fleet.append(filter_program(threshold=9.0, offset=99))
-        assert shared_prefix(fleet) == []
-        assert shared_prefix([]) == []
-
     def test_engine_program_fingerprints_match_across_queries(self):
         engine = DataCellEngine()
         engine.execute("CREATE STREAM s (k INT, v FLOAT)")
@@ -110,9 +96,10 @@ class TestFingerprint:
                                         name="b")
         q3 = engine.register_continuous("SELECT k FROM s WHERE v > 2",
                                         name="c")
-        fp = q1.continuous_program.fingerprint()
-        assert fp == q2.continuous_program.fingerprint()
-        assert fp != q3.continuous_program.fingerprint()
+        fps = [[i.fp for i in fingerprint_program(q.continuous_program)
+                if i] for q in (q1, q2, q3)]
+        assert fps[0] == fps[1]
+        assert fps[0] != fps[2]
 
 
 def int_bat(values):
@@ -226,10 +213,6 @@ class TestRecyclerMechanics:
         assert rec.lookup(key) == (False, None)
         assert len(rec) == 0
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            Recycler(policy="mru")
-
     def test_payload_nbytes_shapes(self):
         arr = np.zeros(10, dtype=np.int64)
         assert payload_nbytes(arr) == 80
@@ -251,9 +234,9 @@ class TestRecyclerMechanics:
         assert not payloads_equal(int_bat([1]), np.array([1]))
 
 
-class TestBenefitPolicy:
-    """Benefit-density eviction (cost × reuses / bytes) vs plain LRU,
-    on sequences where the two policies disagree."""
+class TestBenefitEviction:
+    """Benefit-density eviction (cost × reuses / bytes) on sequences
+    where it disagrees with plain recency order."""
 
     def _keys(self, rec, n):
         return [rec.instruction_key(f"fp{i}", [("s", i, i + 1)])
@@ -263,28 +246,20 @@ class TestBenefitPolicy:
         # LRU would evict the oldest entry; benefit keeps the one that
         # is expensive to recompute and sheds the near-free newcomer
         item = np.zeros(128, dtype=np.int64)
-        rec = Recycler(budget_bytes=2 * item.nbytes, policy="benefit")
+        rec = Recycler(budget_bytes=2 * item.nbytes)
         k = self._keys(rec, 3)
         rec.store(k[0], item.copy(), cost_ms=50.0)   # oldest, costly
         rec.store(k[1], item.copy(), cost_ms=0.001)  # newer, near-free
         rec.store(k[2], item.copy(), cost_ms=1.0)
         assert rec.lookup(k[0])[0] is True
         assert rec.lookup(k[1])[0] is False
-        assert rec.stats()["eviction_reasons"]["benefit"] == 1
-
-        lru = Recycler(budget_bytes=2 * item.nbytes, policy="lru")
-        lru.store(k[0], item.copy(), cost_ms=50.0)
-        lru.store(k[1], item.copy(), cost_ms=0.001)
-        lru.store(k[2], item.copy(), cost_ms=1.0)
-        assert lru.lookup(k[0])[0] is False          # recency only
-        assert lru.lookup(k[1])[0] is True
-        assert lru.stats()["eviction_reasons"]["lru"] == 1
+        assert rec.stats()["evictions"] == 1
 
     def test_reuses_raise_density(self):
         # equal cost and size: the reused entry outranks the idle one
         # even though it is older
         item = np.zeros(128, dtype=np.int64)
-        rec = Recycler(budget_bytes=2 * item.nbytes, policy="benefit")
+        rec = Recycler(budget_bytes=2 * item.nbytes)
         k = self._keys(rec, 3)
         rec.store(k[0], item.copy(), cost_ms=1.0)
         rec.store(k[1], item.copy(), cost_ms=1.0)
@@ -297,7 +272,7 @@ class TestBenefitPolicy:
         # same cost, same reuse: the big entry has the lower density
         big = np.zeros(256, dtype=np.int64)
         small = np.zeros(32, dtype=np.int64)
-        rec = Recycler(budget_bytes=2 * big.nbytes, policy="benefit")
+        rec = Recycler(budget_bytes=2 * big.nbytes)
         k = self._keys(rec, 3)
         rec.store(k[0], small.copy(), cost_ms=1.0)
         rec.store(k[1], big.copy(), cost_ms=1.0)
@@ -308,9 +283,9 @@ class TestBenefitPolicy:
     def test_zero_cost_entries_degrade_to_lru_order(self):
         # without cost accounting every density is 0.0; the strictly-
         # less victim scan then keeps the recency order, so stores
-        # without timings behave exactly like the lru policy
+        # without timings are evicted least-recently-used first
         item = np.zeros(128, dtype=np.int64)
-        rec = Recycler(budget_bytes=2 * item.nbytes, policy="benefit")
+        rec = Recycler(budget_bytes=2 * item.nbytes)
         k = self._keys(rec, 3)
         for key in k:
             rec.store(key, item.copy())
@@ -319,7 +294,7 @@ class TestBenefitPolicy:
         assert rec.lookup(k[2])[0] is True
 
     def test_hit_accounting(self):
-        rec = Recycler(policy="benefit")
+        rec = Recycler()
         key = rec.instruction_key("fp", [("s", 0, 4)])
         rec.store(key, int_bat([1, 2, 3, 4]), cost_ms=2.0)
         rec.lookup(key)
@@ -331,15 +306,15 @@ class TestBenefitPolicy:
 
 
 class TestChainAdoption:
-    """Fingerprint flow across a stage boundary: output baskets stamp
-    emitted ranges and the recycler adopts the payload as the slice."""
+    """Sharing across a stage boundary: the recycler adopts an output
+    basket's appended payload as the slice for exactly that range."""
 
     def test_adopt_slice_resolves_downstream_scan(self):
         rec = Recycler()
         basket = Basket("mid", Schema.parse([("k", "INT")]))
         rel = Relation([("k", int_bat([1, 2]))])
-        lo, hi = basket.append_stamped(rel, now=0, fp="feedbeef")
-        rec.adopt_slice("mid", lo, hi, rel, "feedbeef", cost_ms=5.0)
+        lo, hi = basket.append_relation(rel, now=0)
+        rec.adopt_slice("mid", lo, hi, rel, cost_ms=5.0)
         got, rng = rec.window_slice(basket, lo, hi)
         assert got is rel                  # the emit payload itself
         assert rng == (lo, hi)
@@ -352,8 +327,7 @@ class TestChainAdoption:
 
     def test_adopt_empty_range_is_noop(self):
         rec = Recycler()
-        rec.adopt_slice("mid", 3, 3, Relation([("k", int_bat([]))]),
-                        "fp")
+        rec.adopt_slice("mid", 3, 3, Relation([("k", int_bat([]))]))
         assert len(rec) == 0
         assert rec.stats()["chain_stamped"] == 0
 
@@ -363,29 +337,13 @@ class TestChainAdoption:
         rec = Recycler()
         basket = Basket("mid", Schema.parse([("k", "INT")]))
         rel = Relation([("k", int_bat([1, 2, 3]))])
-        lo, hi = basket.append_stamped(rel, now=0, fp="fp")
-        rec.adopt_slice("mid", lo, hi, rel, "fp", cost_ms=1.0)
+        lo, hi = basket.append_relation(rel, now=0)
+        rec.adopt_slice("mid", lo, hi, rel, cost_ms=1.0)
         got, rng = rec.window_slice(basket, lo + 1, hi)
         assert got is not rel
         assert got.to_rows() == [(2,), (3,)]
         assert rng == (lo + 1, hi)
         assert rec.stats()["chain_hits"] == 0
-
-    def test_basket_range_stamps(self):
-        basket = Basket("mid", Schema.parse([("k", "INT")]))
-        r1 = Relation([("k", int_bat([1, 2]))])
-        r2 = Relation([("k", int_bat([3]))])
-        assert basket.append_stamped(r1, now=0, fp="aa") == (0, 2)
-        assert basket.append_stamped(r2, now=1, fp="bb") == (2, 3)
-        assert basket.range_stamp(0, 2) == "aa"
-        assert basket.range_stamp(2, 3) == "bb"
-        assert basket.range_stamp(0, 3) is None     # not one append
-        assert basket.stats()["stamps"] == 2
-        # vacuum trims stamps whose range is entirely dropped
-        sub = basket.subscribe("q", from_start=True)
-        sub.release(2)
-        assert basket.vacuum() == 2
-        assert basket.range_stamps() == [(2, 3, "bb")]
 
     def test_chained_network_stage_boundary_hits(self):
         """End to end: a two-stage chained network resolves the
@@ -492,9 +450,11 @@ def emitted(engine, names):
                    engine.results(name).batches] for name in names}
 
 
-def run_workload(recycler_enabled, setup, policy="benefit"):
+def run_workload(recycler_enabled, setup):
+    """Recycler on runs the default engine (compiled plans); off is
+    the oracle — the bare interpreter with nothing on."""
     engine = DataCellEngine(recycler_enabled=recycler_enabled,
-                            recycler_policy=policy)
+                            compile_plans=recycler_enabled)
     names = setup(engine)
     engine.run_until_drained()
     assert not engine.scheduler.failed, engine.scheduler.failed
@@ -502,11 +462,9 @@ def run_workload(recycler_enabled, setup, policy="benefit"):
 
 
 def assert_recycler_transparent(setup):
-    """Emissions must be byte-identical with the recycler off, on with
-    LRU eviction, and on with benefit-density eviction."""
-    off = run_workload(False, setup)
-    for policy in ("lru", "benefit"):
-        assert run_workload(True, setup, policy=policy) == off, policy
+    """Emissions must be byte-identical with the recycler on and
+    off."""
+    assert run_workload(True, setup) == run_workload(False, setup)
 
 
 def sensor_rows_det(n):
@@ -608,8 +566,8 @@ class TestEquivalence:
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
-    def test_property_chained_networks_policies_agree(self, data):
-        """off == lru == benefit over randomized chained networks:
+    def test_property_chained_networks_on_equals_off(self, data):
+        """off == on over randomized chained networks:
         a head stage feeding an output basket, a random fan-out of
         downstream consumers (some sharing identical plans), random
         thresholds and stream contents."""
@@ -649,7 +607,7 @@ class TestBudgetAutotuner:
         recycler.hits += hits
 
     def test_grows_on_thrash(self):
-        r = Recycler(budget_bytes=8192, autotune=True)
+        r = Recycler(budget_bytes=8192)
         self._active(r, evictions=300, hits=10)
         r.autotune_tick()
         assert r.budget_bytes == 16384
@@ -657,23 +615,29 @@ class TestBudgetAutotuner:
         assert r.budget_trajectory == [8192, 16384]
 
     def test_no_decision_below_activity_window(self):
-        r = Recycler(budget_bytes=8192, autotune=True)
+        r = Recycler(budget_bytes=8192)
         self._active(r, evictions=100, hits=10)
         r.autotune_tick()
         assert r.budget_bytes == 8192
 
     def test_never_exceeds_ceiling(self):
-        r = Recycler(budget_bytes=8192, autotune=True,
-                     autotune_ceiling_bytes=20000)
-        for _ in range(10):
+        from repro.core.recycler import DEFAULT_BUDGET_BYTES
+
+        r = Recycler(budget_bytes=8192)
+        for _ in range(20):
             self._active(r, evictions=300, hits=0)
             r.autotune_tick()
-        assert r.budget_bytes <= 20000
+        assert r.budget_bytes == DEFAULT_BUDGET_BYTES
+        # a budget configured above the stock ceiling is its own ceiling
+        big = Recycler(budget_bytes=2 * DEFAULT_BUDGET_BYTES)
+        self._active(big, evictions=300, hits=0)
+        big.autotune_tick()
+        assert big.budget_bytes == 2 * DEFAULT_BUDGET_BYTES
 
     def test_shrinks_back_to_floor_when_idle(self):
         from repro.core.recycler import AUTOTUNE_SHRINK_WINDOWS
 
-        r = Recycler(budget_bytes=8192, autotune=True)
+        r = Recycler(budget_bytes=8192)
         self._active(r, evictions=300, hits=10)
         r.autotune_tick()
         assert r.budget_bytes == 16384
@@ -695,7 +659,7 @@ class TestBudgetAutotuner:
         assert r.budget_bytes == 8192
 
     def test_low_churn_window_holds_budget(self):
-        r = Recycler(budget_bytes=8192, autotune=True)
+        r = Recycler(budget_bytes=8192)
         # a trickle of evictions (under a quarter of the window, fewer
         # than hits) is healthy steady-state turnover, not thrash
         self._active(r, evictions=30, hits=300)
@@ -703,19 +667,17 @@ class TestBudgetAutotuner:
         assert r.budget_bytes == 8192
         assert r.budget_grows == 0 and r.budget_shrinks == 0
 
-    def test_off_by_default(self):
-        r = Recycler(budget_bytes=8192)
+    def test_disabled_recycler_does_not_tune(self):
+        r = Recycler(budget_bytes=8192, enabled=False)
         self._active(r, evictions=1000, hits=0)
         r.autotune_tick()
         assert r.budget_bytes == 8192
-        assert not r.autotune
 
     def test_engine_autotunes_starved_budget(self):
         """An 8 KB budget under a multi-query workload must tune
         itself up (the E11c pathology: thousands of evictions at a
         budget too small to hold one window slice)."""
-        engine = DataCellEngine(recycler_budget_bytes=8192,
-                                recycler_autotune=True)
+        engine = DataCellEngine(recycler_budget_bytes=8192)
         engine.execute("CREATE STREAM s (k INT, v FLOAT)")
         for i in range(6):
             engine.register_continuous(
@@ -776,19 +738,13 @@ class TestAdmissionCensus:
         rec.retain_fps(["dup"])
         assert rec.should_attempt("dup")
 
-    def test_uncensused_falls_back_to_cold_store_cutoff(self):
-        from repro.core.recycler import COLD_FP_STORES
+    def test_uncensused_fp_is_always_attempted(self):
         rec = Recycler()
-        for i in range(COLD_FP_STORES):
-            key = rec.instruction_key("cold", [("s", i, i + 1)])
-            assert rec.should_attempt("cold")
+        for i in range(100):
+            key = rec.instruction_key("bare", [("s", i, i + 1)])
+            assert rec.should_attempt("bare")
             rec.store(key, int_bat([i]))
-        assert not rec.should_attempt("cold")
-        # one observed reuse whitelists the fingerprint again
-        hot_key = rec.instruction_key("hot", [("s", 0, 1)])
-        rec.store(hot_key, int_bat([1]))
-        assert rec.lookup(hot_key)[0]
-        assert rec.should_attempt("hot")
+        assert rec.stats()["cold_skips"] == 0
 
     def test_plan_gate_closes_only_when_all_fps_unshared(self):
         rec = Recycler()
@@ -868,22 +824,6 @@ class TestAdmissionCensus:
         engine.remove_query("q0")
         assert not any(engine.recycler._fp_refs.get(fp) for fp in fps)
 
-    def test_attempt_mode_snapshots_admission(self):
-        rec = Recycler()
-        assert rec.attempt_mode("fp_uncensused") == 2
-        rec.retain_fps(["fp_shared", "fp_solo"])
-        rec.retain_fps(["fp_shared"])
-        assert rec.attempt_mode("fp_shared") == 1
-        assert rec.attempt_mode("fp_solo") == 0
-        # a ledger retirement flips the snapshot answer and bumps
-        # census_version so cached masks get rebuilt
-        before = rec.census_version
-        from repro.core.recycler import FP_VERDICT_MIN_ENTRIES
-        self._resolve_cheap_lifecycles(rec, "fp_shared",
-                                       FP_VERDICT_MIN_ENTRIES)
-        assert rec.census_version > before
-        assert rec.attempt_mode("fp_shared") == 0
-
     def test_compiled_factory_gate_mask_skips_retired_steps(self):
         engine = DataCellEngine()
         engine.execute("CREATE STREAM s (k INT, v FLOAT)")
@@ -899,9 +839,10 @@ class TestAdmissionCensus:
                 continue
             assert f._gate_modes is not None
             assert len(f._gate_modes) == len(f.compiled.steps)
-            # every fingerprint is censused here, so no step should
-            # be left on the per-fire should_attempt path
-            assert 2 not in f._gate_modes
+            # the mask admits only recyclable steps
+            assert all(step.info is not None and step.info.recyclable
+                       for step, mode
+                       in zip(f.compiled.steps, f._gate_modes) if mode)
 
     def test_single_query_plan_gate_avoids_all_cache_work(self):
         engine = DataCellEngine()

@@ -217,19 +217,6 @@ class TestLivelockGuard:
         with pytest.raises(SchedulerError, match="greedy"):
             scheduler.step()
 
-    def test_burst_guard_in_parallel_mode(self):
-        clock = SimulatedClock()
-        scheduler = PetriNetScheduler(clock, parallel_workers=2)
-        basket = Basket("s", Schema.parse([("k", "INT")]))
-        scheduler.add_basket(basket)
-        scheduler.add_factory(Greedy("g1", basket))
-        scheduler.add_factory(Greedy("g2", basket))
-        try:
-            with pytest.raises(SchedulerError, match="quiesce"):
-                scheduler.step()
-        finally:
-            scheduler.shutdown()
-
 
 class TestFailureBookkeeping:
     def test_failed_factories_skipped_in_enabled_transitions(self, net):
@@ -272,105 +259,24 @@ class TestFailureBookkeeping:
         assert len(stats["failed"]) == 5
 
 
-class OutBasketFactory(StubFactory):
-    """Stub with an explicit write set (simulates output_stream)."""
-
-    def __init__(self, name, basket, out_basket):
-        super().__init__(name, basket)
-        self.out_basket = out_basket
-
-    def write_streams(self):
-        return [self.out_basket.name]
-
-
-class TestWavePartitioning:
-    def _net(self, workers=2):
-        clock = SimulatedClock()
-        scheduler = PetriNetScheduler(clock, parallel_workers=workers)
-        schema = Schema.parse([("k", "INT")])
-        return scheduler, schema
-
-    def test_readers_share_a_wave(self):
-        scheduler, schema = self._net()
-        basket = Basket("s", schema)
-        scheduler.add_basket(basket)
-        factories = [StubFactory(f"f{i}", basket) for i in range(4)]
-        waves = scheduler._partition_waves(factories)
-        assert len(waves) == 1 and len(waves[0]) == 4
-
-    def test_writer_separated_from_readers(self):
-        scheduler, schema = self._net()
-        src = Basket("src", schema)
-        out = Basket("out", schema)
-        for basket in (src, out):
-            scheduler.add_basket(basket)
-        upstream = OutBasketFactory("up", src, out)
-        downstream = StubFactory("down", out)
-        sibling = StubFactory("sib", src)
-        waves = scheduler._partition_waves([upstream, downstream,
-                                            sibling])
-        # writer fires before its reader; the unrelated reader of src
-        # shares the writer's wave
-        assert waves[0] == [upstream, sibling]
-        assert waves[1] == [downstream]
-
-    def test_conflicting_writers_keep_list_order(self):
-        scheduler, schema = self._net()
-        src = Basket("src", schema)
-        out = Basket("out", schema)
-        for basket in (src, out):
-            scheduler.add_basket(basket)
-        w1 = OutBasketFactory("w1", src, out)
-        w2 = OutBasketFactory("w2", src, out)
-        waves = scheduler._partition_waves([w1, w2])
-        assert waves == [[w1], [w2]]
-
-    def test_parallel_step_fires_and_counts_waves(self):
-        scheduler, schema = self._net(workers=3)
-        basket = Basket("s", schema)
-        scheduler.add_basket(basket)
-        scheduler.add_receptor(Receptor(
-            "r", basket, ListSource([(0, (1,)), (0, (2,))])))
-        factories = [StubFactory(f"f{i}", basket) for i in range(3)]
-        for factory in factories:
-            scheduler.add_factory(factory)
-        try:
-            out = scheduler.step()
-        finally:
-            scheduler.shutdown()
-        assert out == {"ingested": 2, "fired": 3, "dropped": 2}
-        pstats = scheduler.parallel_stats()
-        assert pstats["workers"] == 3
-        assert pstats["waves"] >= 1
-        assert pstats["max_wave_width"] == 3
-        assert pstats["parallel_fires"] == 3
-        assert scheduler.network_stats()["parallel"]["waves"] >= 1
-
-    def test_parallel_failure_quarantines_only_that_factory(self):
-        scheduler, schema = self._net(workers=2)
-        basket = Basket("s", schema)
-        scheduler.add_basket(basket)
+class TestFailureIsolation:
+    def test_failure_quarantines_only_that_factory(self, net):
+        scheduler, basket, _clock = net
         scheduler.add_receptor(Receptor(
             "r", basket, ListSource([(0, (1,))])))
         bad = StubFactory("bad", basket, fail_after=0)
         good = StubFactory("good", basket)
         scheduler.add_factory(bad)
         scheduler.add_factory(good)
-        try:
-            out = scheduler.step()
-        finally:
-            scheduler.shutdown()
+        out = scheduler.step()
         assert bad.state == FAILED
         assert good.state == "running"
         assert out["fired"] == 1
         assert scheduler.failed_total == 1
 
-    def test_fatal_wave_outcome_settles_siblings_first(self):
-        """A fatal (non-FactoryError) burst outcome used to be
-        re-raised while iterating the wave's outcomes, dropping the
-        fire counts of its wave-mates and leaving their FactoryErrors
-        unrecorded. Every outcome must settle before the fatal one is
-        re-raised."""
+    def test_fatal_error_raises_after_earlier_quarantines(self, net):
+        """Anything but a FactoryError aborts the step where it
+        happens; quarantines recorded before it stay recorded."""
 
         class FatalFactory(StubFactory):
             def __init__(self, name, basket):
@@ -378,47 +284,22 @@ class TestWavePartitioning:
                 self._enabled_calls = 0
 
             def enabled(self, now):
-                # survive the scheduler's enabled-list scan, then wedge
-                # inside the worker's burst loop
+                # fire once, then wedge inside the burst loop
                 self._enabled_calls += 1
                 if self._enabled_calls > 1:
                     raise RuntimeError("wedged")
                 return super().enabled(now)
 
-        scheduler, schema = self._net(workers=3)
-        basket = Basket("s", schema)
-        scheduler.add_basket(basket)
-        fatal = FatalFactory("fatal", basket)
+        scheduler, basket, _clock = net
         bad = StubFactory("bad", basket, fail_after=0)
+        fatal = FatalFactory("fatal", basket)
         good = StubFactory("good", basket)
-        for factory in (fatal, bad, good):
+        for factory in (bad, fatal, good):
             scheduler.add_factory(factory)
         basket.append_rows([(1,)], now=0)
-        try:
-            with pytest.raises(RuntimeError, match="wedged"):
-                scheduler.step()
-        finally:
-            scheduler.shutdown()
-        # wave-mates settled despite the fatal outcome listed first:
-        # the quarantine was recorded and the good factory's work kept
+        with pytest.raises(RuntimeError, match="wedged"):
+            scheduler.step()
         assert bad.state == FAILED
         assert scheduler.failed_total == 1
-        assert good.fires == 1
-
-    def test_resolve_workers(self):
-        assert PetriNetScheduler._resolve_workers(None) == 1
-        assert PetriNetScheduler._resolve_workers(1) == 1
-        assert PetriNetScheduler._resolve_workers(3) == 3
-        assert PetriNetScheduler._resolve_workers(0) >= 1
-        assert PetriNetScheduler._resolve_workers("auto") >= 1
-        with pytest.raises(SchedulerError):
-            PetriNetScheduler._resolve_workers(-2)
-
-    def test_resolve_workers_rejects_bool(self):
-        """bool is an int subtype: True == 1 would silently run the net
-        serially when the caller asked for parallelism, and False == 0
-        would silently mean 'auto'."""
-        with pytest.raises(SchedulerError):
-            PetriNetScheduler._resolve_workers(True)
-        with pytest.raises(SchedulerError):
-            PetriNetScheduler._resolve_workers(False)
+        assert fatal.fires == 1
+        assert good.fires == 0

@@ -522,6 +522,90 @@ class TestEngineRecovery:
             == [("lab",)]
         recovered.close()
 
+    def test_registration_knobs_and_unread_tuples_survive_restart(
+            self, tmp_path):
+        """What the deleted ``engine.save/restore`` promised and the
+        crash-equivalence cases do not spell out: registration knobs
+        round-trip, and tuples nobody consumed stay queryable at
+        their old oids."""
+        engine = durable_engine(tmp_path)
+        engine.execute("CREATE STREAM s (sid INT, temp FLOAT)")
+        engine.execute("CREATE STREAM idle (k INT, tag STRING)")
+        engine.register_continuous(
+            "SELECT sid, temp FROM s WHERE temp > 5", name="alerts",
+            min_batch=2, max_delay_ms=100, collect_max_batches=7)
+        drive(engine, ROWS[:4])
+        engine.feed("idle", [[9, "kept"], [10, None]])
+        engine.checkpoint()
+        first, total = (engine.basket("s").first_oid,
+                        engine.basket("s").total_in)
+        del engine
+
+        recovered = durable_engine(tmp_path)
+        alerts = recovered.continuous_query("alerts")
+        assert alerts.factory.min_batch == 2
+        assert alerts.factory.max_delay_ms == 100
+        assert alerts.sink.max_batches == 7
+        basket = recovered.basket("s")
+        assert (basket.first_oid, basket.total_in) == (first, total)
+        assert recovered.query("SELECT k, tag FROM idle").to_rows() \
+            == [(9, "kept"), (10, None)]
+        recovered.close()
+
+    def test_parent_format_checkpoint_with_stamps_recovers(
+            self, tmp_path):
+        """``state.json`` files written before emit stamps were
+        deleted carry a ``"stamps"`` list per basket: they must stay
+        readable, and emissions resume byte-identically."""
+        import json
+
+        rows = [[[i % 3, float(i)]] for i in range(30)]
+
+        def build(engine):
+            engine.execute("CREATE STREAM s (sid INT, temp FLOAT)")
+            engine.register_continuous(
+                "SELECT sid, sum(temp) AS sv FROM s [RANGE 6 SLIDE 3] "
+                "GROUP BY sid", name="stage1", mode="reeval",
+                output_stream="mid")
+            engine.register_continuous(
+                "SELECT max(sv) AS m FROM mid [RANGE 3 SLIDE 3]",
+                name="stage2", mode="reeval")
+
+        engine = DataCellEngine(clock=SimulatedClock())
+        build(engine)
+        drive(engine, rows)
+        drain(engine)
+        serial = {n: emissions(engine, n) for n in ("stage1", "stage2")}
+        engine.close()
+
+        engine = durable_engine(tmp_path)
+        build(engine)
+        drive(engine, rows[:17])
+        engine.checkpoint()
+        pre = {n: emissions(engine, n) for n in ("stage1", "stage2")}
+        del engine
+        state_path = os.path.join(str(tmp_path), "state.json")
+        with open(state_path) as f:
+            state = json.load(f)
+        for name, meta in state["baskets"].items():
+            assert "stamps" not in meta   # no longer written
+            lo, hi = meta["first_oid"], meta["next_oid"]
+            meta["stamps"] = [[o, o + 1, "feedfacefeedface"]
+                              for o in range(lo, hi)]
+        with open(state_path, "w") as f:
+            json.dump(state, f)
+
+        recovered = durable_engine(tmp_path)
+        assert recovered.recovered
+        drive(recovered, rows[17:])
+        drain(recovered)
+        for name in ("stage1", "stage2"):
+            post = emissions(recovered, name)
+            assert pre[name] == serial[name][:len(pre[name])]
+            assert post == serial[name][len(serial[name]) - len(post):]
+            assert len(pre[name]) + len(post) >= len(serial[name])
+        recovered.close()
+
     def test_log_stats_and_monitor_pane(self, tmp_path):
         engine = durable_engine(tmp_path)
         engine.execute("CREATE STREAM s (sid INT, temp FLOAT)")
