@@ -7,8 +7,7 @@ Usage::
 Runs the experiments the stacked PRs track for regressions — E2
 (standing-query scaling + recycler on/off ablation), E9 (basket
 ingest/retention mechanics), E10n (network-edge loopback throughput),
-E11c (chained-network recycling, recycler on/off), E13
-(Z-set delta execution vs incremental vs re-evaluation), E14
+E11c (chained-network recycling, recycler on/off), E14
 (interpreted vs slot-compiled per-fire overhead, recycler admission
 ablation), E15 (durable-log ingest throughput by write discipline,
 cold-start recovery time), E16 (paged from_start replay over
@@ -16,7 +15,7 @@ log-resident history, retention truncation under live queries) and
 E17 (Postgres front-end round-trip latency vs the framed protocol,
 idle pg tail subscribers on the shared asyncio core) — and writes
 ``BENCH_E2.json``, ``BENCH_E9.json``,
-``BENCH_E10.json``, ``BENCH_E11.json``, ``BENCH_E13.json``,
+``BENCH_E10.json``, ``BENCH_E11.json``,
 ``BENCH_E14.json``, ``BENCH_E15.json``, ``BENCH_E16.json`` and
 ``BENCH_E17.json`` to the repo root (or ``--outdir``). CI runs ``--quick`` so drift is caught
 without a full experiment sweep;
@@ -34,7 +33,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(
 
 from benchmarks import (bench_e2_multiquery,
                         bench_e9_baskets, bench_e10_net,
-                        bench_e11_chain, bench_e13_delta,
+                        bench_e11_chain,
                         bench_e14_interp, bench_e15_durability,
                         bench_e16_paging, bench_e17_pg)
 from repro.bench.reporting import save_json
@@ -72,12 +71,6 @@ def run_e11(quick: bool):
     repeats = 1 if quick else 3
     return [bench_e11_chain.run_experiment(nrows=nrows,
                                            repeats=repeats)]
-
-
-def run_e13(quick: bool):
-    nrows = 20_000 if quick else bench_e13_delta.N_ROWS
-    return [bench_e13_delta.run_experiment(nrows=nrows),
-            bench_e13_delta.run_nondivisible_table()]
 
 
 def run_e14(quick: bool):
@@ -122,7 +115,6 @@ def main(argv=None) -> int:
                          ("BENCH_E9.json", run_e9),
                          ("BENCH_E10.json", run_e10),
                          ("BENCH_E11.json", run_e11),
-                         ("BENCH_E13.json", run_e13),
                          ("BENCH_E14.json", run_e14),
                          ("BENCH_E15.json", run_e15),
                          ("BENCH_E16.json", run_e16),

@@ -25,7 +25,7 @@ from benchmarks import (bench_e1_compile, bench_e2_multiquery,
                         bench_e7_linearroad, bench_e8_scheduler,
                         bench_e9_baskets, bench_e10_ablation,
                         bench_e10_net, bench_e11_indexing,
-                        bench_e12_storefirst, bench_e13_delta,
+                        bench_e12_storefirst,
                         bench_e14_interp, bench_e15_durability,
                         bench_e16_paging)
 
@@ -44,7 +44,6 @@ EXPERIMENTS = [
     ("E11 — indexing in a streaming setting", bench_e11_indexing),
     ("E12 — continuous vs store-first-query-later",
      bench_e12_storefirst),
-    ("E13 — Z-set delta execution", bench_e13_delta),
     ("E14 — slot-compiled plan execution", bench_e14_interp),
     ("E15 — durable stream log", bench_e15_durability),
     ("E16 — log-resident paged windows", bench_e16_paging),

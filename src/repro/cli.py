@@ -51,6 +51,7 @@ import sys
 from typing import IO, List, Optional
 
 from repro.core.engine import DataCellEngine
+from repro.core.factory import EXECUTION_MODES
 from repro.errors import DataCellError
 from repro.mal.relation import Relation
 
@@ -156,10 +157,9 @@ class DataCellShell:
         self.done = True
 
     def _cmd_register(self, arg: str) -> None:
-        """.register name [reeval|incremental|delta|auto] SELECT ...;"""
+        """.register name [mode] SELECT ...;"""
         tokens = arg.split(None, 2)
-        if len(tokens) >= 2 and tokens[1].lower() in (
-                "reeval", "incremental", "delta", "auto"):
+        if len(tokens) >= 2 and tokens[1].lower() in EXECUTION_MODES:
             name, mode, sql = tokens[0], tokens[1].lower(), tokens[2]
         elif len(tokens) >= 2:
             name, mode = tokens[0], "auto"

@@ -5,7 +5,8 @@ from repro.core.clock import Clock, SimulatedClock, WallClock
 from repro.core.emitter import (CallbackSink, CollectingSink, Emitter,
                                 NullSink, Sink)
 from repro.core.engine import ContinuousQuery, DataCellEngine
-from repro.core.factory import Factory, IncrementalFactory, ReevalFactory
+from repro.core.factory import (EXECUTION_MODES, Factory,
+                                IncrementalFactory, ReevalFactory)
 from repro.core.incremental import (IncrementalAnalysis,
                                     UnsupportedIncremental,
                                     analyze_incremental)
@@ -19,7 +20,8 @@ from repro.core.windows import BasicWindowTracker, WindowSpec, WindowState
 __all__ = [
     "Basket", "Subscription", "Clock", "SimulatedClock", "WallClock",
     "CallbackSink", "CollectingSink", "Emitter", "NullSink", "Sink",
-    "ContinuousQuery", "DataCellEngine", "Factory", "IncrementalFactory",
+    "ContinuousQuery", "DataCellEngine", "EXECUTION_MODES", "Factory",
+    "IncrementalFactory",
     "ReevalFactory", "IncrementalAnalysis", "UnsupportedIncremental",
     "analyze_incremental", "Monitor", "Receptor", "ThreadedReceptor",
     "plan_diff", "rewrite_to_continuous", "PetriNetScheduler",

@@ -28,8 +28,8 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 from repro.core.basket import Basket
 from repro.core.clock import Clock, SimulatedClock
 from repro.core.emitter import CallbackSink, CollectingSink, Emitter, Sink
-from repro.core.factory import (DeltaFactory, Factory, IncrementalFactory,
-                                ReevalFactory)
+from repro.core.factory import (EXECUTION_MODES, Factory,
+                                IncrementalFactory, ReevalFactory)
 from repro.core.incremental import (IncrementalAnalysis,
                                     UnsupportedIncremental,
                                     analyze_incremental)
@@ -495,11 +495,11 @@ class DataCellEngine:
         ``mode``: ``"reeval"`` forces full re-evaluation per firing;
         ``"incremental"`` forces basic-window processing (raises
         :class:`UnsupportedIncremental` when the plan shape does not
-        allow it); ``"delta"`` requests Z-set delta execution — O(Δ)
-        work per slide with weighted retraction state — and silently
-        falls back through incremental to reeval for unsupported
-        shapes; ``"auto"`` picks incremental for sliding windows when
-        possible.
+        allow it); ``"auto"`` picks incremental for sliding and
+        tumbling windows when the plan splits and ``size % slide == 0``,
+        re-evaluation otherwise
+        (:data:`~repro.core.factory.EXECUTION_MODES` is the whole
+        vocabulary).
 
         ``output_stream`` materializes the query's results as a new
         stream (an *output basket*): each firing appends its partial
@@ -648,16 +648,14 @@ class DataCellEngine:
 
     def _resolve_mode(self, plan: PlanNode,
                       specs: Dict[str, WindowSpec], mode: str):
-        """Pick the execution mode for one continuous query.
-
-        ``"delta"`` requests Z-set delta execution and silently walks
-        the fallback ladder delta → incremental → reeval when the plan
-        shape is unsupported (both delta and incremental need
-        :func:`analyze_incremental` to succeed; incremental additionally
-        needs ``size % slide == 0``, which delta does not).
-        """
-        if mode not in ("auto", "reeval", "incremental", "delta"):
-            raise StreamError(f"unknown execution mode {mode!r}")
+        """Pick the execution mode for one continuous query:
+        incremental needs :func:`analyze_incremental` to succeed and
+        ``size % slide == 0``; ``"auto"`` falls back to reeval where
+        forced ``"incremental"`` raises."""
+        if mode not in EXECUTION_MODES:
+            raise StreamError(
+                f"unknown execution mode {mode!r} "
+                f"(expected one of {EXECUTION_MODES})")
         if mode == "reeval":
             return None, "reeval"
         from repro.errors import WindowError
@@ -666,11 +664,7 @@ class DataCellEngine:
         except UnsupportedIncremental:
             if mode == "incremental":
                 raise
-            # delta/auto ladder bottoms out at reeval: the shapes delta
-            # supports are exactly the analyzable ones
             return None, "reeval"
-        if mode == "delta":
-            return analysis, "delta"
         try:
             for stream in specs:
                 specs[stream].basic_window_count  # divisibility check
@@ -704,25 +698,19 @@ class DataCellEngine:
                     anchor = int(arr[0])
             return sub, anchor
 
-        if mode == "incremental":
-            trackers = {}
-            for stream, basket in baskets.items():
-                sub, anchor = _subscribe(stream, basket)
-                trackers[stream] = BasicWindowTracker(
-                    specs[stream], basket, sub, anchor_time=anchor)
-            return IncrementalFactory(name, analysis, trackers, baskets,
-                                      self.catalog, emitter,
-                                      cache_enabled)
-        window_states = {}
+        cursor_cls = BasicWindowTracker if mode == "incremental" \
+            else WindowState
+        cursors = {}
         for stream, basket in baskets.items():
             sub, anchor = _subscribe(stream, basket)
-            window_states[stream] = WindowState(specs[stream], basket,
-                                                sub, anchor_time=anchor)
-        if mode == "delta":
-            return DeltaFactory(name, analysis, window_states, baskets,
-                                self.catalog, emitter)
+            cursors[stream] = cursor_cls(specs[stream], basket, sub,
+                                         anchor_time=anchor)
+        if mode == "incremental":
+            return IncrementalFactory(name, analysis, cursors, baskets,
+                                      self.catalog, emitter,
+                                      cache_enabled)
         return ReevalFactory(name, continuous_program, plan,
-                             window_states, baskets, self.catalog,
+                             cursors, baskets, self.catalog,
                              emitter, min_batch, max_delay_ms,
                              recycler=self.recycler
                              if self.recycler.enabled else None,
@@ -1083,9 +1071,15 @@ class DataCellEngine:
             # back to the checkpoint
             qstates = state.get("queries", {})
             for entry in qdefs:
+                # a data dir written by an earlier build may name a
+                # mode this one no longer has; that mode kept
+                # WindowState cursors and emitted whole-window results,
+                # so re-evaluation resumes it with the same emissions
+                mode = entry.get("mode", "auto")
+                if mode not in EXECUTION_MODES:
+                    mode = "reeval"
                 query = self.register_continuous(
-                    entry["sql"], name=entry["name"],
-                    mode=entry.get("mode", "auto"),
+                    entry["sql"], name=entry["name"], mode=mode,
                     min_batch=entry.get("min_batch", 1),
                     max_delay_ms=entry.get("max_delay_ms"),
                     cache_enabled=entry.get("cache_enabled", True),

@@ -14,10 +14,14 @@ Two concrete factories implement the demo's two execution modes:
   the per-slice pipeline, caches intermediates, and merges at firing
   time (see :mod:`repro.core.incremental`).
 
-Every mode reads its windows through the basket (``basket.relation`` /
-``recycler.window_slice`` / ``DeltaFactory._read``), so a window whose
-lo bound dips below the basket's vacuum floor is transparently served
-from log-resident history when the basket carries a paged binder
+Both share one skeleton — :class:`Factory` owns the per-stream window
+cursors and with them the firing condition, checkpoint snapshots and
+failure quarantine — and differ only in how a firing is evaluated and
+committed.
+
+Both modes read their windows through the basket (``basket.relation`` /
+``recycler.window_slice``), so a window whose lo bound dips below the
+basket's vacuum floor is transparently served from log-resident history when the basket carries a paged binder
 (:class:`~repro.store.paging.PagedWindowBinder`) — replay and recovered
 cursors fire over multi-day logs without the factory materializing or
 even knowing about the historic prefix.
@@ -27,7 +31,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (Any, Dict, List, NoReturn, Optional, Tuple,
+                    Union)
 
 from repro.core.basket import Basket
 from repro.core.emitter import Emitter
@@ -46,6 +51,10 @@ from repro.storage.catalog import Catalog
 RUNNING = "running"
 PAUSED = "paused"
 FAILED = "failed"
+
+# what ``register_continuous(mode=...)`` accepts — the shell and the pg
+# ``REGISTER ... MODE`` syntax read this tuple, nothing spells it again
+EXECUTION_MODES = ("auto", "reeval", "incremental")
 
 
 class _BasketHooks:
@@ -66,14 +75,23 @@ class _BasketHooks:
         self.drains += 1  # the window cursor decides what is released
 
 
+Cursor = Union[WindowState, BasicWindowTracker]
+
+
 class Factory:
-    """Base class: state machine + statistics shared by both modes."""
+    """Base class: state machine, window cursors and statistics shared
+    by both modes."""
 
     def __init__(self, name: str, baskets: Dict[str, Basket],
-                 emitter: Emitter):
+                 emitter: Emitter,
+                 cursors: Optional[Dict[str, Cursor]] = None):
         self.name = name
         self.baskets = baskets
         self.emitter = emitter
+        # one window cursor per input stream
+        self.cursors: Dict[str, Cursor] = cursors or {}
+        self._windowed = [c for c in self.cursors.values()
+                          if c.spec.kind != "none"]
         self.state = RUNNING
         self.fires = 0
         self.tuples_in = 0
@@ -100,7 +118,18 @@ class Factory:
         return None
 
     def enabled(self, now: int) -> bool:
-        raise NotImplementedError
+        """The Petri-net firing condition: every windowed input has its
+        next window available — or, for a plan over unwindowed inputs
+        only, some input has new tuples (and :meth:`_batch_ok`)."""
+        if self.state != RUNNING:
+            return False
+        if self._windowed:
+            return all(c.ready(now) for c in self._windowed)
+        return any(c.ready(now) for c in self.cursors.values()) \
+            and self._batch_ok(now)
+
+    def _batch_ok(self, now: int) -> bool:
+        return True
 
     def fire(self, now: int) -> Optional[Relation]:
         """One firing; delivers to the emitter and returns the result.
@@ -121,12 +150,8 @@ class Factory:
                 self.last_eval_ms = \
                     (time.perf_counter() - started) * 1000.0
                 self._commit(now, consumed)
-            except Exception as exc:  # quarantine factory, keep the net
-                self.state = FAILED
-                self.last_error = exc
-                raise FactoryError(
-                    f"factory {self.name!r} failed: {exc}", self.name,
-                    cause=exc) from exc
+            except Exception as exc:
+                self._quarantine(exc)
             finally:
                 self.busy_seconds += time.perf_counter() - started
             self.fires += 1
@@ -135,6 +160,15 @@ class Factory:
                 self.rows_out += result.row_count
                 self.emitter.deliver(result, now)
             return result
+
+    def _quarantine(self, exc: Exception, where: str = "") -> NoReturn:
+        """Mark this factory failed and raise the :class:`FactoryError`
+        the scheduler records — the rest of the net keeps running."""
+        self.state = FAILED
+        self.last_error = exc
+        raise FactoryError(
+            f"factory {self.name!r} failed{where}: {exc}", self.name,
+            cause=exc) from exc
 
     def _evaluate(self, now: int
                   ) -> Tuple[Optional[Relation], Optional[Any]]:
@@ -155,11 +189,18 @@ class Factory:
         """Per-stream window-cursor snapshots for the engine's durable
         checkpoint (see :mod:`repro.store`); restored after a crash
         with :meth:`cursor_restore`."""
-        return {}
+        return {s: c.snapshot() for s, c in self.cursors.items()}
 
     def cursor_restore(self, states: Dict[str, dict]) -> None:
-        """Reposition window cursors from a checkpoint snapshot."""
-        return None
+        """Reposition window cursors from a checkpoint snapshot.
+
+        Only the cursors are durable: call this on a freshly built
+        factory (recovery re-registers the query first), whose operator
+        state is empty — rewound basic-window trackers then re-feed
+        every still-needed basic window."""
+        for stream, cursor in self.cursors.items():
+            if stream in states:
+                cursor.restore(states[stream])
 
     def pause(self) -> None:
         if self.state == RUNNING:
@@ -190,15 +231,14 @@ class ReevalFactory(Factory):
     """
 
     def __init__(self, name: str, program: MALProgram, plan: PlanNode,
-                 window_states: Dict[str, WindowState],
+                 cursors: Dict[str, WindowState],
                  baskets: Dict[str, Basket], catalog: Catalog,
                  emitter: Emitter, min_batch: int = 1,
                  max_delay_ms: Optional[int] = None, recycler=None,
                  compiled: bool = True, profile: bool = False):
-        super().__init__(name, baskets, emitter)
+        super().__init__(name, baskets, emitter, cursors)
         self.program = program
         self.plan = plan
-        self.window_states = window_states
         self.catalog = catalog
         self.min_batch = max(int(min_batch), 1)
         self.max_delay_ms = max_delay_ms
@@ -227,23 +267,10 @@ class ReevalFactory(Factory):
         self.profile_enabled = bool(profile)
         self.opcode_profile: Dict[str, List[float]] = {}
 
-    def enabled(self, now: int) -> bool:
-        if self.state != RUNNING:
-            return False
-        states = list(self.window_states.values())
-        windowed = [w for w in states if w.spec.kind != "none"]
-        plain = [w for w in states if w.spec.kind == "none"]
-        if windowed:
-            if not all(w.ready(now) for w in windowed):
-                return False
-            return True
-        if not any(w.ready(now) for w in plain):
-            return False
-        return self._batch_ok(plain, now)
-
-    def _batch_ok(self, states: List[WindowState], now: int) -> bool:
+    def _batch_ok(self, now: int) -> bool:
         if self.min_batch <= 1 and self.max_delay_ms is None:
             return True
+        states = self.cursors.values()
         pending = sum(w.pending_tuples() for w in states)
         if pending >= self.min_batch:
             return True
@@ -264,7 +291,7 @@ class ReevalFactory(Factory):
                   ) -> Tuple[Optional[Relation], Dict[str, int]]:
         slices: Dict[str, Relation] = {}
         ranges: Dict[str, tuple] = {}
-        for stream, ws in self.window_states.items():
+        for stream, ws in self.cursors.items():
             lo, hi = ws.slice_bounds(now)
             basket = self.baskets[stream]
             if self.recycler is not None:
@@ -325,30 +352,18 @@ class ReevalFactory(Factory):
 
     def _commit(self, now: int,
                 consumed: Optional[Dict[str, int]]) -> None:
-        for stream, ws in self.window_states.items():
+        for stream, ws in self.cursors.items():
             ws.advance(now, consumed_upto=consumed[stream])
-
-    def cursor_snapshot(self) -> Dict[str, dict]:
-        return {s: ws.snapshot()
-                for s, ws in self.window_states.items()}
-
-    def cursor_restore(self, states: Dict[str, dict]) -> None:
-        for stream, ws in self.window_states.items():
-            if stream in states:
-                ws.restore(states[stream])
 
 
 class IncrementalFactory(Factory):
     """Mode 2: per-basic-window processing with cached intermediates."""
 
     def __init__(self, name: str, analysis: IncrementalAnalysis,
-                 trackers: Dict[str, BasicWindowTracker],
+                 cursors: Dict[str, BasicWindowTracker],
                  baskets: Dict[str, Basket], catalog: Catalog,
                  emitter: Emitter, cache_enabled: bool = True):
-        super().__init__(name, baskets, emitter)
-        self.analysis = analysis
-        self.trackers = trackers
-        self.catalog = catalog
+        super().__init__(name, baskets, emitter, cursors)
         self.executor = IncrementalExecutor(
             analysis, ExecutionContext(catalog), cache_enabled)
 
@@ -356,7 +371,7 @@ class IncrementalFactory(Factory):
         """Process every newly completed basic window exactly once."""
         if self.state != RUNNING:
             return
-        for stream, tracker in self.trackers.items():
+        for stream, tracker in self.cursors.items():
             for j, lo, hi in tracker.new_basic_windows(now):
                 slice_rel = self.baskets[stream].relation(lo, hi)
                 self.tuples_in += slice_rel.row_count
@@ -365,140 +380,27 @@ class IncrementalFactory(Factory):
                     self.executor.process_basic_window(stream, j,
                                                        slice_rel)
                 except Exception as exc:
-                    self.state = FAILED
-                    self.last_error = exc
-                    raise FactoryError(
-                        f"factory {self.name!r} failed on basic window "
-                        f"{j} of {stream!r}: {exc}", self.name,
-                        cause=exc) from exc
+                    self._quarantine(
+                        exc, f" on basic window {j} of {stream!r}")
                 finally:
                     self.busy_seconds += time.perf_counter() - started
-
-    def enabled(self, now: int) -> bool:
-        if self.state != RUNNING:
-            return False
-        return all(t.ready(now) for t in self.trackers.values())
 
     def _evaluate(self, now: int
                   ) -> Tuple[Optional[Relation], None]:
         compositions = {}
-        for stream, tracker in self.trackers.items():
+        for stream, tracker in self.cursors.items():
             _k, bws = tracker.window_composition()
             compositions[stream] = bws
         return self.executor.fire(compositions), None
 
     def _commit(self, now: int, consumed: None) -> None:
         floors: Dict[str, int] = {}
-        for stream, tracker in self.trackers.items():
+        for stream, tracker in self.cursors.items():
             tracker.advance()
             floors[stream] = tracker.live_floor()
         self.executor.evict(floors)
 
-    def cursor_snapshot(self) -> Dict[str, dict]:
-        return {s: t.snapshot() for s, t in self.trackers.items()}
-
-    def cursor_restore(self, states: Dict[str, dict]) -> None:
-        for stream, tracker in self.trackers.items():
-            if stream in states:
-                tracker.restore(states[stream])
-        # cached basic-window intermediates died with the process; the
-        # rewound trackers re-feed every still-needed basic window into
-        # a fresh executor
-        self.executor = IncrementalExecutor(
-            self.analysis, ExecutionContext(self.catalog),
-            self.executor.cache_enabled)
-
     def stats(self) -> Dict[str, float]:
         out = super().stats()
         out.update(self.executor.cache_stats())
-        return out
-
-
-class DeltaFactory(Factory):
-    """Mode 3: Z-set delta execution (see :mod:`repro.core.delta`).
-
-    Re-uses the reeval window cursors (:class:`WindowState`) but feeds
-    the executor only the arrival/expiry *difference* between
-    consecutive windows; operator state carries the rest across
-    firings. Work per firing is O(Δ) instead of O(window).
-    """
-
-    def __init__(self, name: str, analysis: IncrementalAnalysis,
-                 window_states: Dict[str, WindowState],
-                 baskets: Dict[str, Basket], catalog: Catalog,
-                 emitter: Emitter):
-        from repro.core.delta import DeltaExecutor
-
-        super().__init__(name, baskets, emitter)
-        self.analysis = analysis
-        self.window_states = window_states
-        self.catalog = catalog
-        self.executor = DeltaExecutor(analysis, catalog)
-
-    def enabled(self, now: int) -> bool:
-        if self.state != RUNNING:
-            return False
-        return all(ws.ready(now) for ws in self.window_states.values())
-
-    def _split_hints(self, ws: WindowState,
-                     arrive: Tuple[int, int]) -> List[int]:
-        """Oids inside the arrival range where future window los land.
-
-        Only tuple windows are predictable (slide-sized steps from the
-        current window start); time-window chunk boundaries depend on
-        arrival timestamps that may not exist yet, so those fall back
-        to straddle recomputes in the chunk stores.
-        """
-        spec = ws.spec
-        alo, ahi = arrive
-        if spec.kind != "tuple" or ahi - alo <= spec.slide:
-            return []
-        anchor, _ = ws.slice_bounds(0)
-        first = anchor + ((alo - anchor) // spec.slide + 1) * spec.slide
-        return list(range(first, ahi, spec.slide))
-
-    def _evaluate(self, now: int
-                  ) -> Tuple[Optional[Relation], Dict[str, int]]:
-        from repro.core.delta import StreamDelta
-
-        deltas: Dict[str, StreamDelta] = {}
-        ranges: Dict[str, tuple] = {}
-        for stream, ws in self.window_states.items():
-            window, arrive, expire = ws.delta_bounds(now)
-            deltas[stream] = StreamDelta(
-                window, arrive, expire, self._split_hints(ws, arrive))
-            ranges[stream] = self.baskets[stream].clamp_range(*window)
-            self.tuples_in += max(arrive[1] - arrive[0], 0)
-        result = self.executor.fire(deltas, self._read)
-        return result, {stream: hi for stream, (_lo, hi)
-                        in ranges.items()}
-
-    def _read(self, stream: str, lo: int, hi: int) -> Relation:
-        return self.baskets[stream].relation(lo, hi)
-
-    def _commit(self, now: int,
-                consumed: Optional[Dict[str, int]]) -> None:
-        for stream, ws in self.window_states.items():
-            ws.advance(now, consumed_upto=consumed[stream],
-                       retain_expired=True)
-
-    def cursor_snapshot(self) -> Dict[str, dict]:
-        return {s: ws.snapshot()
-                for s, ws in self.window_states.items()}
-
-    def cursor_restore(self, states: Dict[str, dict]) -> None:
-        from repro.core.delta import DeltaExecutor
-
-        for stream, ws in self.window_states.items():
-            if stream in states:
-                ws.restore(states[stream])
-        # Z-set operator state died with the process; restore() nulled
-        # last_bounds, so the first recovered firing feeds the whole
-        # window as arrivals into a fresh executor — same emissions,
-        # rebuilt state
-        self.executor = DeltaExecutor(self.analysis, self.catalog)
-
-    def stats(self) -> Dict[str, float]:
-        out = super().stats()
-        out.update(self.executor.delta_stats())
         return out

@@ -161,46 +161,6 @@ def analyze_incremental(plan: PlanNode) -> IncrementalAnalysis:
 
 
 # ---------------------------------------------------------------------
-# shared plan-fragment runners (incremental + delta executors)
-# ---------------------------------------------------------------------
-
-def run_pipeline(catalog, pipeline: PlanNode, stream: str,
-                 slice_rel: Relation) -> Relation:
-    """Run a per-slice pipeline with *slice_rel* bound as *stream*."""
-    def reader(name: str) -> Relation:
-        if name == stream:
-            return slice_rel
-        raise StreamError(
-            f"pipeline for {stream!r} asked for stream {name!r}")
-
-    ctx = ExecutionContext(catalog, reader)
-    return PlanExecutor(ctx).execute(pipeline)
-
-
-def apply_upper(rel: Relation, upper: Sequence[PlanNode]) -> Relation:
-    """Apply the post-merge tail (root-first list) to a window result."""
-    for node in reversed(upper):
-        if isinstance(node, FilterNode):
-            rel = apply_predicate(rel, node.predicate)
-        elif isinstance(node, SortNode):
-            rel = sort_relation(rel, node.keys)
-        elif isinstance(node, ProjectNode):
-            rel = project_relation(rel, node.exprs, node.names)
-        elif isinstance(node, LimitNode):
-            stop = None if node.limit is None \
-                else node.offset + node.limit
-            rel = rel.slice_rows(node.offset, stop)
-        elif isinstance(node, DistinctNode):
-            bats = [b for _n, b in rel.columns()]
-            if bats and rel.row_count:
-                rel = rel.take(kernel.distinct(bats))
-        else:
-            raise UnsupportedIncremental(
-                f"unexpected post-merge node {node.label()}")
-    return rel
-
-
-# ---------------------------------------------------------------------
 # mergeable partial aggregate states
 # ---------------------------------------------------------------------
 
@@ -404,7 +364,15 @@ class IncrementalExecutor:
 
     def _run_pipeline(self, pipeline: PlanNode, stream: str,
                       slice_rel: Relation) -> Relation:
-        return run_pipeline(self.ctx.catalog, pipeline, stream, slice_rel)
+        """Run a per-slice pipeline with *slice_rel* bound as *stream*."""
+        def reader(name: str) -> Relation:
+            if name == stream:
+                return slice_rel
+            raise StreamError(
+                f"pipeline for {stream!r} asked for stream {name!r}")
+
+        ctx = ExecutionContext(self.ctx.catalog, reader)
+        return PlanExecutor(ctx).execute(pipeline)
 
     # -- firing a full window -----------------------------------------------
 
@@ -476,7 +444,27 @@ class IncrementalExecutor:
         return out
 
     def _apply_upper(self, rel: Relation) -> Relation:
-        return apply_upper(rel, self.analysis.upper)
+        """Apply the post-merge tail (root-first list) to a window
+        result."""
+        for node in reversed(self.analysis.upper):
+            if isinstance(node, FilterNode):
+                rel = apply_predicate(rel, node.predicate)
+            elif isinstance(node, SortNode):
+                rel = sort_relation(rel, node.keys)
+            elif isinstance(node, ProjectNode):
+                rel = project_relation(rel, node.exprs, node.names)
+            elif isinstance(node, LimitNode):
+                stop = None if node.limit is None \
+                    else node.offset + node.limit
+                rel = rel.slice_rows(node.offset, stop)
+            elif isinstance(node, DistinctNode):
+                bats = [b for _n, b in rel.columns()]
+                if bats and rel.row_count:
+                    rel = rel.take(kernel.distinct(bats))
+            else:
+                raise UnsupportedIncremental(
+                    f"unexpected post-merge node {node.label()}")
+        return rel
 
     # -- cache maintenance ------------------------------------------------------
 

@@ -104,19 +104,10 @@ class Monitor:
                 f"({per_fire:.3f} ms/fire)")
             extra = {k: v for k, v in stats.items()
                      if k.endswith(("cached", "computed", "reused",
-                                    "_rows"))
-                     and not k.startswith("delta_")}
+                                    "_rows"))}
             if extra:
                 lines.append("    cache: " + ", ".join(
                     f"{k}={v}" for k, v in sorted(extra.items())))
-            if "delta_rows_in" in stats:
-                lines.append(
-                    f"    delta: in={stats['delta_rows_in']} "
-                    f"out={stats['delta_rows_out']} "
-                    f"consolidations={stats['delta_consolidations']} "
-                    f"rescans={stats['delta_rescans']} "
-                    f"state={stats['delta_state_rows']} rows "
-                    f"/{stats['delta_state_bytes']} bytes")
         lines.append(f"  network totals: in={total_in} out={total_out} "
                      f"busy={busy:.4f}s")
         sched = eng.scheduler
@@ -348,12 +339,6 @@ class Monitor:
         if executor is None:
             lines.append("  (re-evaluation mode: no cached "
                          "intermediates, full window re-read per fire)")
-            return "\n".join(lines)
-        if hasattr(executor, "describe_state"):
-            for line in executor.describe_state():
-                lines.append("  " + line)
-            if len(lines) == 1:
-                lines.append("  (nothing cached)")
             return "\n".join(lines)
         for (stream, bw), rel in sorted(executor._slices.items()):
             lines.append(f"  slice cache [{stream} bw{bw}]: "

@@ -120,9 +120,6 @@ class WindowState:
         self._next_fire_time = anchor_time + spec.size \
             if spec.kind == "time" else 0
         self.fires = 0
-        # oid bounds of the last fired window; None before the first
-        # firing. Delta mode differences consecutive windows off it.
-        self.last_bounds: Optional[Tuple[int, int]] = None
 
     # -- firing condition --------------------------------------------
 
@@ -164,36 +161,10 @@ class WindowState:
         return (self.basket.oid_at_or_after(lo_t),
                 self.basket.oid_at_or_after(hi_t))
 
-    def delta_bounds(self, now: int
-                     ) -> Tuple[Tuple[int, int], Tuple[int, int],
-                                Tuple[int, int]]:
-        """Z-set difference of the next window against the last fired one.
-
-        Returns ``((lo, hi), (alo, ahi), (elo, ehi))``: the full window,
-        the arrival range (weight +1) and the expiry range (weight -1),
-        all absolute oid ranges. On the first firing the arrival range is
-        the whole window and the expiry range is empty. Expired tuples
-        are still readable from the basket because :meth:`advance` only
-        releases up to the *fired* window's lo — the retraction slice
-        ``[plo, lo)`` is released by the advance that follows this
-        firing, not the one before it.
-        """
-        if self.spec.kind == "none":
-            raise WindowError("delta bounds need a window clause")
-        lo, hi = self.slice_bounds(now)
-        if self.last_bounds is None:
-            return (lo, hi), (lo, hi), (lo, lo)
-        plo, phi = self.last_bounds
-        alo = min(max(phi, lo), hi)
-        elo = plo
-        ehi = max(min(lo, phi), elo)
-        return (lo, hi), (alo, hi), (elo, ehi)
-
     # -- advancing ------------------------------------------------------
 
     def advance(self, now: int,
-                consumed_upto: Optional[int] = None,
-                retain_expired: bool = False) -> None:
+                consumed_upto: Optional[int] = None) -> None:
         """Move to the next window and release expired tuples.
 
         *consumed_upto* is the hi bound the firing actually evaluated.
@@ -201,14 +172,8 @@ class WindowState:
         current ``next_oid``: in live mode a receptor thread may have
         appended tuples mid-evaluation, and recomputing the bound here
         would release them unseen.
-
-        *retain_expired* makes the release lag one window: only tuples
-        before the *fired* window's lo are released, so the next
-        firing's retraction slice ``[plo, lo)`` stays readable from the
-        basket. Delta mode needs this; the other modes release eagerly
-        up to the next window's lo.
         """
-        lo, hi = self.slice_bounds(now)
+        _lo, hi = self.slice_bounds(now)
         self.fires += 1
         if self.spec.kind == "none":
             if consumed_upto is not None:
@@ -216,18 +181,15 @@ class WindowState:
             self.sub.read_upto = hi
             self.sub.release(hi)
             return
-        self.last_bounds = (lo, hi)
         if self.spec.kind == "tuple":
             self._win_start_oid += self.spec.slide
             self.sub.read_upto = max(self.sub.read_upto, hi)
-            self.sub.release(lo if retain_expired
-                             else self._win_start_oid)
+            self.sub.release(self._win_start_oid)
             return
         self._next_fire_time += self.spec.slide
         self.sub.read_upto = max(self.sub.read_upto, hi)
         new_lo_t = self._next_fire_time - self.spec.size
-        self.sub.release(lo if retain_expired
-                         else self.basket.oid_at_or_after(new_lo_t))
+        self.sub.release(self.basket.oid_at_or_after(new_lo_t))
 
     # -- checkpoint / recovery -----------------------------------------
 
@@ -244,14 +206,7 @@ class WindowState:
                 "released_upto": self.sub.released_upto}
 
     def restore(self, state: dict) -> None:
-        """Reposition this cursor from a checkpoint snapshot.
-
-        ``last_bounds`` is deliberately *not* restored: a recovered
-        delta factory has no operator state, so its first firing must
-        see the whole window as arrivals (``delta_bounds`` does exactly
-        that when ``last_bounds`` is None) — emissions stay
-        byte-identical because delta emits full window results.
-        """
+        """Reposition this cursor from a checkpoint snapshot."""
         if state.get("kind") != "window":
             raise WindowError(
                 f"cursor snapshot kind {state.get('kind')!r} does not "
@@ -261,7 +216,6 @@ class WindowState:
         self.fires = int(state["fires"])
         self.sub.read_upto = int(state["read_upto"])
         self.sub.released_upto = int(state["released_upto"])
-        self.last_bounds = None
 
     def __repr__(self) -> str:
         return (f"WindowState({self.basket.name}, {self.spec!r}, "
@@ -331,12 +285,16 @@ class BasicWindowTracker:
         return out
 
     def ready(self, now: int) -> bool:
-        """True when all basic windows of the next full window are done."""
+        """True when :meth:`new_basic_windows` has handed out every
+        basic window of the next full window.
+
+        Decided from the processing cursor alone, never from live
+        basket state: an append landing between the factory's poll and
+        this check would otherwise fire a window whose newest basic
+        window was never processed."""
         if self.sub.paused:
             return False
-        last_needed = self._next_window + self.n_basic - 1
-        return self._next_bw > last_needed or \
-            self._bw_complete(last_needed, now)
+        return self._next_bw >= self._next_window + self.n_basic
 
     def window_composition(self) -> Tuple[int, List[int]]:
         """(window index, list of basic-window indexes) for the next fire."""

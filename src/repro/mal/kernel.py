@@ -539,85 +539,6 @@ def agg_stddev(bat: BAT, gids: np.ndarray, ngroups: int,
     return BAT.from_array(dt.FLOAT, np.sqrt(var.values))
 
 
-# -- weighted (Z-set) aggregation -------------------------------------
-#
-# Delta execution represents a window change as a Z-set: rows carry an
-# integer weight (+1 insert, -1 retraction, +-k after consolidation).
-# The kernels below compute per-group *signed* contributions; summed
-# into running states they realize O(delta) sliding aggregates. Counts
-# go through float bincount but are exact (integer-valued float64) and
-# are rounded back to int64.
-
-
-def weighted_count(gids: np.ndarray, weights: np.ndarray,
-                   ngroups: int) -> np.ndarray:
-    """Per-group signed multiplicity ``sum(w)`` as int64."""
-    if len(gids) == 0:
-        return np.zeros(ngroups, dtype=np.int64)
-    out = np.bincount(gids, weights=weights.astype(np.float64),
-                      minlength=ngroups)
-    return np.rint(out).astype(np.int64)
-
-
-def weighted_sum(bat: BAT, gids: np.ndarray, weights: np.ndarray,
-                 ngroups: int, cand: Optional[Candidates] = None
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-group signed ``(sum(w*v), sum(w))`` over non-nil values."""
-    values, valid = _grouped_valid(bat, gids, cand)
-    if not bat.dtype.is_numeric:
-        raise KernelError(f"sum over non-numeric column {bat.dtype}")
-    vv = values[valid].astype(np.float64)
-    gg = gids[valid]
-    ww = weights[valid].astype(np.float64)
-    sums = np.bincount(gg, weights=ww * vv, minlength=ngroups
-                       ).astype(np.float64)
-    counts = np.rint(np.bincount(gg, weights=ww, minlength=ngroups)
-                     ).astype(np.int64)
-    return sums, counts
-
-
-def weighted_moments(bat: BAT, gids: np.ndarray, weights: np.ndarray,
-                     ngroups: int, cand: Optional[Candidates] = None
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-group signed ``(sum(w), sum(w*v), sum(w*v^2))`` moments."""
-    values, valid = _grouped_valid(bat, gids, cand)
-    if not bat.dtype.is_numeric:
-        raise KernelError(f"variance over non-numeric column {bat.dtype}")
-    vv = values[valid].astype(np.float64)
-    gg = gids[valid]
-    ww = weights[valid].astype(np.float64)
-    counts = np.bincount(gg, weights=ww, minlength=ngroups
-                         ).astype(np.float64)
-    sums = np.bincount(gg, weights=ww * vv, minlength=ngroups
-                       ).astype(np.float64)
-    sumsq = np.bincount(gg, weights=ww * vv * vv, minlength=ngroups
-                        ).astype(np.float64)
-    return counts, sums, sumsq
-
-
-def zset_consolidate(bats: Sequence[BAT], weights: np.ndarray
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge duplicate rows of a Z-set, summing weights.
-
-    Returns ``(positions, weights)``: one representative position per
-    distinct row whose summed weight is non-zero (first-appearance
-    order), with its consolidated weight. An empty or fully-cancelled
-    Z-set returns two empty arrays.
-    """
-    n = len(weights)
-    if n == 0 or not bats:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    gids: Optional[np.ndarray] = None
-    reps: Candidates = all_candidates(n)
-    ngroups = n
-    for bat in bats:
-        gids, reps, ngroups = subgroup(bat, gids)
-    sums = np.rint(np.bincount(gids, weights=weights.astype(np.float64),
-                               minlength=ngroups)).astype(np.int64)
-    keep = sums != 0
-    return np.asarray(reps, dtype=np.int64)[keep], sums[keep]
-
-
 _SCALARS: Dict[str, Callable] = {}
 
 

@@ -47,6 +47,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.emitter import QueueSink
+from repro.core.factory import EXECUTION_MODES
 from repro.errors import (BindError, CatalogError, DataCellError,
                           LexerError, NetError, ParseError, ReplayGap,
                           StoreError, StreamError, TypeMismatchError)
@@ -174,7 +175,8 @@ def _classify_register(sql: str, words: List[str]) -> Command:
     lowered = [w.lower() for w in words]
     if len(lowered) < 2 or lowered[1] != "continuous":
         raise PGError("42601", "expected REGISTER CONTINUOUS [QUERY] "
-                               "<name> [MODE <mode>] AS <select>")
+                               f"<name> [MODE {'|'.join(EXECUTION_MODES)}]"
+                               " AS <select>")
     idx = 2
     if idx < len(lowered) and lowered[idx] == "query":
         idx += 1

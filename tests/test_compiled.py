@@ -42,20 +42,20 @@ def assert_compiled_matches_interpreted(rows, query, mode, **kw):
 
 
 class TestCompiledEquivalence:
-    @pytest.mark.parametrize("mode", ["reeval", "incremental", "delta"])
+    @pytest.mark.parametrize("mode", ["reeval", "incremental"])
     def test_grouped_aggregate(self, mode):
         out = assert_compiled_matches_interpreted(
             ROWS, "SELECT k, sum(v), count(*) FROM s "
                   "[RANGE 16 SLIDE 8] GROUP BY k ORDER BY k", mode)
         assert out
 
-    @pytest.mark.parametrize("mode", ["reeval", "incremental", "delta"])
+    @pytest.mark.parametrize("mode", ["reeval", "incremental"])
     def test_filter_projection(self, mode):
         assert_compiled_matches_interpreted(
             ROWS, "SELECT k, v * 2 FROM s [RANGE 8 SLIDE 4] "
                   "WHERE v > 10", mode)
 
-    @pytest.mark.parametrize("mode", ["reeval", "incremental", "delta"])
+    @pytest.mark.parametrize("mode", ["reeval", "incremental"])
     def test_recycler_off(self, mode):
         assert_compiled_matches_interpreted(
             ROWS, "SELECT k, max(v) FROM s [RANGE 12 SLIDE 6] "
@@ -75,7 +75,7 @@ class TestCompiledEquivalence:
     def test_random_plans_agree(self, n, slide, factor, template):
         rows = [(i % 3, float((i * 5) % 17) - 4.0) for i in range(n)]
         query = template.format(size=slide * factor, slide=slide)
-        for mode in ("reeval", "incremental", "delta"):
+        for mode in ("reeval", "incremental"):
             assert_compiled_matches_interpreted(rows, query, mode)
 
 

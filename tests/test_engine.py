@@ -287,8 +287,24 @@ class TestConstructorSurface:
             "data_dir", "durability", "segment_rows",
             "checkpoint_interval_s", "log_inline", "retain_ms",
             "retain_bytes"]
+        assert len(params) == 13
         assert not hasattr(DataCellEngine, "save")
         assert not hasattr(DataCellEngine, "restore")
+
+    def test_execution_modes_are_exactly_these(self):
+        from repro.core.engine import DataCellEngine
+        from repro.core.factory import EXECUTION_MODES
+
+        assert EXECUTION_MODES == ("auto", "reeval", "incremental")
+        engine = DataCellEngine()
+        engine.execute("CREATE STREAM s (k INT)")
+        for word in ("delta", "bogus"):
+            with pytest.raises(StreamError) as err:
+                engine.register_continuous(
+                    "SELECT k FROM s [RANGE 4 SLIDE 2]", mode=word)
+            assert f"unknown execution mode {word!r}" in str(err.value)
+            assert str(EXECUTION_MODES) in str(err.value)
+        assert engine.queries() == []
 
     def test_recycler_knobs_are_exactly_these(self):
         import inspect

@@ -244,10 +244,10 @@ class TestMessages:
         assert split_statements("  ;; ") == []
 
     def test_classify_dialect(self):
-        cmd = classify("REGISTER CONTINUOUS q1 MODE delta AS "
+        cmd = classify("REGISTER CONTINUOUS q1 MODE incremental AS "
                        "SELECT k FROM s")
         assert (cmd.kind, cmd.name, cmd.mode) == \
-            ("register", "q1", "delta")
+            ("register", "q1", "incremental")
         assert "SELECT k FROM s" in cmd.query
         cmd = classify("TAIL q1 BATCHES 3 ROWS 10 TIMEOUT 500")
         assert (cmd.kind, cmd.name, cmd.batches, cmd.rows,
@@ -397,6 +397,16 @@ class TestDialect:
         msgs = client.query("UNREGISTER CONTINUOUS q2")
         assert tags_of(msgs) == ["UNREGISTER CONTINUOUS"]
         assert "q2" not in [q.name for q in pg_server.engine.queries()]
+
+        # a retired mode is an unknown word like any other
+        msgs = client.query("REGISTER CONTINUOUS q3 MODE delta AS "
+                            "SELECT k FROM s")
+        (state, message), = errors_of(msgs)
+        assert state == "55000"
+        assert "unknown execution mode 'delta'" in message
+        assert all(mode in message
+                   for mode in ("auto", "reeval", "incremental"))
+        assert "q3" not in [q.name for q in pg_server.engine.queries()]
         client.close()
 
     def test_query_registered_on_running_server_is_bounded(self):

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.basket import Basket
 from repro.core.engine import DataCellEngine
-from repro.core.recycler import (Recycler, payload_nbytes,
-                                 payloads_equal)
+from repro.core.recycler import (REUSE_DECAY_SCANS, Recycler,
+                                 payload_nbytes, payloads_equal)
 from repro.mal.bat import BAT
 from repro.mal.fingerprint import fingerprint_program
 from repro.mal.program import Const, Instruction, MALProgram, Var
@@ -372,6 +372,52 @@ class TestChainAdoption:
         mid = on_engine.basket("mid")
         assert mid.total_in > 0
         assert run_workload(False, setup) == emitted(on_engine, names)
+
+
+    def test_incremental_producer_emissions_are_adopted(self):
+        """Adoption is per emit, not per mode: an incremental stage 1
+        hands its window results to the downstream scan the same way."""
+        engine = DataCellEngine(recycler_enabled=True)
+        engine.execute("CREATE STREAM s (k INT, v FLOAT)")
+        engine.register_continuous(
+            "SELECT k, sum(v) sv FROM s [RANGE 10 SLIDE 5] GROUP BY k",
+            mode="incremental", name="stage1", output_stream="mid")
+        engine.register_continuous(
+            "SELECT k, sv FROM mid WHERE sv > 0", mode="reeval",
+            name="stage2")
+        rows = [(i % 4, float(i % 7)) for i in range(200)]
+        # slow enough that the stages interleave: each stage1 emission
+        # is scanned by stage2 before the next one lands, so the
+        # adopted oid range matches the downstream window exactly
+        engine.attach_source("s", RateSource(rows, rate=5000))
+        engine.run_until_drained()
+        assert not engine.scheduler.failed, engine.scheduler.failed
+        assert engine.continuous_query("stage1").mode == "incremental"
+        stats = engine.recycler.stats()
+        assert stats["chain_stamped"] > 0
+        assert stats["chain_hits"] > 0
+        assert engine.results("stage2").rows()  # results flowed through
+
+
+class TestReuseDecay:
+    def test_decay_halves_reuse_counters(self):
+        rec = Recycler()
+        key = rec.instruction_key("fp", [("s", 0, 10)])
+        rec.store(key, np.arange(64, dtype=np.int64), cost_ms=1.0)
+        for _ in range(8):
+            rec.lookup(key)
+        entry = rec._entries[key]
+        assert entry.reuses == 8
+        for _ in range(REUSE_DECAY_SCANS):
+            rec.evict_dead({})
+        assert entry.reuses == 4
+        assert rec.stats()["reuse_decays"] == 1
+
+    def test_decay_runs_even_when_empty(self):
+        rec = Recycler()
+        for _ in range(REUSE_DECAY_SCANS):
+            rec.evict_dead({})
+        assert rec.stats()["reuse_decays"] == 1
 
 
 # ---------------------------------------------------------------------------

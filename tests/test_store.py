@@ -367,7 +367,7 @@ def serial_run(mode, query=QUERY, rows=ROWS):
 
 
 class TestEngineRecovery:
-    @pytest.mark.parametrize("mode", ["reeval", "incremental", "delta"])
+    @pytest.mark.parametrize("mode", ["reeval", "incremental"])
     def test_crash_equivalence_at_checkpoint(self, tmp_path, mode):
         serial = serial_run(mode)
         engine = durable_engine(tmp_path)
@@ -392,7 +392,7 @@ class TestEngineRecovery:
         assert post == serial[len(serial) - len(post):]
         assert len(pre) + len(post) >= len(serial)
 
-    @pytest.mark.parametrize("mode", ["reeval", "incremental", "delta"])
+    @pytest.mark.parametrize("mode", ["reeval", "incremental"])
     def test_uncheckpointed_tail_refires(self, tmp_path, mode):
         """A crash after un-checkpointed activity: the log has the
         admitted tuples, the cursors are older — recovery re-fires the
@@ -606,6 +606,41 @@ class TestEngineRecovery:
             assert len(pre[name]) + len(post) >= len(serial[name])
         recovered.close()
 
+    def test_retired_mode_in_data_dir_recovers_as_reeval(self, tmp_path):
+        """``queries.json`` / ``state.json`` written by a build that
+        still had a third mode may say ``"mode": "delta"``: the query
+        comes back as ``reeval`` (same ``"kind": "window"`` cursors,
+        same whole-window emissions) instead of failing recovery."""
+        import json
+
+        serial = serial_run("reeval")
+        engine = durable_engine(tmp_path)
+        engine.execute("CREATE STREAM s (sid INT, temp FLOAT)")
+        engine.register_continuous(QUERY, name="q", mode="reeval")
+        drive(engine, ROWS[:7])
+        engine.checkpoint()
+        pre = emissions(engine)
+        engine.close()
+        for fname, entry_of in (
+                ("queries.json", lambda doc: doc["queries"][0]),
+                ("state.json", lambda doc: doc["queries"]["q"])):
+            path = os.path.join(str(tmp_path), fname)
+            with open(path) as f:
+                doc = json.load(f)
+            assert entry_of(doc)["mode"] == "reeval"
+            entry_of(doc)["mode"] = "delta"
+            with open(path, "w") as f:
+                json.dump(doc, f)
+
+        recovered = durable_engine(tmp_path)
+        assert recovered.recovered
+        assert recovered.continuous_query("q").mode == "reeval"
+        drive(recovered, ROWS[7:])
+        drain(recovered)
+        post = emissions(recovered)
+        recovered.close()
+        assert pre + post == serial
+
     def test_log_stats_and_monitor_pane(self, tmp_path):
         engine = durable_engine(tmp_path)
         engine.execute("CREATE STREAM s (sid INT, temp FLOAT)")
@@ -650,7 +685,7 @@ def crash_case(draw):
         [d for d in range(1, size + 1) if size % d == 0]))
     crash_at = draw(st.integers(1, n - 1))
     ckpt_at = draw(st.integers(0, crash_at))
-    mode = draw(st.sampled_from(["reeval", "incremental", "delta"]))
+    mode = draw(st.sampled_from(["reeval", "incremental"]))
     return rows, size, slide, crash_at, ckpt_at, mode
 
 

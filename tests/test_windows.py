@@ -190,7 +190,11 @@ class TestBasicWindowTracker:
         fill(basket, 3)
         tracker.new_basic_windows(0)
         assert not tracker.ready(0)
+        # the rows completing the last basic window land after the
+        # poll: not ready until the next poll has handed it out
         fill(basket, 1)
+        assert not tracker.ready(0)
+        assert tracker.new_basic_windows(0) == [(1, 2, 4)]
         assert tracker.ready(0)
 
     def test_composition_and_advance(self, basket):
@@ -281,13 +285,13 @@ class TestCursorRecoveryWithPagedHistory:
         assert snap["floor_oid"] == 5
         log.close()
 
-    def test_window_state_restore_delta_first_fire_pages(
+    def test_window_state_restore_pages_window(
             self, tmp_path):
         basket, log = durable_basket(tmp_path)
         sub = basket.subscribe("q")
         state = WindowState(WindowSpec("tuple", 4, 2), basket, sub)
         fill(basket, 6)
-        state.advance(0, retain_expired=True)  # delta fired [0,4)
+        state.advance(0)  # fired [0,4)
         snap = state.snapshot()
         # crash: the basket rebuilt from a later checkpoint holds
         # nothing below oid 6, but the log does
@@ -297,12 +301,8 @@ class TestCursorRecoveryWithPagedHistory:
         s2 = WindowState(WindowSpec("tuple", 4, 2), basket, sub2)
         s2.restore(snap)
         assert s2.ready(0)  # next_oid=6 >= win_start 2 + size 4
-        (lo, hi), (alo, ahi), (elo, ehi) = s2.delta_bounds(0)
-        # first post-recovery fire: the whole window arrives, nothing
-        # retracts (last_bounds is deliberately not restored)
+        lo, hi = s2.slice_bounds(0)
         assert (lo, hi) == (2, 6)
-        assert (alo, ahi) == (2, 6)
-        assert elo == ehi
         rel = basket.relation(lo, hi)  # head [2,6) is log-resident
         assert rel.column("k").values.tolist() == [2, 3, 4, 5]
         assert basket.pager.stats()["paged_reads"] >= 1
