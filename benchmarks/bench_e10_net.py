@@ -26,12 +26,11 @@ BATCH_SIZES = [1, 16, 256, 2048]
 SUBSCRIBER_COUNTS = [1, 3]
 
 
-def _server(step_interval_s: float = 0.001) -> DataCellServer:
+def _server() -> DataCellServer:
     engine = DataCellEngine(clock=WallClock())
     engine.execute("CREATE STREAM s (k INT, v FLOAT)")
     engine.register_continuous("SELECT k, v FROM s", name="q")
-    server = DataCellServer(engine, step_interval_s=step_interval_s,
-                            collect_max_batches=64)
+    server = DataCellServer(engine, collect_max_batches=64)
     return server.start()
 
 

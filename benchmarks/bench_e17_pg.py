@@ -120,8 +120,7 @@ def run_latency_table(iters: int = LATENCY_ITERS) -> ResultTable:
     engine = _engine()
     pg = PGWireServer(engine, drive_scheduler=False)
     pg.start()
-    framed = DataCellServer(engine, step_interval_s=0.002,
-                            io_loop=pg.io)
+    framed = DataCellServer(engine, io_loop=pg.io)
     framed.start()
     try:
         client = _MiniPG(pg.host, pg.port)
@@ -190,8 +189,7 @@ def idle_subscribers(n: int) -> dict:
     if not _raise_nofile(2 * n + 256):
         raise OSError(f"RLIMIT_NOFILE too low for {n} connections")
     engine = _engine()
-    server = PGWireServer(engine, drive_scheduler=True,
-                          step_interval_s=0.01)
+    server = PGWireServer(engine, drive_scheduler=True)
     server.start()
     clients = []
     try:

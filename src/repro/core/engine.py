@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
@@ -140,7 +141,7 @@ class DataCellEngine:
         one flush per group, ``"fsync"`` additionally fsyncs,
         ``"off"`` disables logging even with a ``data_dir``.
         ``checkpoint_interval_s`` paces the periodic checkpoint driven
-        from :meth:`step` (and the network server's scheduler loop);
+        from :meth:`step` (the serving loop wakes for it);
         ``log_inline`` persists synchronously inside each append — the
         deterministic mode crash tests drive.
 
@@ -177,6 +178,10 @@ class DataCellEngine:
         # protocol server and the Postgres wire-protocol front end
         self.net_edge = None
         self.pg_edge = None
+        # the serving loop's wake (core.live.ServingLoop): set by whoever
+        # hands the net work from another thread, once it is visible
+        self.wake = threading.Event()
+        self.loop_thread: Optional[int] = None  # ident of that loop
 
         # -- durability (repro.store) ----------------------------------
         if durability not in DURABILITY_MODES:
@@ -387,6 +392,7 @@ class DataCellEngine:
         basket = Basket(name, schema)
         self.scheduler.add_basket(basket)
         self._receptors[basket.name] = []
+        basket.add_tap(self._on_append)
         if self.durable:
             log = self._open_log(basket.name, schema)
             if log.next_offset > basket.next_oid:
@@ -397,6 +403,12 @@ class DataCellEngine:
             if not self._recovering:
                 self.checkpoint()
         return basket
+
+    def _on_append(self, lo: int, hi: int, now: int) -> None:
+        """Basket tap: an append from a foreign thread (pg INSERT, live
+        receptor, shell) wakes the serving loop; its own are mid-step."""
+        if threading.get_ident() != self.loop_thread:
+            self.wake.set()
 
     def drop_stream(self, name: str) -> None:
         name = name.lower()
@@ -431,6 +443,7 @@ class DataCellEngine:
         receptor = Receptor(rname, basket, source)
         self._receptors[basket.name].append(receptor)
         self.scheduler.add_receptor(receptor)
+        self.wake.set()  # a new event time for the loop's deadline
         return receptor
 
     def add_socket_receptor(self, stream: str,
@@ -447,7 +460,8 @@ class DataCellEngine:
                          f"{len(self._receptors[basket.name])}")
         receptor = SocketReceptor(rname, basket, max_pending=max_pending,
                                   policy=policy,
-                                  block_timeout_s=block_timeout_s)
+                                  block_timeout_s=block_timeout_s,
+                                  wake=self.wake.set)
         self._receptors[basket.name].append(receptor)
         self.scheduler.add_receptor(receptor)
         return receptor
@@ -475,6 +489,7 @@ class DataCellEngine:
         self.basket(name)
         for receptor in self._receptors[name.lower()]:
             receptor.resume()
+        self.wake.set()
 
     # ------------------------------------------------------------------
     # continuous queries
@@ -644,6 +659,7 @@ class DataCellEngine:
         self._queries[name] = query
         if self.durable and not self._recovering:
             self.checkpoint()  # definitions must survive a crash
+        self.wake.set()  # rows already in its baskets, a new timer
         return query
 
     def _resolve_mode(self, plan: PlanNode,
@@ -755,6 +771,7 @@ class DataCellEngine:
             for sub in self.basket(stream).subscriptions():
                 if sub.name == name:
                     sub.paused = False
+        self.wake.set()
 
     def subscribe(self, query_name: str,
                   callback: Callable[[Relation, int], Any]) -> None:
@@ -942,13 +959,18 @@ class DataCellEngine:
         self.last_checkpoint_error = None
         self._last_ckpt = time.monotonic()
 
+    def checkpoint_due_s(self) -> float:
+        """Seconds until the periodic checkpoint is next due."""
+        return (self._last_ckpt + self.checkpoint_interval_s
+                - time.monotonic())
+
     def maybe_checkpoint(self) -> bool:
-        """Periodic checkpoint driver (called per :meth:`step` and by
-        the network server's scheduler loop). A failed log writer is
-        recorded — not raised — so the serving loop stays up."""
+        """Periodic checkpoint driver (called per :meth:`step`, so by
+        the serving loop too). A failed log writer is recorded — not
+        raised — so the serving loop stays up."""
         if not self.durable or self._recovering:
             return False
-        if time.monotonic() - self._last_ckpt < self.checkpoint_interval_s:
+        if self.checkpoint_due_s() > 0:
             return False
         try:
             self.checkpoint()
@@ -1043,6 +1065,7 @@ class DataCellEngine:
                 basket = Basket(name, stream_def.schema)
                 self.scheduler.add_basket(basket)
                 self._receptors[name] = []
+                basket.add_tap(self._on_append)
                 log = self._open_log(name, stream_def.schema)
                 bmeta = bmeta_all.get(name, {})
                 end = log.next_offset

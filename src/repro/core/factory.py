@@ -120,16 +120,30 @@ class Factory:
     def enabled(self, now: int) -> bool:
         """The Petri-net firing condition: every windowed input has its
         next window available — or, for a plan over unwindowed inputs
-        only, some input has new tuples (and :meth:`_batch_ok`)."""
-        if self.state != RUNNING:
-            return False
+        only, some input has new tuples and no batch hold applies."""
         if self._windowed:
-            return all(c.ready(now) for c in self._windowed)
-        return any(c.ready(now) for c in self.cursors.values()) \
-            and self._batch_ok(now)
+            return self.state == RUNNING \
+                and all(c.ready(now) for c in self._windowed)
+        due = self.next_deadline(now)
+        return due is not None and due <= now
 
-    def _batch_ok(self, now: int) -> bool:
-        return True
+    def next_deadline(self, now: int) -> Optional[int]:
+        """Clock time at which this factory has work with no further
+        arrival (the serving loop sleeps until then): the latest of its
+        windowed inputs' ``next_timer``, or the end of a batch hold.
+        ``None`` when only an arrival or a resume can enable it."""
+        if self.state != RUNNING:
+            return None
+        if self._windowed:
+            timers = [c.next_timer(now) for c in self._windowed]
+            return None if None in timers else max(timers)
+        if any(c.ready(now) for c in self.cursors.values()):
+            return self._batch_deadline(now)
+        return None
+
+    def _batch_deadline(self, now: int) -> Optional[int]:
+        """Clock time at which pending unwindowed tuples may fire."""
+        return now
 
     def fire(self, now: int) -> Optional[Relation]:
         """One firing; delivers to the emitter and returns the result.
@@ -267,15 +281,17 @@ class ReevalFactory(Factory):
         self.profile_enabled = bool(profile)
         self.opcode_profile: Dict[str, List[float]] = {}
 
-    def _batch_ok(self, now: int) -> bool:
+    def _batch_deadline(self, now: int) -> Optional[int]:
+        """*now* once ``min_batch`` tuples wait, else the oldest pending
+        arrival plus ``max_delay_ms`` (``None`` without that bound)."""
         if self.min_batch <= 1 and self.max_delay_ms is None:
-            return True
+            return now
         states = self.cursors.values()
         pending = sum(w.pending_tuples() for w in states)
         if pending >= self.min_batch:
-            return True
+            return now
         if self.max_delay_ms is None:
-            return False
+            return None
         oldest = None
         for w in states:
             if w.pending_tuples() <= 0:
@@ -285,7 +301,7 @@ class ReevalFactory(Factory):
             if len(arr) and lo == w.sub.read_upto:
                 t = int(arr[0])
                 oldest = t if oldest is None else min(oldest, t)
-        return oldest is not None and now - oldest >= self.max_delay_ms
+        return None if oldest is None else oldest + self.max_delay_ms
 
     def _evaluate(self, now: int
                   ) -> Tuple[Optional[Relation], Dict[str, int]]:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.basket import Basket
 from repro.core.clock import Clock
@@ -138,9 +139,10 @@ class SocketReceptor(Receptor):
     """Network-edge receptor: one per connected stream producer.
 
     A connection thread :meth:`offer`\\ s row batches into a bounded
-    *admission queue*; the scheduler's pump phase drains queued batches
-    into the basket, so socket ingestion overlaps factory firing. The
-    bound is the backpressure valve when baskets back up:
+    *admission queue* and then signals *wake* (the serving loop's);
+    the scheduler's pump phase drains queued batches into the basket,
+    so socket ingestion overlaps factory firing. The bound is the
+    backpressure valve when baskets back up:
 
     * ``policy="block"`` — a full queue makes ``offer`` wait (up to
       ``block_timeout_s``) for the scheduler to drain, propagating
@@ -154,7 +156,8 @@ class SocketReceptor(Receptor):
 
     def __init__(self, name: str, basket: Basket, max_pending: int = 64,
                  policy: str = "block", block_timeout_s: float = 5.0,
-                 log_backlog_limit: int = 256):
+                 log_backlog_limit: int = 256,
+                 wake: Callable[[], Any] = lambda: None):
         if policy not in self.POLICIES:
             raise StreamError(
                 f"unknown admission policy {policy!r} "
@@ -165,6 +168,7 @@ class SocketReceptor(Receptor):
         self.policy = policy
         self.max_pending = max_pending
         self.block_timeout_s = block_timeout_s
+        self._wake = wake
         # durability backpressure: when the stream's log writer backlog
         # exceeds this many queued group-commit batches, admission
         # treats it like a full queue (the disk, not the scheduler, is
@@ -210,6 +214,7 @@ class SocketReceptor(Receptor):
                     f"receptor {self.name!r}: admission queue full for "
                     f"{self.block_timeout_s}s (scheduler not draining)"
                 ) from None
+        self._wake()  # enqueue, then signal: early at worst, never lost
         return len(batch)
 
     def _log_admission(self, batch_rows: int) -> bool:
@@ -237,11 +242,13 @@ class SocketReceptor(Receptor):
     # -- scheduler side -------------------------------------------------
 
     def pump(self, now: int) -> int:
-        """Drain every queued batch into the basket (scheduler phase)."""
+        """Drain the batches queued at entry into the basket (scheduler
+        phase); a refill waits for the next step, which its offer has
+        already woken, so no producer can stretch this one unboundedly."""
         if self.paused:
             return 0
         appended = 0
-        while True:
+        for _ in range(self._queue.qsize()):
             try:
                 batch = self._queue.get_nowait()
             except queue.Empty:

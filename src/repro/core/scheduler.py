@@ -13,7 +13,9 @@ cascade within a step), then vacuum consumed prefixes.
 
 The scheduler runs against a :class:`~repro.core.clock.Clock`; with a
 :class:`~repro.core.clock.SimulatedClock` whole benchmark runs are
-deterministic.
+deterministic. On a wall clock nothing polls: the serving loop
+(:class:`repro.core.live.ServingLoop`) sleeps until an arrival sets the
+engine's wake or :meth:`PetriNetScheduler.next_deadline` falls due.
 
 Firing is serial: one scheduler thread fires each enabled factory to
 quiescence, in registration order, so a chained network cascades
@@ -158,6 +160,24 @@ class PetriNetScheduler:
             progressed += burst
         return progressed
 
+    # -- timers --------------------------------------------------------------
+
+    def next_source_time(self) -> Optional[int]:
+        """Earliest pending event time of a live pumped source."""
+        upcoming = [r.next_event_time() for r in self.receptors
+                    if not r.exhausted and not r.paused]
+        return min((t for t in upcoming if t is not None), default=None)
+
+    def next_deadline(self) -> Optional[int]:
+        """Earliest clock time at which time alone gives the net work
+        (a source event or :meth:`Factory.next_deadline` falls due);
+        ``None``: only an arrival, which sets the engine's wake, can."""
+        now = self.clock.now()
+        times = [self.next_source_time()]
+        if not self.paused:
+            times += [f.next_deadline(now) for f in self.factories]
+        return min((t for t in times if t is not None), default=None)
+
     # -- simulation drivers ------------------------------------------------
 
     def run_for(self, duration_ms: int, step_ms: int = 10
@@ -190,17 +210,14 @@ class PetriNetScheduler:
             out = self.step()
             for key in totals:
                 totals[key] += out[key]
-            live_receptors = [r for r in self.receptors
-                              if not r.exhausted and not r.paused]
-            if out["fired"] == 0 and out["ingested"] == 0 \
-                    and not live_receptors:
+            idle = out["fired"] == 0 and out["ingested"] == 0
+            if idle and all(r.exhausted or r.paused
+                            for r in self.receptors):
                 return totals
-            if simulated and out["ingested"] == 0 and out["fired"] == 0:
-                upcoming = [r.next_event_time() for r in live_receptors]
-                upcoming = [t for t in upcoming if t is not None]
-                if upcoming:
-                    target = max(min(upcoming), self.clock.now() + 1)
-                    self.clock.set(target)
+            if simulated and idle:
+                upcoming = self.next_source_time()
+                if upcoming is not None:
+                    self.clock.set(max(upcoming, self.clock.now() + 1))
                 else:
                     self.clock.advance(step_ms)
         raise SchedulerError(f"did not drain within {max_steps} steps")

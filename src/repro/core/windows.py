@@ -139,6 +139,14 @@ class WindowState:
                 self._win_start_oid + self.spec.size
         return now >= self._next_fire_time
 
+    def next_timer(self, now: int) -> Optional[int]:
+        """Clock time at which :meth:`ready` turns true with no further
+        arrival: a time window's close, *now* when it already is,
+        ``None`` when only an arrival or a resume can make it so."""
+        if self.spec.kind == "time" and not self.sub.paused:
+            return self._next_fire_time
+        return now if self.ready(now) else None
+
     # -- window extent -----------------------------------------------
 
     def slice_bounds(self, now: int) -> Tuple[int, int]:
@@ -295,6 +303,13 @@ class BasicWindowTracker:
         if self.sub.paused:
             return False
         return self._next_bw >= self._next_window + self.n_basic
+
+    def next_timer(self, now: int) -> Optional[int]:
+        """As :meth:`WindowState.next_timer`; the timer of a time
+        tracker is the close of the next basic window ``poll`` absorbs."""
+        if self.spec.kind == "time" and not self.sub.paused:
+            return self._anchor_time + (self._next_bw + 1) * self.spec.slide
+        return now if self.ready(now) else None
 
     def window_composition(self) -> Tuple[int, List[int]]:
         """(window index, list of basic-window indexes) for the next fire."""

@@ -251,8 +251,15 @@ class BAT:
         return dt.from_storage(self.dtype, self._heap.view()[position])
 
     def tolist(self) -> List[Any]:
-        """Active tail as Python values (nil -> None)."""
-        return [dt.from_storage(self.dtype, v) for v in self._heap.view()]
+        """Active tail as Python values (nil -> None) — the egress path
+        of every result row: one ``ndarray.tolist()``, nils patched."""
+        view = self._heap.view()
+        if self.dtype.is_string:
+            return list(view)  # nil is None in storage already
+        out = (view != 0 if self.dtype is dt.BOOLEAN else view).tolist()
+        for i in np.flatnonzero(dt.nil_mask(self.dtype, view)).tolist():
+            out[i] = None
+        return out
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.tolist())

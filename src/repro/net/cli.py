@@ -56,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="admission queue bound (batches/producer)")
     serve.add_argument("--client-queue", type=int, default=256,
                        help="delivery queue bound (batches/subscriber)")
-    serve.add_argument("--step-ms", type=float, default=2.0,
-                       help="scheduler step interval")
     serve.add_argument("--collect-max", type=int, default=1024,
                        help="per-query CollectingSink ring bound "
                             "(0 = unbounded)")
@@ -172,7 +170,6 @@ def _cmd_serve(args, out: IO) -> int:
             drive_scheduler=False, io_loop=io)
     server = DataCellServer(
         engine, host=args.host, port=args.port,
-        step_interval_s=args.step_ms / 1000.0,
         admission=args.admission,
         max_pending_batches=args.pending,
         max_client_queue=args.client_queue,

@@ -44,7 +44,7 @@ import json
 import socket
 import struct
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import NetError
 
@@ -264,7 +264,7 @@ def subscribe(query: Optional[str] = None,
 
 
 def result(query: str, seq: int, t: int, columns: List[str],
-           rows: List[List[Any]],
+           rows: Sequence[Sequence[Any]],
            stream: Optional[str] = None,
            offset: Optional[int] = None,
            end: Optional[int] = None,

@@ -2,8 +2,9 @@
 
 The demo architecture runs "a set of separate processes per stream and
 per client" at the engine's edges. :class:`DataCellServer` realizes
-that boundary: one engine on a wall clock, a scheduler thread stepping
-the Petri net (LiveRunner-style), one
+that boundary: one engine on a wall clock, a scheduler thread running
+the serving loop (:class:`repro.core.live.ServingLoop`: asleep until
+a producer's offer wakes it or a window timer falls due), one
 :class:`~repro.core.receptor.SocketReceptor` per connected stream
 producer, and one :class:`~repro.core.emitter.QueueSink` + writer task
 per subscribed client.
@@ -14,8 +15,9 @@ connection plus a writer/pump task per subscription, so an idle
 subscriber costs a heap entry instead of the former thread (PR 3's
 thread-per-connection model). The engine side is unchanged — the
 scheduler thread still pumps admission queues and fills delivery
-queues; queues are woken across the thread boundary via
-``call_soon_threadsafe`` wakers, never polled.
+queues; both directions are woken across the thread boundary
+(``engine.wake`` inbound, ``call_soon_threadsafe`` wakers outbound),
+never polled.
 
 Backpressure is explicit at both edges:
 
@@ -50,7 +52,7 @@ from repro.core.clock import WallClock
 from repro.core.emitter import (SERVED_MAX_BATCHES, QueueSink,
                                 SubscriberCursor)
 from repro.core.engine import DataCellEngine
-from repro.core.live import drain_scheduler
+from repro.core.live import ServingLoop
 from repro.core.receptor import SocketReceptor
 from repro.errors import CatalogError, DataCellError, NetError, \
     StreamError
@@ -98,8 +100,7 @@ class _Subscription:
                         break
                     seq, now, rel = item
                     frame = protocol.result(
-                        self.query, seq, now, rel.names,
-                        [list(r) for r in rel.to_rows()])
+                        self.query, seq, now, rel.names, rel.to_rows())
                     try:
                         await self.conn.send(frame)
                     except NetError:
@@ -241,9 +242,8 @@ class _StreamSubscription:
                 for plo, phi, rel in parts:
                     frame = protocol.result(
                         "", self._seq, self.engine.now(), rel.names,
-                        [list(r) for r in rel.to_rows()],
-                        stream=self.stream, offset=plo, end=phi,
-                        replay=phi <= self.replay_upto)
+                        rel.to_rows(), stream=self.stream, offset=plo,
+                        end=phi, replay=phi <= self.replay_upto)
                     # advance BEFORE send: the client may ack the batch
                     # before this task runs again, and a cursor behind
                     # the delivery would clamp that ack away
@@ -361,7 +361,6 @@ class DataCellServer:
 
     def __init__(self, engine: Optional[DataCellEngine] = None,
                  host: str = "127.0.0.1", port: int = 0, *,
-                 step_interval_s: float = 0.002,
                  admission: str = "block",
                  max_pending_batches: int = 64,
                  block_timeout_s: float = 5.0,
@@ -392,7 +391,6 @@ class DataCellServer:
         self.engine = engine
         self.host = host
         self.port = port
-        self.step_interval_s = step_interval_s
         self.admission = admission
         self.max_pending_batches = max_pending_batches
         self.block_timeout_s = block_timeout_s
@@ -401,14 +399,12 @@ class DataCellServer:
         self.replay_chunk_rows = replay_chunk_rows
         self.io = io_loop if io_loop is not None else IOLoop()
         self._aio_server: Optional[asyncio.AbstractServer] = None
-        self._sched_thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
+        self._loop: Optional[ServingLoop] = None
         self._lock = threading.Lock()
         self._conns: List[_Connection] = []
         self._orphan_receptors: List[SocketReceptor] = []
         self._conn_counter = 0
         self.connections_total = 0
-        self.steps = 0
         self.running = False
         self._totals: Dict[str, int] = {k: 0 for k in _TOTAL_KEYS}
 
@@ -428,12 +424,9 @@ class DataCellServer:
         sockname = self._aio_server.sockets[0].getsockname()
         self.host, self.port = sockname[:2]
         self.engine.net_edge = self
-        self._stop.clear()
         self.running = True
-        self._sched_thread = threading.Thread(
-            target=self._sched_loop, daemon=True,
-            name="datacell-server-scheduler")
-        self._sched_thread.start()
+        self._loop = ServingLoop(self.engine, "datacell-server-scheduler",
+                                 after_step=self._reap_receptors)
         return self
 
     async def _open_listener(self) -> asyncio.AbstractServer:
@@ -457,17 +450,9 @@ class DataCellServer:
             except Exception:
                 pass
         deadline = time.monotonic() + timeout_s
-        # 2. let the scheduler thread drain admission queues + the net
-        while time.monotonic() < deadline:
-            if self._quiesced():
-                break
-            time.sleep(0.01)
-        # 3. stop the scheduler thread; one final bounded drain
-        self._stop.set()
-        if self._sched_thread is not None:
-            self._sched_thread.join(timeout_s)
-            self._sched_thread = None
-        drain_scheduler(self.engine.scheduler)
+        # 2. let the scheduler thread drain admission queues + the net,
+        # 3. stop it; one final bounded drain
+        self._loop.stop(timeout_s, self._quiesced)
         # 4. flush subscriber delivery queues (writer tasks running)
         while time.monotonic() < deadline:
             if all(sub.sink.drained() or sub.dead
@@ -498,18 +483,12 @@ class DataCellServer:
 
     # -- scheduler thread ----------------------------------------------
 
-    def _sched_loop(self) -> None:
-        while not self._stop.is_set():
-            self.engine.scheduler.step()
-            self.engine.maybe_checkpoint()
-            self.steps += 1
-            if self.steps % 256 == 0:
-                self._reap_receptors()
-            time.sleep(self.step_interval_s)
-
     def _reap_receptors(self, force: bool = False) -> None:
         """Unregister closed-and-drained socket receptors of departed
-        connections, folding their counters into the totals."""
+        connections, folding their counters into the totals (after
+        every step of the serving loop, and at stop)."""
+        if not self._orphan_receptors:
+            return
         with self._lock:
             keep = []
             for receptor in self._orphan_receptors:
@@ -798,7 +777,6 @@ class DataCellServer:
                 "admission": self.admission,
                 "max_pending_batches": self.max_pending_batches,
                 "max_client_queue": self.max_client_queue,
-                "steps": self.steps,
                 "connections_total": self.connections_total,
                 "connections": entries,
                 "totals": totals}

@@ -33,8 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "against the engine before serving")
     parser.add_argument("--client-queue", type=int, default=256,
                         help="delivery queue bound (batches per TAIL)")
-    parser.add_argument("--step-ms", type=float, default=2.0,
-                        help="scheduler step interval")
     parser.add_argument("--duration", type=float, default=None,
                         help="serve for N seconds, then exit "
                              "(default: until interrupted)")
@@ -73,8 +71,7 @@ def _serve(args, out: IO) -> int:
             shell.run(f, interactive=False)
     server = PGWireServer(engine, host=args.host, port=args.port,
                           max_client_queue=args.client_queue,
-                          drive_scheduler=True,
-                          step_interval_s=args.step_ms / 1000.0)
+                          drive_scheduler=True)
     server.start()
     out.write(f"postgres front end listening on "
               f"{server.host}:{server.port} "

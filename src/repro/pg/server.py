@@ -4,11 +4,11 @@
 to and runs one :class:`~repro.pg.session.PGSession` coroutine per
 accepted connection on the shared asyncio core
 (:class:`~repro.net.aio.IOLoop`). It can host an engine by itself
-(``drive_scheduler=True`` starts the same scheduler thread the framed
-server runs) or ride next to a :class:`~repro.net.server.
-DataCellServer` on one loop and one engine — ``repro serve
---pg-port`` does exactly that, with the framed server driving the
-scheduler.
+(``drive_scheduler=True`` starts the scheduler thread the framed
+server runs, :class:`repro.core.live.ServingLoop`) or ride next to a
+:class:`~repro.net.server.DataCellServer` on one loop and one engine —
+``repro serve --pg-port`` does exactly that, with the framed server
+driving the scheduler.
 
 CancelRequest support: each session gets a (pid, secret) key pair at
 startup (``BackendKeyData``); a second connection carrying
@@ -28,13 +28,12 @@ from __future__ import annotations
 import asyncio
 import random
 import threading
-import time
 from typing import Any, Dict, List, Optional
 
 from repro.core.clock import WallClock
 from repro.core.emitter import SERVED_MAX_BATCHES
 from repro.core.engine import DataCellEngine
-from repro.core.live import drain_scheduler
+from repro.core.live import ServingLoop
 from repro.errors import NetError, StreamError
 from repro.net.aio import IOLoop
 from repro.pg.session import PGSession
@@ -47,7 +46,6 @@ class PGWireServer:
                  host: str = "127.0.0.1", port: int = 0, *,
                  max_client_queue: int = 256,
                  drive_scheduler: bool = False,
-                 step_interval_s: float = 0.002,
                  io_loop: Optional[IOLoop] = None):
         """``port=0`` binds an ephemeral port (read :attr:`port` after
         :meth:`start`; the conventional choice is 5433 to stay clear
@@ -69,14 +67,12 @@ class PGWireServer:
         self.port = port
         self.max_client_queue = max_client_queue
         self.drive_scheduler = drive_scheduler
-        self.step_interval_s = step_interval_s
         self.io = io_loop if io_loop is not None else IOLoop()
         # serializes pg statements against each other (engine calls
         # run on worker threads; see PGSession._exec_engine)
         self.exec_lock = threading.Lock()
         self._aio_server: Optional[asyncio.AbstractServer] = None
-        self._sched_thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
+        self._loop: Optional[ServingLoop] = None
         self._lock = threading.Lock()
         self._sessions: List[PGSession] = []
         self._cancel_keys: Dict[tuple, PGSession] = {}
@@ -88,7 +84,6 @@ class PGWireServer:
         self._rng = random.Random()
         self.connections_total = 0
         self.cancels = 0
-        self.steps = 0
         self.running = False
 
     # -- lifecycle -----------------------------------------------------
@@ -108,13 +103,9 @@ class PGWireServer:
         sockname = self._aio_server.sockets[0].getsockname()
         self.host, self.port = sockname[:2]
         self.engine.pg_edge = self
-        self._stop.clear()
         self.running = True
         if self.drive_scheduler:
-            self._sched_thread = threading.Thread(
-                target=self._sched_loop, daemon=True,
-                name="datacell-pg-scheduler")
-            self._sched_thread.start()
+            self._loop = ServingLoop(self.engine, "datacell-pg-scheduler")
         return self
 
     async def _open_listener(self) -> asyncio.AbstractServer:
@@ -135,16 +126,9 @@ class PGWireServer:
                 self.io.call(_close_listener(server), timeout_s)
             except Exception:
                 pass
-        if self._sched_thread is not None:
-            deadline = time.monotonic() + timeout_s
-            while time.monotonic() < deadline:
-                if not self.engine.scheduler.enabled_transitions():
-                    break
-                time.sleep(0.01)
-            self._stop.set()
-            self._sched_thread.join(timeout_s)
-            self._sched_thread = None
-            drain_scheduler(self.engine.scheduler)
+        if self._loop is not None:
+            self._loop.stop(timeout_s)  # its drain fires what is enabled
+            self._loop = None
         for session in self._snapshot_sessions():
             try:
                 self.io.call(self._close_session(session), timeout_s)
@@ -159,13 +143,6 @@ class PGWireServer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
-
-    def _sched_loop(self) -> None:
-        while not self._stop.is_set():
-            self.engine.scheduler.step()
-            self.engine.maybe_checkpoint()
-            self.steps += 1
-            time.sleep(self.step_interval_s)
 
     # -- connections (coroutines on the I/O loop) ----------------------
 

@@ -163,6 +163,58 @@ class TestSocketReceptor:
         with pytest.raises(StreamError):
             SocketReceptor("r", basket, policy="drop-everything")
 
+    def test_offer_signals_wake_after_enqueue(self, basket):
+        seen = []
+        receptor = SocketReceptor(
+            "r", basket, max_pending=1, policy="shed",
+            wake=lambda: seen.append(receptor.pending_batches()))
+        receptor.offer([(1,)])
+        assert seen == [1]  # the batch was visible when the wake fired
+        receptor.offer([(2,)])  # shed: nothing to wake for
+        assert seen == [1]
+
+    def test_pump_bounded_by_batches_queued_at_entry(self, basket):
+        """A producer thread that refills the queue for every batch
+        the pump takes, forever, cannot keep one pump() from
+        returning (PR 12's unbounded-step defect)."""
+        receptor = SocketReceptor("r", basket, max_pending=4)
+        for i in range(3):
+            receptor.offer([(i,)])
+        taken = threading.Semaphore(0)
+        refilled = threading.Semaphore(0)
+        stop = threading.Event()
+
+        def producer():
+            while True:
+                taken.acquire()
+                if stop.is_set():
+                    return
+                receptor.offer([(99,)])
+                refilled.release()
+
+        append = basket.append_rows
+
+        def append_then_let_producer_refill(rows, now):
+            n = append(rows, now)
+            taken.release()
+            refilled.acquire(timeout=2.0)
+            return n
+
+        basket.append_rows = append_then_let_producer_refill
+        pumped = []
+        threading.Thread(target=producer, daemon=True).start()
+        pumper = threading.Thread(
+            target=lambda: pumped.append(receptor.pump(0)), daemon=True)
+        pumper.start()
+        pumper.join(5.0)
+        returned = not pumper.is_alive()
+        stop.set()
+        taken.release()
+        pumper.join(10.0)
+        assert returned
+        assert pumped == [3]
+        assert receptor.pending_batches() == 3  # the refills wait a step
+
 
 # ---------------------------------------------------------------------
 # queue sink (per-client delivery)
@@ -224,7 +276,7 @@ def _server_engine():
 
 @pytest.fixture
 def server():
-    server = DataCellServer(_server_engine(), step_interval_s=0.001)
+    server = DataCellServer(_server_engine())
     server.start()
     yield server
     server.stop()
@@ -406,7 +458,7 @@ class TestServer:
 
     def test_stop_flushes_pending_deliveries(self):
         engine = _server_engine()
-        server = DataCellServer(engine, step_interval_s=0.001)
+        server = DataCellServer(engine)
         server.start()
         subscriber = DataCellClient(port=server.port)
         try:

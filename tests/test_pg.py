@@ -273,8 +273,7 @@ def _pg_engine():
 
 @pytest.fixture
 def pg_server():
-    server = PGWireServer(_pg_engine(), drive_scheduler=True,
-                          step_interval_s=0.001)
+    server = PGWireServer(_pg_engine(), drive_scheduler=True)
     server.start()
     yield server
     server.stop()
@@ -413,8 +412,7 @@ class TestDialect:
         """A query registered over pg after start gets the server's
         CollectingSink bound, like the ones registered before it."""
         engine = _pg_engine()
-        framed = DataCellServer(engine, step_interval_s=0.001,
-                                collect_max_batches=3)
+        framed = DataCellServer(engine, collect_max_batches=3)
         framed.start()
         pg = PGWireServer(engine, drive_scheduler=False,
                           io_loop=framed.io)
@@ -491,7 +489,7 @@ class TestDialect:
         """The acceptance bar: a psql tail and a framed-client
         subscriber see byte-identical row text for the same firings."""
         engine = _pg_engine()
-        framed = DataCellServer(engine, step_interval_s=0.001)
+        framed = DataCellServer(engine)
         framed.start()
         pg = PGWireServer(engine, drive_scheduler=False,
                           io_loop=framed.io)
@@ -721,8 +719,7 @@ class TestPG8000:
             reason="pg8000 not installed (pip install pg8000 or the "
                    "[test] extra)")
         engine = DataCellEngine(clock=WallClock())
-        with PGWireServer(engine, drive_scheduler=True,
-                          step_interval_s=0.001) as server:
+        with PGWireServer(engine, drive_scheduler=True) as server:
             conn = pg8000.connect(user="tester", host=server.host,
                                   port=server.port, database="dc")
             try:

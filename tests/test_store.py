@@ -735,7 +735,7 @@ def served(tmp_path):
                             durability="async",
                             checkpoint_interval_s=0.25)
     engine.execute("CREATE STREAM s (k INT, v FLOAT)")
-    server = DataCellServer(engine, step_interval_s=0.002)
+    server = DataCellServer(engine)
     server.start()
     yield engine, server
     server.stop()
@@ -1345,7 +1345,7 @@ class TestNetRetention:
         engine.register_continuous(
             "SELECT k, v FROM s [RANGE 16 SLIDE 8]", name="w",
             mode="reeval")
-        server = DataCellServer(engine, step_interval_s=0.002)
+        server = DataCellServer(engine)
         server.start()
         try:
             with DataCellClient(port=server.port) as producer:
@@ -1401,7 +1401,7 @@ class TestNetRetention:
         engine.register_continuous(
             "SELECT k, v FROM s [RANGE 8 SLIDE 8]", name="w",
             mode="reeval")
-        server = DataCellServer(engine, step_interval_s=0.002)
+        server = DataCellServer(engine)
         server.start()
         try:
             with DataCellClient(port=server.port) as producer:
@@ -1495,7 +1495,7 @@ class TestServerKillMidTail:
                                 durability="async",
                                 checkpoint_interval_s=0.25)
         engine.execute("CREATE STREAM s (k INT, v FLOAT)")
-        server1 = DataCellServer(engine, step_interval_s=0.002)
+        server1 = DataCellServer(engine)
         server1.start()
         port = server1.port
         with DataCellClient(port=port) as producer:
@@ -1522,8 +1522,7 @@ class TestServerKillMidTail:
         server1.stop()  # the socket dies mid-tail
         # rows arriving while the edge is down land in the log/basket
         engine.feed("s", [[k, float(k)] for k in range(40, 70)])
-        server2 = DataCellServer(engine, host="127.0.0.1", port=port,
-                                 step_interval_s=0.002)
+        server2 = DataCellServer(engine, host="127.0.0.1", port=port)
         server2.start()
         try:
             with DataCellClient(port=port) as producer:
