@@ -30,8 +30,9 @@ def _server() -> DataCellServer:
     engine = DataCellEngine(clock=WallClock())
     engine.execute("CREATE STREAM s (k INT, v FLOAT)")
     engine.register_continuous("SELECT k, v FROM s", name="q")
-    server = DataCellServer(engine, collect_max_batches=64)
-    return server.start()
+    server = DataCellServer(engine).start()
+    server.submit(engine.bound_result_sinks, 64).result()
+    return server
 
 
 def ingest_throughput(batch_size: int, nrows: int = N_ROWS) -> float:

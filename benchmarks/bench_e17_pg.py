@@ -32,7 +32,6 @@ from repro.core.clock import WallClock
 from repro.core.engine import DataCellEngine
 from repro.net.client import DataCellClient
 from repro.net.server import DataCellServer
-from repro.pg.server import PGWireServer
 
 I32 = struct.Struct("!i")
 
@@ -118,19 +117,16 @@ def run_latency_table(iters: int = LATENCY_ITERS) -> ResultTable:
         "(pg simple query vs framed protocol)",
         ["path", "round_trips", "mean_ms", "p50_ms"])
     engine = _engine()
-    pg = PGWireServer(engine, drive_scheduler=False)
-    pg.start()
-    framed = DataCellServer(engine, io_loop=pg.io)
-    framed.start()
+    server = DataCellServer(engine, pg_port=0).start()
     try:
-        client = _MiniPG(pg.host, pg.port)
+        client = _MiniPG(server.pg_host, server.pg_port)
         out = _time_roundtrips(
             lambda: client.query("SELECT k FROM one"), iters)
         table.add("pg simple SELECT", iters,
                   round(out["mean_ms"], 4), round(out["p50_ms"], 4))
         client.close()
 
-        with DataCellClient(port=framed.port) as fc:
+        with DataCellClient(port=server.port) as fc:
             out = _time_roundtrips(lambda: fc.stats(), iters)
             table.add("framed STATS", iters,
                       round(out["mean_ms"], 4),
@@ -146,8 +142,7 @@ def run_latency_table(iters: int = LATENCY_ITERS) -> ResultTable:
                       round(out["mean_ms"], 4),
                       round(out["p50_ms"], 4))
     finally:
-        framed.stop()
-        pg.stop()
+        server.stop()
         engine.close()
     return table
 
@@ -189,7 +184,7 @@ def idle_subscribers(n: int) -> dict:
     if not _raise_nofile(2 * n + 256):
         raise OSError(f"RLIMIT_NOFILE too low for {n} connections")
     engine = _engine()
-    server = PGWireServer(engine, drive_scheduler=True)
+    server = DataCellServer(engine, pg_port=0)
     server.start()
     clients = []
     try:
@@ -197,16 +192,16 @@ def idle_subscribers(n: int) -> dict:
         threads_before = threading.active_count()
         rss_before = _rss_kb()
         for _ in range(n):
-            client = _MiniPG(server.host, server.port)
+            client = _MiniPG(server.pg_host, server.pg_port)
             client.send_query("TAIL q")
             clients.append(client)
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            stats = server.pg_stats()
+            stats = server.pg.pg_stats()
             if stats["tails"] >= n:
                 break
             time.sleep(0.05)
-        tails = server.pg_stats()["tails"]
+        tails = server.pg.pg_stats()["tails"]
         time.sleep(0.5)  # settle: all tails parked on their events
         gc.collect()
         threads_after = threading.active_count()

@@ -174,14 +174,15 @@ class DataCellEngine:
         # ring bound for built-in result sinks, set by an attached
         # server (see bound_result_sinks)
         self._collect_bound: Optional[int] = None
-        # the attached network edges, when serving: the framed
-        # protocol server and the Postgres wire-protocol front end
+        # the attached network host, when serving (its ``pg`` is the
+        # Postgres wire-protocol front end, when it speaks that too)
         self.net_edge = None
-        self.pg_edge = None
         # the serving loop's wake (core.live.ServingLoop): set by whoever
         # hands the net work from another thread, once it is visible
         self.wake = threading.Event()
-        self.loop_thread: Optional[int] = None  # ident of that loop
+        # ident of that loop's thread while it runs: the only thread
+        # allowed to step or change the engine (see _check_owner)
+        self.loop_thread: Optional[int] = None
 
         # -- durability (repro.store) ----------------------------------
         if durability not in DURABILITY_MODES:
@@ -256,6 +257,7 @@ class DataCellEngine:
         return self._execute_stmt(stmt)
 
     def _execute_stmt(self, stmt: ast.Statement):
+        self._check_owner()
         if isinstance(stmt, (ast.SelectStmt, ast.UnionStmt)):
             return self._one_time_select(stmt)
         if isinstance(stmt, ast.CreateTableStmt):
@@ -405,8 +407,9 @@ class DataCellEngine:
         return basket
 
     def _on_append(self, lo: int, hi: int, now: int) -> None:
-        """Basket tap: an append from a foreign thread (pg INSERT, live
-        receptor, shell) wakes the serving loop; its own are mid-step."""
+        """Basket tap: an append from a foreign thread (live receptor,
+        shell) wakes the serving loop; its own — firings and submitted
+        statements such as a pg INSERT — are fired in the same wakeup."""
         if threading.get_ident() != self.loop_thread:
             self.wake.set()
 
@@ -438,12 +441,12 @@ class DataCellEngine:
     def attach_source(self, stream: str, source: StreamSource,
                       name: Optional[str] = None) -> Receptor:
         """Create a receptor pumping *source* into the stream's basket."""
+        self._check_owner()
         basket = self.basket(stream)
         rname = name or f"{basket.name}_r{len(self._receptors[basket.name])}"
         receptor = Receptor(rname, basket, source)
         self._receptors[basket.name].append(receptor)
         self.scheduler.add_receptor(receptor)
-        self.wake.set()  # a new event time for the loop's deadline
         return receptor
 
     def add_socket_receptor(self, stream: str,
@@ -455,6 +458,7 @@ class DataCellEngine:
         """Register a network-edge receptor for *stream*: connection
         threads offer batches into its bounded admission queue; the
         scheduler drains it. One per connected producer."""
+        self._check_owner()
         basket = self.basket(stream)
         rname = name or (f"{basket.name}_net"
                          f"{len(self._receptors[basket.name])}")
@@ -469,6 +473,7 @@ class DataCellEngine:
     def remove_receptor(self, receptor: Receptor) -> None:
         """Detach *receptor* from the scheduler and the stream's
         receptor list (the basket and its tuples stay)."""
+        self._check_owner()
         self.scheduler.receptors = [
             r for r in self.scheduler.receptors if r is not receptor]
         bucket = self._receptors.get(receptor.basket.name)
@@ -481,15 +486,16 @@ class DataCellEngine:
         return self.basket(stream).append_rows(rows, self.now())
 
     def pause_stream(self, name: str) -> None:
+        self._check_owner()
         self.basket(name)  # validate
         for receptor in self._receptors[name.lower()]:
             receptor.pause()
 
     def resume_stream(self, name: str) -> None:
+        self._check_owner()
         self.basket(name)
         for receptor in self._receptors[name.lower()]:
             receptor.resume()
-        self.wake.set()
 
     # ------------------------------------------------------------------
     # continuous queries
@@ -542,6 +548,7 @@ class DataCellEngine:
         Without a log, offsets clamp to the retained basket prefix as
         before.
         """
+        self._check_owner()
         stmt = parse(sql)
         if not isinstance(stmt, (ast.SelectStmt, ast.UnionStmt)):
             raise BindError("continuous queries must be SELECT statements")
@@ -659,7 +666,6 @@ class DataCellEngine:
         self._queries[name] = query
         if self.durable and not self._recovering:
             self.checkpoint()  # definitions must survive a crash
-        self.wake.set()  # rows already in its baskets, a new timer
         return query
 
     def _resolve_mode(self, plan: PlanNode,
@@ -734,6 +740,7 @@ class DataCellEngine:
                              profile=self.interp_profile)
 
     def remove_query(self, name: str) -> None:
+        self._check_owner()
         name = name.lower()
         query = self._queries.pop(name, None)
         if query is None:
@@ -757,6 +764,7 @@ class DataCellEngine:
         return list(self._queries.values())
 
     def pause_query(self, name: str) -> None:
+        self._check_owner()
         query = self.continuous_query(name)
         query.factory.pause()
         for stream in query.streams:
@@ -765,13 +773,13 @@ class DataCellEngine:
                     sub.paused = True
 
     def resume_query(self, name: str) -> None:
+        self._check_owner()
         query = self.continuous_query(name)
         query.factory.resume()
         for stream in query.streams:
             for sub in self.basket(stream).subscriptions():
                 if sub.name == name:
                     sub.paused = False
-        self.wake.set()
 
     def subscribe(self, query_name: str,
                   callback: Callable[[Relation, int], Any]) -> None:
@@ -787,6 +795,7 @@ class DataCellEngine:
         query, registered already or from now on — a server calls this
         at start so a long-running deployment does not hoard history,
         whichever front end a query is registered through."""
+        self._check_owner()
         self._collect_bound = max_batches
         for query in self.queries():
             query.sink.set_max_batches(max_batches)
@@ -795,7 +804,17 @@ class DataCellEngine:
     # driving the net
     # ------------------------------------------------------------------
 
+    def _check_owner(self) -> None:
+        """The ownership check in place of a lock: while a serving loop
+        runs, only its thread may step or change the engine."""
+        if self.loop_thread is not None \
+                and threading.get_ident() != self.loop_thread:
+            raise StreamError(
+                "a serving loop owns this engine; only its thread may "
+                "step or change it (hand work to the host's submit())")
+
     def step(self, advance_ms: int = 0) -> Dict[str, int]:
+        self._check_owner()
         if advance_ms:
             if not isinstance(self.clock, SimulatedClock):
                 raise StreamError("advance_ms needs a SimulatedClock")
@@ -806,23 +825,27 @@ class DataCellEngine:
 
     def run_for(self, duration_ms: int, step_ms: int = 10
                 ) -> Dict[str, int]:
+        self._check_owner()
         return self.scheduler.run_for(duration_ms, step_ms)
 
     def run_until_drained(self, max_steps: int = 100000) -> Dict[str, int]:
+        self._check_owner()
         return self.scheduler.run_until_drained(max_steps)
 
     def network_stats(self) -> Dict[str, Dict]:
         """The scheduler's Petri-net counters, plus an ``"interp"``
         section (plan-execution counters, :meth:`interp_stats`) and a
         ``"net"`` section (per-connection ingest/deliver/shed/blocked
-        counters) when a network edge — a
-        :class:`~repro.net.server.DataCellServer` — is attached."""
+        counters) when a network host — a
+        :class:`~repro.net.server.DataCellServer` — is attached, and a
+        ``"pg"`` section when that host also serves Postgres."""
+        self._check_owner()
         stats = self.scheduler.network_stats()
         stats["interp"] = self.interp_stats()
         if self.net_edge is not None:
             stats["net"] = self.net_edge.net_stats()
-        if self.pg_edge is not None:
-            stats["pg"] = self.pg_edge.pg_stats()
+            if self.net_edge.pg is not None:
+                stats["pg"] = self.net_edge.pg.pg_stats()
         if self.durable:
             stats["log"] = self.log_stats()
         return stats
@@ -920,6 +943,7 @@ class DataCellEngine:
         A crash between the two leaves the previous state file valid
         against a longer log — recovery replays the extra tail.
         """
+        self._check_owner()
         if not self.durable:
             return
         t0 = time.perf_counter()
@@ -997,6 +1021,7 @@ class DataCellEngine:
         catches up from the floor (``read_stream_range`` skips the
         discarded prefix). Returns rows dropped per stream.
         """
+        self._check_owner()
         if not self.durable:
             return {}
         dropped: Dict[str, int] = {}

@@ -29,7 +29,6 @@ even knowing about the historic prefix.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import (Any, Dict, List, NoReturn, Optional, Tuple,
                     Union)
@@ -106,10 +105,6 @@ class Factory:
         # recompute cost a chained output basket charges its adopted
         # emit payloads with
         self.last_eval_ms = 0.0
-        # one firing at a time per factory: the scheduler thread fires
-        # serially, but engine-level callers (live mode, shell) may
-        # also fire concurrently
-        self._fire_lock = threading.Lock()
 
     # scheduler protocol ------------------------------------------------
 
@@ -157,23 +152,21 @@ class Factory:
         """
         if self.state != RUNNING:
             return None
-        with self._fire_lock:
-            started = time.perf_counter()
-            try:
-                result, consumed = self._evaluate(now)
-                self.last_eval_ms = \
-                    (time.perf_counter() - started) * 1000.0
-                self._commit(now, consumed)
-            except Exception as exc:
-                self._quarantine(exc)
-            finally:
-                self.busy_seconds += time.perf_counter() - started
-            self.fires += 1
-            self.last_result = result
-            if result is not None:
-                self.rows_out += result.row_count
-                self.emitter.deliver(result, now)
-            return result
+        started = time.perf_counter()
+        try:
+            result, consumed = self._evaluate(now)
+            self.last_eval_ms = (time.perf_counter() - started) * 1000.0
+            self._commit(now, consumed)
+        except Exception as exc:
+            self._quarantine(exc)
+        finally:
+            self.busy_seconds += time.perf_counter() - started
+        self.fires += 1
+        self.last_result = result
+        if result is not None:
+            self.rows_out += result.row_count
+            self.emitter.deliver(result, now)
+        return result
 
     def _quarantine(self, exc: Exception, where: str = "") -> NoReturn:
         """Mark this factory failed and raise the :class:`FactoryError`

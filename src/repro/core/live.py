@@ -6,7 +6,7 @@ them into the deterministic scheduler loop; :class:`LiveRunner` is the
 faithful concurrent variant: one daemon thread per stream source pushes
 tuples as their timestamps come due against a
 :class:`~repro.core.clock.WallClock`, while a scheduler thread (the
-:class:`ServingLoop` both network servers run too) evaluates the Petri
+:class:`ServingLoop` the network host runs too) evaluates the Petri
 net when an arrival or a timer wakes it. Baskets are internally locked,
 so receptor appends and factory reads interleave safely.
 
@@ -22,14 +22,16 @@ Use for interactive/demo deployments::
 
 from __future__ import annotations
 
+import collections
 import threading
 import time
+from concurrent.futures import Future
 from typing import Any, Callable, List, Optional
 
 from repro.core.clock import WallClock
 from repro.core.engine import DataCellEngine
 from repro.core.receptor import ThreadedReceptor
-from repro.errors import StreamError
+from repro.errors import NetError, StreamError
 from repro.streams.source import StreamSource
 
 
@@ -46,7 +48,7 @@ def drain_scheduler(scheduler, max_steps: int = _STOP_DRAIN_STEPS) -> int:
     networks: a firing in the last step can enable a downstream factory
     whose poll happens only on the *next* step, stranding tuples in the
     intermediate basket. Returns the number of steps taken; every
-    :meth:`ServingLoop.stop` ends with it.
+    :class:`ServingLoop` ends with it.
     """
     steps = 0
     for _ in range(max_steps):
@@ -72,47 +74,99 @@ HEARTBEAT_S = 0.1
 
 
 class ServingLoop:
-    """The scheduler thread of a served engine — the one wait loop.
+    """The scheduler thread of a served engine — the one wait loop, and
+    the one thread that mutates the engine.
 
-    ``wait -> clear -> step`` on ``engine.wake``: every source of work
-    makes it visible first and signals second, so a signal can be early
-    (one idle step) but never lost. The wait is bounded by the next
-    timer the engine knows, else by :data:`HEARTBEAT_S`.
+    ``wait -> clear -> run commands -> step`` on ``engine.wake``: every
+    source of work makes it visible first and signals second, so a
+    signal can be early (one idle step) but never lost. The wait is
+    bounded by the next timer the engine knows, else by
+    :data:`HEARTBEAT_S`. Front ends hand engine statements to
+    :meth:`submit`; they run here, between steps, so whatever a command
+    appends is fired in the same wakeup.
     """
 
     def __init__(self, engine: DataCellEngine, name: str,
                  after_step: Callable[[], Any] = lambda: None):
         self.engine = engine
         self._after_step = after_step
+        self._commands: "collections.deque" = collections.deque()
+        self._closed = False
         self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name=name)
+        started = threading.Event()
+        self._thread = threading.Thread(target=self._run, args=(started,),
+                                        daemon=True, name=name)
         self._thread.start()
+        started.wait()  # the engine is owned once the constructor returns
 
-    def _run(self) -> None:
+    def submit(self, fn: Callable, *args: Any) -> Future:
+        """Run ``fn(*args)`` on the loop thread; the future carries its
+        result. Fails with ``NetError(code="shutdown")`` once stopped."""
+        future: Future = Future()
+        self._commands.append((future, fn, args))
+        if self._closed:
+            self._fail_commands()  # stop() already swept the queue
+        else:
+            self.engine.wake.set()
+        return future
+
+    def _next_command(self) -> Optional[tuple]:
+        try:
+            return self._commands.popleft()
+        except IndexError:  # empty, or a racing sweep took the last one
+            return None
+
+    def _run_commands(self) -> None:
+        while (command := self._next_command()) is not None:
+            future, fn, args = command
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:  # the submitter reads it
+                    future.set_exception(exc)
+
+    def _fail_commands(self) -> None:
+        while (command := self._next_command()) is not None:
+            if command[0].set_running_or_notify_cancel():
+                command[0].set_exception(NetError(
+                    "the server is shutting down", code="shutdown"))
+
+    def _run(self, started: threading.Event) -> None:
         engine = self.engine
-        engine.loop_thread = threading.get_ident()
-        while not self._stop.is_set():
-            timeout = HEARTBEAT_S
-            deadline = engine.scheduler.next_deadline()
-            if deadline is not None:
-                timeout = min(timeout, (deadline - engine.now()) / 1000.0)
-            if engine.durable:
-                timeout = min(timeout, engine.checkpoint_due_s())
-            engine.wake.wait(max(timeout, 0.0))
-            engine.wake.clear()
-            engine.step()
-            self._after_step()
+        me = engine.loop_thread = threading.get_ident()
+        started.set()
+        try:
+            while not self._stop.is_set():
+                timeout = HEARTBEAT_S
+                deadline = engine.scheduler.next_deadline()
+                if deadline is not None:
+                    timeout = min(timeout,
+                                  (deadline - engine.now()) / 1000.0)
+                if engine.durable:
+                    timeout = min(timeout, engine.checkpoint_due_s())
+                engine.wake.wait(max(timeout, 0.0))
+                engine.wake.clear()
+                self._run_commands()
+                engine.step()
+                self._after_step()
+            drain_scheduler(engine.scheduler)
+        finally:
+            # stopped or crashed: no command may wait for a dead loop
+            self._closed = True
+            self._fail_commands()
+            if engine.loop_thread == me:
+                engine.loop_thread = None
 
     def stop(self, timeout_s: float,
              quiesced: Callable[[], bool] = lambda: True) -> None:
-        """Give the loop *timeout_s* to reach *quiesced*, stop and join
-        it (woken, so no sleep is waited out), drain what is ingested."""
+        """Give the loop *timeout_s* to reach *quiesced*, stop it (woken,
+        so no sleep is waited out) and join it. Its last acts drain what
+        is ingested, fail the commands still queued and give up the
+        engine (``engine.loop_thread`` back to ``None``)."""
         _wait_until(quiesced, timeout_s)
         self._stop.set()
         self.engine.wake.set()
         self._thread.join(timeout_s)
-        drain_scheduler(self.engine.scheduler)
 
 
 class LiveRunner:
@@ -137,6 +191,14 @@ class LiveRunner:
             basket, source, self.engine.clock)
         self._receptors.append(receptor)
         return receptor
+
+    def submit(self, fn: Callable, *args: Any) -> Future:
+        """Run ``fn(*args)`` on the scheduler thread, the one thread
+        that may change the engine once :meth:`start` has run (see
+        :meth:`ServingLoop.submit`)."""
+        if self._loop is None:
+            raise StreamError("runner not started")
+        return self._loop.submit(fn, *args)
 
     # -- lifecycle -----------------------------------------------------
 

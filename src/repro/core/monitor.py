@@ -184,8 +184,8 @@ class Monitor:
     def pg(self) -> str:
         """The Postgres front-end pane: per-session statement/row
         counters of the attached :class:`~repro.pg.server.
-        PGWireServer`."""
-        edge = getattr(self.engine, "pg_edge", None)
+        PGFrontEnd`."""
+        edge = getattr(self.engine.net_edge, "pg", None)
         if edge is None:
             return "postgres front end: (not attached — start one " \
                    "with repro serve --pg-port)"

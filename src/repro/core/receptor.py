@@ -112,7 +112,7 @@ class ThreadedReceptor(Receptor):
         if self._thread is not None:
             raise StreamError("receptor thread already started")
         self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name=f"receptor-{self.name}")
+                                        name=f"datacell-receptor-{self.name}")
         self._thread.start()
 
     def stop(self, timeout: float = 1.0) -> None:

@@ -53,7 +53,6 @@ outputs), which is what makes this safe.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -160,14 +159,9 @@ class Recycler:
         self._tune_evictions0 = 0
         self._tune_hits0 = 0
         self._tune_idle_windows = 0
+        # only the thread that steps the engine touches this cache (the
+        # serving loop when served): no lock
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
-        # the scheduler thread, live receptors and the shell share this
-        # cache: every get/put/evict holds the lock so the recency
-        # order, byte accounting and counters stay consistent.
-        # Payload materialization happens outside the lock — a racing
-        # double-materialize is benign (both values are equal; one
-        # wins the put)
-        self._mutex = threading.Lock()
         self.bytes_used = 0
         self.hits = 0
         self.misses = 0
@@ -209,8 +203,7 @@ class Recycler:
         self.eviction_reasons: Dict[str, int] = {"dead": 0, "purge": 0}
 
     def __len__(self) -> int:
-        with self._mutex:
-            return len(self._entries)
+        return len(self._entries)
 
     # -- generic entry plumbing ----------------------------------------
 
@@ -223,7 +216,7 @@ class Recycler:
     def _resolve_entry(self, key: tuple, entry: "_Entry") -> None:
         """Close an instruction entry's lifecycle as it leaves the
         cache: its attempts (one store + its reuses) join the fp's
-        resolved ledger. Call with the mutex held."""
+        resolved ledger."""
         if key[0] is not _INS:
             return
         fp = key[1]
@@ -294,18 +287,16 @@ class Recycler:
         if not self.enabled:
             return basket.relation(lo, hi), (lo, hi)
         key = (_SLICE, basket.name, lo, hi)
-        with self._mutex:
-            entry = self._get(key)
-            if entry is not None:
-                self.slice_hits += 1
-                self._account_hit(entry)
-                return entry.value, (lo, hi)
-            self.slice_misses += 1
+        entry = self._get(key)
+        if entry is not None:
+            self.slice_hits += 1
+            self._account_hit(entry)
+            return entry.value, (lo, hi)
+        self.slice_misses += 1
         started = time.perf_counter()
         rel = basket.relation(lo, hi)
         cost_ms = (time.perf_counter() - started) * 1000.0
-        with self._mutex:
-            self._put(key, rel, ((basket.name, lo, hi),), cost_ms)
+        self._put(key, rel, ((basket.name, lo, hi),), cost_ms)
         return rel, (lo, hi)
 
     def adopt_slice(self, basket_name: str, lo: int, hi: int,
@@ -323,10 +314,9 @@ class Recycler:
         if not self.enabled or hi <= lo:
             return
         key = (_SLICE, basket_name.lower(), lo, hi)
-        with self._mutex:
-            self._put(key, rel, ((basket_name.lower(), lo, hi),),
-                      cost_ms, chained=True)
-            self.chain_stamped += 1
+        self._put(key, rel, ((basket_name.lower(), lo, hi),),
+                  cost_ms, chained=True)
+        self.chain_stamped += 1
 
     # -- instruction intermediates -------------------------------------
 
@@ -344,21 +334,20 @@ class Recycler:
         if not self.enabled:
             return False, None
         started = time.perf_counter()
-        with self._mutex:
-            entry = self._get(key)
-            fp = key[1]
-            cell = self._fp_benefit.get(fp)
-            if cell is None:
-                cell = self._fp_benefit[fp] = [0.0, 0.0, 0.0, 0.0]
-            if entry is None:
-                self.misses += 1
-                cell[3] += (time.perf_counter() - started) * 1000.0
-                return False, None
-            self.hits += 1
-            cell[1] += entry.cost_ms
-            self._account_hit(entry)
+        entry = self._get(key)
+        fp = key[1]
+        cell = self._fp_benefit.get(fp)
+        if cell is None:
+            cell = self._fp_benefit[fp] = [0.0, 0.0, 0.0, 0.0]
+        if entry is None:
+            self.misses += 1
             cell[3] += (time.perf_counter() - started) * 1000.0
-            return True, entry.value
+            return False, None
+        self.hits += 1
+        cell[1] += entry.cost_ms
+        self._account_hit(entry)
+        cell[3] += (time.perf_counter() - started) * 1000.0
+        return True, entry.value
 
     def retain_fps(self, fps: Iterable[str]) -> None:
         """Register a consumer's recyclable instruction fingerprints
@@ -366,25 +355,23 @@ class Recycler:
         fingerprints within one plan count individually — the second
         occurrence can hit the first occurrence's store within one
         firing."""
-        with self._mutex:
-            for fp in fps:
-                self._fp_refs[fp] = self._fp_refs.get(fp, 0) + 1
-            # a new consumer changes every fingerprint's sharing
-            # economics: all net-benefit verdicts restart from scratch
-            self._fp_benefit.clear()
-            self.census_version += 1
+        for fp in fps:
+            self._fp_refs[fp] = self._fp_refs.get(fp, 0) + 1
+        # a new consumer changes every fingerprint's sharing
+        # economics: all net-benefit verdicts restart from scratch
+        self._fp_benefit.clear()
+        self.census_version += 1
 
     def release_fps(self, fps: Iterable[str]) -> None:
         """Drop a removed consumer's fingerprints from the census."""
-        with self._mutex:
-            for fp in fps:
-                n = self._fp_refs.get(fp, 0)
-                if n <= 1:
-                    self._fp_refs.pop(fp, None)
-                else:
-                    self._fp_refs[fp] = n - 1
-            self._fp_benefit.clear()
-            self.census_version += 1
+        for fp in fps:
+            n = self._fp_refs.get(fp, 0)
+            if n <= 1:
+                self._fp_refs.pop(fp, None)
+            else:
+                self._fp_refs[fp] = n - 1
+        self._fp_benefit.clear()
+        self.census_version += 1
 
     def plan_should_recycle(self, fps: Iterable[str]) -> bool:
         """One whole-plan admission decision per firing.
@@ -427,8 +414,6 @@ class Recycler:
         per-step mask once per :attr:`census_version`: every decision
         that flips one — retain, release, ledger verdicts, decay —
         bumps the version, which is what makes the snapshot sound.
-        Reads are lock-free (racing updates only delay a cutover by a
-        store or two).
         """
         refs = self._fp_refs.get(fp)
         if refs is None or (refs >= 2 and self._fp_worthwhile(fp)):
@@ -444,13 +429,12 @@ class Recycler:
         if not self.enabled:
             return
         started = time.perf_counter()
-        with self._mutex:
-            self._put(key, value, key[2], cost_ms)
-            fp = key[1]
-            cell = self._fp_benefit.get(fp)
-            if cell is None:
-                cell = self._fp_benefit[fp] = [0.0, 0.0, 0.0, 0.0]
-            cell[3] += (time.perf_counter() - started) * 1000.0
+        self._put(key, value, key[2], cost_ms)
+        fp = key[1]
+        cell = self._fp_benefit.get(fp)
+        if cell is None:
+            cell = self._fp_benefit[fp] = [0.0, 0.0, 0.0, 0.0]
+        cell[3] += (time.perf_counter() - started) * 1000.0
 
     # -- budget autotuning ----------------------------------------------
 
@@ -476,35 +460,34 @@ class Recycler:
         """
         if not self.enabled:
             return
-        with self._mutex:
-            evictions = self.evictions - self._tune_evictions0
-            hits = (self.hits + self.slice_hits) - self._tune_hits0
-            if evictions + hits < AUTOTUNE_WINDOW:
+        evictions = self.evictions - self._tune_evictions0
+        hits = (self.hits + self.slice_hits) - self._tune_hits0
+        if evictions + hits < AUTOTUNE_WINDOW:
+            return
+        self._tune_evictions0 = self.evictions
+        self._tune_hits0 = self.hits + self.slice_hits
+        thrashing = (evictions > hits
+                     or evictions * 4 >= AUTOTUNE_WINDOW)
+        if thrashing and self.budget_bytes < self.budget_ceiling:
+            self._tune_idle_windows = 0
+            self.budget_bytes = min(self.budget_ceiling,
+                                    self.budget_bytes * 2)
+            self.budget_grows += 1
+        elif (evictions == 0
+              and self.budget_bytes > self.budget_floor
+              and self.bytes_used * 4 <= self.budget_bytes):
+            self._tune_idle_windows += 1
+            if self._tune_idle_windows < AUTOTUNE_SHRINK_WINDOWS:
                 return
-            self._tune_evictions0 = self.evictions
-            self._tune_hits0 = self.hits + self.slice_hits
-            thrashing = (evictions > hits
-                         or evictions * 4 >= AUTOTUNE_WINDOW)
-            if thrashing and self.budget_bytes < self.budget_ceiling:
-                self._tune_idle_windows = 0
-                self.budget_bytes = min(self.budget_ceiling,
-                                        self.budget_bytes * 2)
-                self.budget_grows += 1
-            elif (evictions == 0
-                  and self.budget_bytes > self.budget_floor
-                  and self.bytes_used * 4 <= self.budget_bytes):
-                self._tune_idle_windows += 1
-                if self._tune_idle_windows < AUTOTUNE_SHRINK_WINDOWS:
-                    return
-                self._tune_idle_windows = 0
-                self.budget_bytes = max(self.budget_floor,
-                                        self.budget_bytes // 2)
-                self.budget_shrinks += 1
-            else:
-                self._tune_idle_windows = 0
-                return
-            if len(self.budget_trajectory) < 256:
-                self.budget_trajectory.append(self.budget_bytes)
+            self._tune_idle_windows = 0
+            self.budget_bytes = max(self.budget_floor,
+                                    self.budget_bytes // 2)
+            self.budget_shrinks += 1
+        else:
+            self._tune_idle_windows = 0
+            return
+        if len(self.budget_trajectory) < 256:
+            self.budget_trajectory.append(self.budget_bytes)
 
     # -- invalidation ---------------------------------------------------
 
@@ -517,99 +500,95 @@ class Recycler:
         :data:`REUSE_DECAY_SCANS` scans, all reuse counters are halved
         so an entry that was hot long ago decays back toward its base
         benefit density instead of pinning the budget forever."""
-        with self._mutex:
-            self._dead_scans += 1
-            if self._dead_scans % REUSE_DECAY_SCANS == 0:
-                for entry in self._entries.values():
-                    entry.reuses >>= 1
-                # decay magnitudes but not the trust count (cell[2]):
-                # halving it below FP_VERDICT_MIN_ENTRIES would re-open
-                # probation on a timer, and one slow-accruing
-                # fingerprint in probation holds its whole plan gate
-                # open; verdicts instead reset on structural change
-                # (retain_fps/release_fps, when the sharing economics
-                # actually move)
-                for cell in self._fp_benefit.values():
-                    cell[0] /= 2.0
-                    cell[1] /= 2.0
-                    cell[3] /= 2.0
-                self.census_version += 1
-                self.reuse_decays += 1
-            if not self._entries:
-                return 0
-            dead = []
-            for key, entry in self._entries.items():
-                ranges = entry.ranges
-                if not ranges:
-                    continue
-                gone = True
-                for name, _lo, hi in ranges:
-                    floor = floors.get(name)
-                    if floor is None or hi > floor:
-                        gone = False
-                        break
-                if gone:
-                    dead.append(key)
-            for key in dead:
-                entry = self._entries.pop(key)
-                self._resolve_entry(key, entry)
-                self.bytes_used -= entry.nbytes
-                self.invalidations += 1
-                self.eviction_reasons["dead"] += 1
-            return len(dead)
+        self._dead_scans += 1
+        if self._dead_scans % REUSE_DECAY_SCANS == 0:
+            for entry in self._entries.values():
+                entry.reuses >>= 1
+            # decay magnitudes but not the trust count (cell[2]):
+            # halving it below FP_VERDICT_MIN_ENTRIES would re-open
+            # probation on a timer, and one slow-accruing
+            # fingerprint in probation holds its whole plan gate
+            # open; verdicts instead reset on structural change
+            # (retain_fps/release_fps, when the sharing economics
+            # actually move)
+            for cell in self._fp_benefit.values():
+                cell[0] /= 2.0
+                cell[1] /= 2.0
+                cell[3] /= 2.0
+            self.census_version += 1
+            self.reuse_decays += 1
+        if not self._entries:
+            return 0
+        dead = []
+        for key, entry in self._entries.items():
+            ranges = entry.ranges
+            if not ranges:
+                continue
+            gone = True
+            for name, _lo, hi in ranges:
+                floor = floors.get(name)
+                if floor is None or hi > floor:
+                    gone = False
+                    break
+            if gone:
+                dead.append(key)
+        for key in dead:
+            entry = self._entries.pop(key)
+            self._resolve_entry(key, entry)
+            self.bytes_used -= entry.nbytes
+            self.invalidations += 1
+            self.eviction_reasons["dead"] += 1
+        return len(dead)
 
     def purge_basket(self, basket_name: str) -> int:
         """Drop every entry touching *basket_name* (stream dropped or
         re-created: its oid sequence restarts, so keyed ranges would
         alias)."""
         basket_name = basket_name.lower()
-        with self._mutex:
-            dead = [key for key, entry in self._entries.items()
-                    if any(name == basket_name for name, _l, _h in
-                           entry.ranges)]
-            for key in dead:
-                entry = self._entries.pop(key)
-                self.bytes_used -= entry.nbytes
-                self.invalidations += 1
-                self.eviction_reasons["purge"] += 1
-            return len(dead)
+        dead = [key for key, entry in self._entries.items()
+                if any(name == basket_name for name, _l, _h in
+                       entry.ranges)]
+        for key in dead:
+            entry = self._entries.pop(key)
+            self.bytes_used -= entry.nbytes
+            self.invalidations += 1
+            self.eviction_reasons["purge"] += 1
+        return len(dead)
 
     def clear(self) -> None:
-        with self._mutex:
-            self._entries.clear()
-            self.bytes_used = 0
+        self._entries.clear()
+        self.bytes_used = 0
 
     # -- reporting -------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        with self._mutex:
-            return {
-                "enabled": int(self.enabled),
-                "entries": len(self._entries),
-                "bytes": self.bytes_used,
-                "budget_bytes": self.budget_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "slice_hits": self.slice_hits,
-                "slice_misses": self.slice_misses,
-                "chain_stamped": self.chain_stamped,
-                "chain_hits": self.chain_hits,
-                "reuse_decays": self.reuse_decays,
-                "cold_skips": self.cold_skips,
-                "plan_skips": self.plan_skips,
-                "cold_fps": sum(
-                    1 for v in self._fp_refs.values() if v < 2),
-                "bytes_saved": self.bytes_saved,
-                "cost_saved_ms": round(self.cost_saved_ms, 3),
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-                "eviction_reasons": dict(self.eviction_reasons),
-                "budget_floor": self.budget_floor,
-                "budget_ceiling": self.budget_ceiling,
-                "budget_grows": self.budget_grows,
-                "budget_shrinks": self.budget_shrinks,
-                "budget_trajectory": list(self.budget_trajectory),
-            }
+        return {
+            "enabled": int(self.enabled),
+            "entries": len(self._entries),
+            "bytes": self.bytes_used,
+            "budget_bytes": self.budget_bytes,
+            "hits": self.hits,
+            "misses": self.misses,
+            "slice_hits": self.slice_hits,
+            "slice_misses": self.slice_misses,
+            "chain_stamped": self.chain_stamped,
+            "chain_hits": self.chain_hits,
+            "reuse_decays": self.reuse_decays,
+            "cold_skips": self.cold_skips,
+            "plan_skips": self.plan_skips,
+            "cold_fps": sum(
+                1 for v in self._fp_refs.values() if v < 2),
+            "bytes_saved": self.bytes_saved,
+            "cost_saved_ms": round(self.cost_saved_ms, 3),
+            "evictions": self.evictions,
+            "invalidations": self.invalidations,
+            "eviction_reasons": dict(self.eviction_reasons),
+            "budget_floor": self.budget_floor,
+            "budget_ceiling": self.budget_ceiling,
+            "budget_grows": self.budget_grows,
+            "budget_shrinks": self.budget_shrinks,
+            "budget_trajectory": list(self.budget_trajectory),
+        }
 
     def __repr__(self) -> str:
         return (f"Recycler(entries={len(self._entries)}, "

@@ -8,8 +8,9 @@ engine. This package is that boundary as real sockets:
 * :mod:`repro.net.protocol` — the length-prefixed framed wire protocol
   (JSON or msgpack codecs);
 * :mod:`repro.net.server` — :class:`~repro.net.server.DataCellServer`,
-  one engine + scheduler thread, a socket receptor per connected
-  producer and a queued emitter per subscribed client;
+  the one host of a served engine: its scheduler thread, a socket
+  receptor per connected producer, a queued emitter per subscribed
+  client and, optionally, the Postgres listener;
 * :mod:`repro.net.client` — :class:`~repro.net.client.DataCellClient`,
   the blocking producer/subscriber client;
 * :mod:`repro.net.cli` — the ``repro serve`` / ``send`` / ``tail``

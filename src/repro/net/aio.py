@@ -1,15 +1,14 @@
-"""The shared asyncio I/O core: one event loop for every front end.
+"""The asyncio I/O core: one event loop for every front end.
 
 PR 3's network edge ran a thread per accepted connection plus a writer
 thread per subscriber — ~3 OS threads and their stacks for every
 connected client, which caps "thousands of idle subscribers" well
 before the engine itself is the bottleneck. :class:`IOLoop` replaces
-that with a single asyncio event loop on one daemon thread; every
-protocol front end (the framed :class:`~repro.net.server.
-DataCellServer` *and* the Postgres wire front end in
-:mod:`repro.pg.server`) registers its listen socket on the same loop,
-and each connection becomes a coroutine task whose idle cost is a heap
-entry, not a thread.
+that with a single asyncio event loop on one daemon thread; the host
+(:class:`~repro.net.server.DataCellServer`) registers every listen
+socket on it — the framed protocol's and, when asked, the Postgres
+wire protocol's — and each connection becomes a coroutine task whose
+idle cost is a heap entry, not a thread.
 
 The engine side is untouched: the scheduler still runs on its own
 thread, admission queues are still offered from "the network" and
@@ -22,10 +21,8 @@ sink's waker sets an ``asyncio.Event`` on the loop, and the
 subscriber's writer task wakes — zero polling, so an idle subscriber
 costs nothing per unit time.
 
-Sharing: ``repro serve --pg-port`` runs both front ends on one
-:class:`IOLoop`. Each server :meth:`acquire`\\ s the loop on start and
-:meth:`release`\\ s it on stop; the loop shuts down with its last user
-(an externally-constructed loop is never torn down by a server).
+The host owns its loop outright: it calls :meth:`IOLoop.start` when it
+starts and :meth:`IOLoop.stop` when it stops.
 """
 
 from __future__ import annotations
@@ -52,24 +49,15 @@ class IOLoop:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
-        self._users = 0
-        self._lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
 
-    @property
-    def running(self) -> bool:
-        return self._loop is not None and self._loop.is_running()
-
     def start(self) -> "IOLoop":
-        with self._lock:
-            if self._loop is not None:
-                return self
-            self._started.clear()
-            self._loop = asyncio.new_event_loop()
-            self._thread = threading.Thread(
-                target=self._run, daemon=True, name=self.name)
-            self._thread.start()
+        self._started.clear()
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._run, daemon=True, name=self.name)
+        self._thread.start()
         self._started.wait(5.0)
         return self
 
@@ -91,27 +79,10 @@ class IOLoop:
             loop.run_until_complete(loop.shutdown_asyncgens())
             loop.close()
 
-    def acquire(self) -> "IOLoop":
-        """Register one user (a server) and ensure the loop runs."""
-        self.start()
-        with self._lock:
-            self._users += 1
-        return self
-
-    def release(self, timeout_s: float = 5.0) -> None:
-        """Drop one user; the last one out stops the loop."""
-        with self._lock:
-            self._users = max(0, self._users - 1)
-            last = self._users == 0
-        if last:
-            self.stop(timeout_s)
-
     def stop(self, timeout_s: float = 5.0) -> None:
-        with self._lock:
-            loop, thread = self._loop, self._thread
-            self._loop = None
-            self._thread = None
-            self._users = 0
+        loop, thread = self._loop, self._thread
+        self._loop = None
+        self._thread = None
         if loop is None:
             return
         try:
@@ -154,10 +125,6 @@ class IOLoop:
             loop.call_soon_threadsafe(fn, *args)
         except RuntimeError:
             pass  # loop closed between the check and the call
-
-    def __repr__(self) -> str:
-        state = "running" if self.running else "stopped"
-        return f"IOLoop({self.name}, {state}, users={self._users})"
 
 
 async def _cancel_all_tasks() -> None:

@@ -2,9 +2,11 @@
 
 ``serve`` boots an engine (optionally from a shell script that creates
 streams and ``.register``\\ s standing queries) and runs a
-:class:`~repro.net.server.DataCellServer` until interrupted::
+:class:`~repro.net.server.DataCellServer` until interrupted; with
+``--pg-port`` the same host also speaks the Postgres wire protocol::
 
     repro serve --port 9001 --script init.sql
+    repro serve --pg-port 5433      # psql -h 127.0.0.1 -p 5433
 
 ``send`` is a stream producer: rows read from a file or stdin, one
 comma-separated tuple per line (SQL-ish literals, as in the shell's
@@ -56,9 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="admission queue bound (batches/producer)")
     serve.add_argument("--client-queue", type=int, default=256,
                        help="delivery queue bound (batches/subscriber)")
-    serve.add_argument("--collect-max", type=int, default=1024,
-                       help="per-query CollectingSink ring bound "
-                            "(0 = unbounded)")
     serve.add_argument("--duration", type=float, default=None,
                        help="serve for N seconds, then exit "
                             "(default: until interrupted)")
@@ -155,43 +154,28 @@ def _cmd_serve(args, out: IO) -> int:
         shell = DataCellShell(engine=engine, out=out)
         with open(args.script) as f:
             shell.run(f, interactive=False)
-    # both front ends share one asyncio I/O core; the framed server
-    # drives the scheduler thread, so the pg listener must not
-    io = None
-    pg_server = None
-    if args.pg_port is not None:
-        from repro.net.aio import IOLoop
-        from repro.pg.server import PGWireServer
-
-        io = IOLoop()
-        pg_server = PGWireServer(
-            engine, host=args.pg_host or args.host, port=args.pg_port,
-            max_client_queue=args.client_queue,
-            drive_scheduler=False, io_loop=io)
     server = DataCellServer(
         engine, host=args.host, port=args.port,
+        pg_port=args.pg_port, pg_host=args.pg_host,
         admission=args.admission,
         max_pending_batches=args.pending,
-        max_client_queue=args.client_queue,
-        collect_max_batches=args.collect_max or None,
-        io_loop=io)
+        max_client_queue=args.client_queue)
     server.start()
     out.write(f"datacell server listening on "
               f"{server.host}:{server.port} "
               f"(admission={server.admission}, "
               f"{len(engine.queries())} standing queries)\n")
-    if pg_server is not None:
-        pg_server.start()
+    if server.pg is not None:
         out.write(f"postgres front end listening on "
-                  f"{pg_server.host}:{pg_server.port} "
-                  f"(psql -h {pg_server.host} -p {pg_server.port})\n")
+                  f"{server.pg_host}:{server.pg_port} "
+                  f"(psql -h {server.pg_host} -p {server.pg_port})\n")
     out.flush()
     if args.port_file:
         with open(args.port_file, "w") as f:
             f.write(str(server.port))
-    if args.pg_port_file and pg_server is not None:
+    if args.pg_port_file and server.pg is not None:
         with open(args.pg_port_file, "w") as f:
-            f.write(str(pg_server.port))
+            f.write(str(server.pg_port))
     try:
         if args.duration is not None:
             time.sleep(args.duration)
@@ -201,16 +185,14 @@ def _cmd_serve(args, out: IO) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive path
         pass
     finally:
-        if pg_server is not None:
-            pg_server.stop()
         server.stop()
         engine.close()
     stats = server.net_stats()["totals"]
     out.write(f"served {server.connections_total} connections: "
               f"ingested={stats['ingested']} shed={stats['shed']} "
               f"delivered={stats['delivered_rows']} rows\n")
-    if pg_server is not None:
-        pstats = pg_server.pg_stats()
+    if server.pg is not None:
+        pstats = server.pg.pg_stats()
         out.write(f"postgres front end served "
                   f"{pstats['connections_total']} connections: "
                   f"queries={pstats['queries']} "

@@ -2,22 +2,25 @@
 
 The demo architecture runs "a set of separate processes per stream and
 per client" at the engine's edges. :class:`DataCellServer` realizes
-that boundary: one engine on a wall clock, a scheduler thread running
-the serving loop (:class:`repro.core.live.ServingLoop`: asleep until
-a producer's offer wakes it or a window timer falls due), one
+that boundary and is the one host of a served engine: one engine on a
+wall clock, a scheduler thread running the serving loop
+(:class:`repro.core.live.ServingLoop`: asleep until a producer's offer
+or a submitted command wakes it, or a window timer falls due), one
 :class:`~repro.core.receptor.SocketReceptor` per connected stream
 producer, and one :class:`~repro.core.emitter.QueueSink` + writer task
-per subscribed client.
+per subscribed client. Given a ``pg_port`` it also listens for
+PostgreSQL clients (:class:`~repro.pg.server.PGFrontEnd`) on the same
+loop and engine.
 
-I/O runs on the shared asyncio core (:class:`~repro.net.aio.IOLoop`):
-one event loop thread accepts connections and runs a coroutine per
-connection plus a writer/pump task per subscription, so an idle
-subscriber costs a heap entry instead of the former thread (PR 3's
-thread-per-connection model). The engine side is unchanged — the
-scheduler thread still pumps admission queues and fills delivery
-queues; both directions are woken across the thread boundary
-(``engine.wake`` inbound, ``call_soon_threadsafe`` wakers outbound),
-never polled.
+One thread mutates the engine: the serving loop. Everything a front end
+asks of the engine — a pg statement, registering a producer, ``STATS``
+— goes through :meth:`DataCellServer.submit` and runs there between
+steps. I/O runs on one asyncio core (:class:`~repro.net.aio.IOLoop`):
+one event loop thread accepts connections on both listeners and runs a
+coroutine per connection plus a writer/pump task per subscription, so
+an idle subscriber costs a heap entry instead of a thread. Both
+directions are woken across the thread boundary (``engine.wake``
+inbound, ``call_soon_threadsafe`` wakers outbound), never polled.
 
 Backpressure is explicit at both edges:
 
@@ -44,9 +47,11 @@ Typical use::
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from concurrent.futures import Future
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.clock import WallClock
 from repro.core.emitter import (SERVED_MAX_BATCHES, QueueSink,
@@ -58,6 +63,7 @@ from repro.errors import CatalogError, DataCellError, NetError, \
     StreamError
 from repro.net import protocol
 from repro.net.aio import IOLoop
+from repro.pg.server import PGFrontEnd
 
 _TOTAL_KEYS = ("offered", "ingested", "shed", "blocked",
                "delivered_batches", "delivered_rows", "evicted")
@@ -357,29 +363,26 @@ class _Connection:
 
 
 class DataCellServer:
-    """Hosts one engine plus a scheduler thread behind a listen socket."""
+    """Hosts one engine: its serving loop, its I/O loop, its listeners."""
 
     def __init__(self, engine: Optional[DataCellEngine] = None,
                  host: str = "127.0.0.1", port: int = 0, *,
+                 pg_port: Optional[int] = None,
+                 pg_host: Optional[str] = None,
                  admission: str = "block",
                  max_pending_batches: int = 64,
                  block_timeout_s: float = 5.0,
                  max_client_queue: int = 256,
-                 collect_max_batches: Optional[int] = SERVED_MAX_BATCHES,
-                 replay_chunk_rows: int = 2048,
-                 io_loop: Optional[IOLoop] = None):
+                 replay_chunk_rows: int = 2048):
         """``port=0`` binds an ephemeral port (read :attr:`port` after
-        :meth:`start`). ``admission``/``max_pending_batches`` shape the
-        per-producer admission queues; ``max_client_queue`` bounds each
-        subscriber's delivery queue; ``collect_max_batches`` bounds
-        every standing query's built-in CollectingSink — registered
-        before or after :meth:`start`, over either front end — so a
-        long-running server does not hoard history (``None`` leaves
-        them unbounded).
-        ``replay_chunk_rows`` bounds how many tuples one stream-replay
-        RESULT frame carries while a subscriber catches up. ``io_loop``
-        shares an existing :class:`~repro.net.aio.IOLoop` (e.g. with the
-        Postgres front end); by default the server runs its own.
+        :meth:`start`). ``pg_port`` adds a Postgres listener (``0`` =
+        ephemeral, read :attr:`pg_port`; 5433 stays clear of a real
+        Postgres) on ``pg_host``, by default ``host``.
+        ``admission``/``max_pending_batches`` shape the per-producer
+        admission queues; ``max_client_queue`` bounds each subscriber's
+        and each pg ``TAIL``'s delivery queue. ``replay_chunk_rows``
+        bounds how many tuples one stream-replay RESULT frame carries
+        while a subscriber catches up.
         """
         if engine is None:
             engine = DataCellEngine(clock=WallClock())
@@ -391,14 +394,16 @@ class DataCellServer:
         self.engine = engine
         self.host = host
         self.port = port
+        self.pg_host = pg_host if pg_host is not None else host
+        self.pg_port = pg_port
         self.admission = admission
         self.max_pending_batches = max_pending_batches
         self.block_timeout_s = block_timeout_s
         self.max_client_queue = max_client_queue
-        self.collect_max_batches = collect_max_batches
         self.replay_chunk_rows = replay_chunk_rows
-        self.io = io_loop if io_loop is not None else IOLoop()
-        self._aio_server: Optional[asyncio.AbstractServer] = None
+        self.io = IOLoop()
+        self.pg: Optional[PGFrontEnd] = None
+        self._listeners: List[asyncio.AbstractServer] = []
         self._loop: Optional[ServingLoop] = None
         self._lock = threading.Lock()
         self._conns: List[_Connection] = []
@@ -413,45 +418,80 @@ class DataCellServer:
     def start(self) -> "DataCellServer":
         if self.running:
             raise StreamError("server already started")
-        if self.collect_max_batches is not None:
-            self.engine.bound_result_sinks(self.collect_max_batches)
-        self.io.acquire()
-        try:
-            self._aio_server = self.io.call(self._open_listener())
-        except Exception:
-            self.io.release()
-            raise
-        sockname = self._aio_server.sockets[0].getsockname()
-        self.host, self.port = sockname[:2]
+        # one bound for every standing query's built-in CollectingSink,
+        # registered before or after start, over either protocol
+        self.engine.bound_result_sinks(SERVED_MAX_BATCHES)
         self.engine.net_edge = self
-        self.running = True
+        self.io.start()
         self._loop = ServingLoop(self.engine, "datacell-server-scheduler",
                                  after_step=self._reap_receptors)
+        self.running = True
+        try:
+            self.host, self.port = self._listen(
+                self._on_connection, self.host, self.port)
+            if self.pg_port is not None:
+                self.pg = PGFrontEnd(self)
+                self.pg_host, self.pg_port = self._listen(
+                    self.pg.on_connection, self.pg_host, self.pg_port)
+        except Exception:
+            self.stop()
+            raise
         return self
 
-    async def _open_listener(self) -> asyncio.AbstractServer:
-        return await asyncio.start_server(
-            self._on_connection, host=self.host, port=self.port,
-            backlog=512, reuse_address=True)
+    def _listen(self, handler, host: str, port: int) -> tuple:
+        """Open one listener on the I/O loop; returns its bound
+        ``(host, port)``. Accepted sockets get ``TCP_NODELAY``."""
+        async def accept(reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter) -> None:
+            if not self.running:
+                writer.close()
+                return
+            sock = writer.get_extra_info("socket")
+            if sock is not None:
+                try:
+                    sock.setsockopt(socket.IPPROTO_TCP,
+                                    socket.TCP_NODELAY, 1)
+                except OSError:
+                    pass
+            await handler(reader, writer)
+
+        async def open_listener() -> asyncio.AbstractServer:
+            return await asyncio.start_server(
+                accept, host=host, port=port, backlog=512,
+                reuse_address=True)
+
+        listener = self.io.call(open_listener())
+        self._listeners.append(listener)
+        return listener.sockets[0].getsockname()[:2]
+
+    def _close_listeners(self, timeout_s: float) -> None:
+        listeners, self._listeners = self._listeners, []
+        for listener in listeners:
+            try:
+                self.io.call(_close_listener(listener), timeout_s)
+            except Exception:
+                pass
+
+    def submit(self, fn: Callable, *args: Any) -> Future:
+        """Run ``fn(*args)`` on the serving loop — the one thread that
+        mutates the engine — and return its future. After :meth:`stop`
+        the future fails promptly with ``NetError(code="shutdown")``."""
+        if self._loop is None:
+            raise StreamError("server not started")
+        return self._loop.submit(fn, *args)
 
     def stop(self, timeout_s: float = 5.0) -> None:
         """Orderly shutdown: stop accepting, drain ingested tuples
         through the net, flush subscriber queues, then close
-        connections (idempotent)."""
+        connections of both protocols (idempotent)."""
         if not self.running:
             return
         self.running = False
         # 1. no new connections
-        if self._aio_server is not None:
-            server = self._aio_server
-            self._aio_server = None
-            try:
-                self.io.call(_close_listener(server), timeout_s)
-            except Exception:
-                pass
+        self._close_listeners(timeout_s)
         deadline = time.monotonic() + timeout_s
         # 2. let the scheduler thread drain admission queues + the net,
-        # 3. stop it; one final bounded drain
+        # 3. stop it (one final bounded drain); queued commands fail
         self._loop.stop(timeout_s, self._quiesced)
         # 4. flush subscriber delivery queues (writer tasks running)
         while time.monotonic() < deadline:
@@ -460,14 +500,23 @@ class DataCellServer:
                    for sub in conn.subscriptions):
                 break
             time.sleep(0.01)
-        # 5. tear down connections (joins writer/pump tasks)
+        # 5. tear down connections (joins writer/pump/session tasks)
         for conn in self._snapshot_conns():
             try:
                 self.io.call(self._close_conn(conn), timeout_s)
             except Exception:
                 pass
+        if self.pg is not None:
+            for session in self.pg.sessions():
+                try:
+                    self.io.call(self.pg.close_session(session),
+                                 timeout_s)
+                except Exception:
+                    pass
         self._reap_receptors(force=True)
-        self.io.release(timeout_s)
+        self.io.stop(timeout_s)
+        if self.engine.net_edge is self:
+            self.engine.net_edge = None
 
     def _quiesced(self) -> bool:
         backlog = any(r.pending_batches()
@@ -509,17 +558,6 @@ class DataCellServer:
 
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
-        if not self.running:
-            writer.close()
-            return
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            try:
-                import socket as _socket
-                sock.setsockopt(_socket.IPPROTO_TCP,
-                                _socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
         with self._lock:
             self._conn_counter += 1
             conn = _Connection(self._conn_counter, reader, writer)
@@ -567,8 +605,13 @@ class DataCellServer:
         elif kind == protocol.ACK:
             self._on_ack(conn, message)
         elif kind == protocol.STATS:
-            await conn.send(
-                protocol.stats(self.engine.network_stats()))
+            try:
+                stats = await asyncio.wrap_future(
+                    self.submit(self.engine.network_stats))
+            except NetError as exc:
+                await conn.send(protocol.error(exc.code, str(exc)))
+                return
+            await conn.send(protocol.stats(stats))
         elif kind == protocol.ERROR:
             pass  # client-side complaint; nothing to do server-side
         else:
@@ -583,17 +626,25 @@ class DataCellServer:
         receptor = conn.receptors.get(stream_name)
         if receptor is None:
             try:
-                receptor = self.engine.add_socket_receptor(
-                    stream_name,
-                    name=f"c{conn.cid}_{stream_name}",
-                    max_pending=self.max_pending_batches,
-                    policy=self.admission,
-                    block_timeout_s=self.block_timeout_s)
+                receptor = await asyncio.wrap_future(self.submit(
+                    self.engine.add_socket_receptor, stream_name,
+                    f"c{conn.cid}_{stream_name}",
+                    self.max_pending_batches, self.admission,
+                    self.block_timeout_s))
             except (CatalogError, StreamError) as exc:
                 await conn.send(protocol.error(
                     "no_stream", str(exc), stream=stream_name, seq=seq))
                 return
-            conn.receptors[stream_name] = receptor
+            except NetError as exc:
+                await conn.send(protocol.error(
+                    exc.code, str(exc), stream=stream_name, seq=seq))
+                return
+            with self._lock:
+                if conn.closed:  # stop() tore it down during the await
+                    receptor.close()
+                    self._orphan_receptors.append(receptor)
+                    return
+                conn.receptors[stream_name] = receptor
         try:
             if self._offer_may_block(receptor):
                 # a blocking admission (queue full / log writer
@@ -739,31 +790,34 @@ class DataCellServer:
 
     def net_stats(self) -> Dict[str, Any]:
         """Per-connection and aggregate edge counters (the ``"net"``
-        section of :meth:`DataCellEngine.network_stats`)."""
+        section of :meth:`DataCellEngine.network_stats`). Runs on the
+        serving loop while the I/O loop mutates connections, so it reads
+        copies of their receptor and subscription collections."""
         conns = self._snapshot_conns()
         entries = []
         totals = dict(self._totals)
         for conn in conns:
-            receptors = {s: r.stats()
-                         for s, r in conn.receptors.items()}
-            subs = [s.stats() for s in conn.subscriptions]
-            stream_subs = [s.stats()
-                           for s in conn.stream_subs.values()]
+            receptors = dict(conn.receptors)
+            subscriptions = list(conn.subscriptions)
+            stream_subs = list(conn.stream_subs.values())
             entries.append({"id": conn.cid, "peer": conn.peer,
-                            "receptors": receptors,
-                            "subscriptions": subs,
-                            "stream_subscriptions": stream_subs})
-            for r in conn.receptors.values():
+                            "receptors": {s: r.stats()
+                                          for s, r in receptors.items()},
+                            "subscriptions": [
+                                s.stats() for s in subscriptions],
+                            "stream_subscriptions": [
+                                s.stats() for s in stream_subs]})
+            for r in receptors.values():
                 totals["offered"] += r.total_offered
                 totals["ingested"] += r.total_ingested
                 totals["shed"] += r.total_shed
                 totals["blocked"] += r.total_blocked
-            for s in conn.subscriptions:
+            for s in subscriptions:
                 totals["delivered_batches"] += s.sent_batches
                 totals["delivered_rows"] += s.sent_rows
                 if s.sink.evicted:
                     totals["evicted"] += 1
-            for s in conn.stream_subs.values():
+            for s in stream_subs:
                 totals["delivered_batches"] += s.cursor.sent_batches
                 totals["delivered_rows"] += s.cursor.sent_rows
         with self._lock:

@@ -4,16 +4,17 @@ Any PostgreSQL v3 client — ``psql``, ``pg8000``, a JDBC driver — can
 speak to the DataCell engine: plain SELECTs run one-shot, ``CREATE
 STREAM`` / ``INSERT`` feed receptors, and the ``TAIL`` extension turns
 the connection into a live result feed from a standing query's
-delivery queue. The listener shares the asyncio I/O core
-(:class:`~repro.net.aio.IOLoop`) with the framed-protocol server.
+delivery queue. The protocol is mounted on the one host,
+:class:`~repro.net.server.DataCellServer`, as a second listener on its
+I/O loop; to serve Postgres, run ``repro serve --pg-port 5433``.
 
 Modules: :mod:`~repro.pg.messages` (byte-level v3 messages),
 :mod:`~repro.pg.protocol` (async stream framing),
 :mod:`~repro.pg.session` (per-connection state machine),
-:mod:`~repro.pg.server` (:class:`~repro.pg.server.PGWireServer`),
-:mod:`~repro.pg.cli` (standalone ``python -m repro.pg.cli``).
+:mod:`~repro.pg.server` (:class:`~repro.pg.server.PGFrontEnd`, the
+connection handler, cancel-key registry and ``pg_stats``).
 """
 
-from repro.pg.server import PGWireServer
+from repro.pg.server import PGFrontEnd
 
-__all__ = ["PGWireServer"]
+__all__ = ["PGFrontEnd"]

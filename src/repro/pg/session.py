@@ -34,10 +34,12 @@ BATCHES/ROWS/TIMEOUT bound (then ``CommandComplete``), on cancel
 (``57014``), or by eviction when the client cannot keep up
 (``55000``).
 
-Engine calls run on a worker thread (never on the I/O loop) under the
-server's execution lock, which serializes pg statements against each
-other; concurrency with the scheduler thread follows the same rules as
-every other engine client.
+Every engine call — statements, registration, ``SHOW``, the plan
+lookup behind ``Describe`` — is handed to the host's serving loop
+(:meth:`~repro.net.server.DataCellServer.submit`), the one thread that
+mutates the engine; the session awaits its future on the I/O loop. A
+statement the loop can no longer run (the server is stopping) fails
+with SQLSTATE ``57P01``.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ def sqlstate_for(exc: BaseException) -> str:
         return "42P01"  # undefined_table
     if isinstance(exc, (ReplayGap, StreamError, StoreError)):
         return "55000"  # object_not_in_prerequisite_state
+    if isinstance(exc, NetError) and exc.code == "shutdown":
+        return "57P01"  # admin_shutdown
     return "XX000"      # internal_error
 
 
@@ -243,10 +247,11 @@ class _Prepared:
 class PGSession:
     """One client connection's backend half (loop-thread owned)."""
 
-    def __init__(self, server, reader: asyncio.StreamReader,
+    def __init__(self, front, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter, cid: int,
                  secret: int):
-        self.server = server
+        self.front = front            # cancel keys and pg_stats
+        self.server = front.server    # the host: engine, loop, I/O
         self.reader = reader
         self.writer = writer
         self.cid = cid          # doubles as the cancel-key "pid"
@@ -284,16 +289,9 @@ class PGSession:
         only via the I/O loop)."""
         self._cancel.set()
 
-    async def _exec_engine(self, fn, *args) -> Any:
-        """Run an engine call on a worker thread under the server's
-        statement lock."""
-        loop = asyncio.get_running_loop()
-
-        def call():
-            with self.server.exec_lock:
-                return fn(*args)
-
-        return await loop.run_in_executor(None, call)
+    async def _submit(self, fn, *args) -> Any:
+        """Run an engine call on the host's serving loop."""
+        return await asyncio.wrap_future(self.server.submit(fn, *args))
 
     # -- conversation --------------------------------------------------
 
@@ -304,7 +302,7 @@ class PGSession:
             return
         if startup.kind == "cancel":
             # a cancel connection carries no queries: signal and drop
-            self.server.cancel_request(startup.pid, startup.secret)
+            self.front.cancel_request(startup.pid, startup.secret)
             return
         self.user = startup.params.get("user", "")
         self.database = startup.params.get("database", self.user)
@@ -439,7 +437,8 @@ class PGSession:
             if prepared is None:
                 raise PGError("34000",
                               f"portal {name!r} does not exist")
-        columns = self._describe_columns(prepared.command)
+        columns = await self._submit(self._describe_columns,
+                                     prepared.command)
         if columns is None:
             self._w(msg.no_data())
         else:
@@ -470,7 +469,7 @@ class PGSession:
     def _describe_columns(self, command: Command
                           ) -> Optional[List[Tuple[str, dt.DataType]]]:
         """RowDescription columns without executing (``None`` = no
-        result set)."""
+        result set); runs on the serving loop."""
         if command.kind == "sql":
             stmt = command.stmt
             if isinstance(stmt, (ast.SelectStmt, ast.UnionStmt)):
@@ -498,16 +497,16 @@ class PGSession:
         if command.kind == "noop":
             self._w(msg.command_complete(command.tag))
         elif command.kind == "register":
-            await self._exec_engine(
+            await self._submit(
                 self.server.engine.register_continuous,
                 command.query, command.name, command.mode)
             self._w(msg.command_complete("REGISTER CONTINUOUS"))
         elif command.kind == "unregister":
-            await self._exec_engine(
+            await self._submit(
                 self.server.engine.remove_query, command.name)
             self._w(msg.command_complete("UNREGISTER CONTINUOUS"))
         elif command.kind == "show":
-            self._send_show(command.what, describe)
+            await self._send_show(command.what, describe)
         elif command.kind == "tail":
             await self._run_tail(command, describe)
         else:
@@ -516,7 +515,7 @@ class PGSession:
     async def _run_sql(self, stmt: ast.Statement,
                        describe: bool) -> None:
         engine = self.server.engine
-        result = await self._exec_engine(engine.execute_statement, stmt)
+        result = await self._submit(engine.execute_statement, stmt)
         if isinstance(stmt, (ast.SelectStmt, ast.UnionStmt)):
             rows = result.to_rows()
             if describe:
@@ -557,27 +556,26 @@ class PGSession:
         return [("name", dt.STRING), ("mode", dt.STRING),
                 ("sql", dt.STRING)]
 
-    def _send_show(self, what: str, describe: bool) -> None:
+    def _show_rows(self, what: str) -> List[tuple]:
+        """The catalog rows ``SHOW`` reports (on the serving loop)."""
         engine = self.server.engine
+        if what == "streams":
+            return [(stream.name,
+                     ", ".join(f"{c.name} {c.dtype.name}"
+                               for c in stream.schema.columns),
+                     engine.basket(stream.name).next_oid)
+                    for stream in engine.catalog.streams()]
+        return [(query.name, query.mode, query.sql_text)
+                for query in engine.queries()]
+
+    async def _send_show(self, what: str, describe: bool) -> None:
+        rows = await self._submit(self._show_rows, what)
         if describe:
             self._w(msg.row_description(self._show_columns(what)))
-        count = 0
-        if what == "streams":
-            for stream in engine.catalog.streams():
-                basket = engine.basket(stream.name)
-                rendered = ", ".join(
-                    f"{c.name} {c.dtype.name}"
-                    for c in stream.schema.columns)
-                self._w(msg.data_row(
-                    (stream.name, rendered, basket.next_oid)))
-                count += 1
-        else:
-            for query in engine.queries():
-                self._w(msg.data_row(
-                    (query.name, query.mode, query.sql_text)))
-                count += 1
-        self.rows_sent += count
-        self._w(msg.command_complete(f"SHOW {count}"))
+        for row in rows:
+            self._w(msg.data_row(row))
+        self.rows_sent += len(rows)
+        self._w(msg.command_complete(f"SHOW {len(rows)}"))
 
     # -- TAIL: the live edge -------------------------------------------
 

@@ -1,12 +1,38 @@
-"""Shared fixtures: a populated catalog and an engine factory."""
+"""Shared fixtures: a populated catalog, an engine factory, and the
+thread-hygiene check every test runs under."""
 
 from __future__ import annotations
+
+import threading
+import time
 
 import pytest
 
 from repro.core.engine import DataCellEngine
 from repro.storage import Schema
 from repro.storage.catalog import Catalog
+
+
+def _datacell_threads():
+    return {t for t in threading.enumerate()
+            if t.name.startswith("datacell-")}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail any test that leaves a ``datacell-*`` thread alive — a
+    serving loop, an I/O loop or a live receptor — after it returns.
+    A thread gets a second to finish a join it was already told to."""
+    before = _datacell_threads()
+    yield
+    deadline = time.monotonic() + 1.0
+    leaked = _datacell_threads() - before
+    while leaked and time.monotonic() < deadline:
+        time.sleep(0.01)
+        leaked = {t for t in leaked if t.is_alive()}
+    if leaked:
+        pytest.fail("test left threads alive: "
+                    + ", ".join(sorted(t.name for t in leaked)))
 
 
 @pytest.fixture

@@ -134,3 +134,22 @@ class TestLiveRunner:
         assert basket.total_in == basket.total_dropped + len(basket)
         rows = engine.results("q").rows()
         assert [k for k, in rows] == list(range(200))
+
+    def test_runner_owns_the_engine_and_takes_submitted_work(self):
+        """While running, only the scheduler thread changes the engine:
+        other threads hand work to submit()."""
+        engine = live_engine()
+        runner = LiveRunner(engine)
+        with pytest.raises(StreamError):
+            runner.submit(engine.execute, "INSERT INTO s VALUES (0, 0.0)")
+        with runner:
+            with pytest.raises(StreamError, match="serving loop owns"):
+                engine.register_continuous("SELECT k FROM s", name="q")
+            runner.submit(lambda: engine.register_continuous(
+                "SELECT k FROM s", name="q")).result(2.0)
+            assert runner.submit(
+                engine.execute, "INSERT INTO s VALUES (1, 1.0)"
+            ).result(2.0) == 1
+            assert runner.wait_drained(timeout_s=2.0)
+        assert engine.results("q").rows() == [(1,)]
+        assert engine.loop_thread is None

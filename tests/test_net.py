@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.core.clock import WallClock
-from repro.core.emitter import QueueSink
+from repro.core.emitter import SERVED_MAX_BATCHES, QueueSink
 from repro.core.engine import DataCellEngine
 from repro.core.receptor import SocketReceptor
 from repro.errors import NetError, StreamError
@@ -481,9 +481,12 @@ class TestServer:
 
     def test_server_bounds_collecting_sinks(self):
         engine = _server_engine()
-        server = DataCellServer(engine, collect_max_batches=5)
+        server = DataCellServer(engine)
         server.start()
         try:
+            assert all(q.sink.max_batches == SERVED_MAX_BATCHES
+                       for q in engine.queries())
+            server.submit(engine.bound_result_sinks, 5).result(5)
             assert all(q.sink.max_batches == 5
                        for q in engine.queries())
         finally:
@@ -495,7 +498,8 @@ class TestServer:
             producer.ingest("s", [[1, 1.0]])
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            server._reap_receptors()  # folds once closed *and* drained
+            # folds once closed *and* drained
+            server.submit(server._reap_receptors).result(5)
             if not any(isinstance(r, SocketReceptor)
                        for r in server.engine.scheduler.receptors):
                 break

@@ -21,7 +21,6 @@ from repro.core.engine import DataCellEngine
 from repro.net.client import DataCellClient
 from repro.net.server import DataCellServer
 from repro.pg import messages as msg
-from repro.pg.server import PGWireServer
 from repro.pg.session import classify, split_statements
 from repro.storage import types as dt
 
@@ -273,7 +272,7 @@ def _pg_engine():
 
 @pytest.fixture
 def pg_server():
-    server = PGWireServer(_pg_engine(), drive_scheduler=True)
+    server = DataCellServer(_pg_engine(), pg_port=0)
     server.start()
     yield server
     server.stop()
@@ -287,14 +286,14 @@ def pg_server():
 
 class TestSimpleQuery:
     def test_startup_handshake(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         assert client.params["server_encoding"] == "UTF8"
         assert client.params["integer_datetimes"] == "on"
         assert client.key is not None and client.key[1] > 0
         client.close()
 
     def test_ddl_insert_select_roundtrip(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         assert tags_of(client.query(
             "CREATE STREAM t2 (a INT, b STRING)")) == ["CREATE STREAM"]
         assert tags_of(client.query(
@@ -309,7 +308,7 @@ class TestSimpleQuery:
     def test_type_oids_and_text_format(self, pg_server):
         # a private stream: no standing query consumes it, so the
         # inserted tuples are still in the basket for the SELECT
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         client.query("CREATE STREAM ty (k INT, v FLOAT, name STRING, "
                      "ok BOOLEAN)")
         client.query("INSERT INTO ty VALUES (7, 1.25, 'x', TRUE)")
@@ -321,7 +320,7 @@ class TestSimpleQuery:
         client.close()
 
     def test_multi_statement_query(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         msgs = client.query("CREATE STREAM m1 (a INT); "
                             "INSERT INTO m1 VALUES (5); "
                             "SELECT a FROM m1")
@@ -330,13 +329,13 @@ class TestSimpleQuery:
         client.close()
 
     def test_empty_query(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         msgs = client.query("   ")
         assert [t for t, _ in msgs] == [b"I", b"Z"]
         client.close()
 
     def test_errors_map_to_sqlstates(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         cases = [
             ("SELECT k FROM missing", "42P01"),
             ("SELEC k FROM s", "42601"),
@@ -350,7 +349,7 @@ class TestSimpleQuery:
         client.close()
 
     def test_error_aborts_statement_batch(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         msgs = client.query("CREATE STREAM ab1 (a INT); "
                             "SELECT a FROM missing; "
                             "CREATE STREAM ab2 (a INT)")
@@ -364,7 +363,7 @@ class TestSimpleQuery:
 
     def test_ssl_request_negotiated_away(self, pg_server):
         sock = socket.create_connection(
-            (pg_server.host, pg_server.port), timeout=5)
+            (pg_server.pg_host, pg_server.pg_port), timeout=5)
         sock.sendall(I32.pack(8) + I32.pack(msg.SSL_REQUEST_CODE))
         assert sock.recv(1) == b"N"
         sock.close()
@@ -377,7 +376,7 @@ class TestSimpleQuery:
 
 class TestDialect:
     def test_register_show_unregister(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         msgs = client.query("REGISTER CONTINUOUS q2 AS "
                             "SELECT k FROM s WHERE k > 0")
         assert tags_of(msgs) == ["REGISTER CONTINUOUS"]
@@ -412,13 +411,10 @@ class TestDialect:
         """A query registered over pg after start gets the server's
         CollectingSink bound, like the ones registered before it."""
         engine = _pg_engine()
-        framed = DataCellServer(engine, collect_max_batches=3)
-        framed.start()
-        pg = PGWireServer(engine, drive_scheduler=False,
-                          io_loop=framed.io)
-        pg.start()
+        server = DataCellServer(engine, pg_port=0).start()
         try:
-            client = MiniPG(pg.host, pg.port)
+            server.submit(engine.bound_result_sinks, 3).result(5)
+            client = MiniPG(server.pg_host, server.pg_port)
             client.query("REGISTER CONTINUOUS late AS "
                          "SELECT k FROM s WHERE k >= 0")
             factory = engine.continuous_query("late").factory
@@ -430,14 +426,13 @@ class TestDialect:
             assert len(sink.batches) <= 3
             assert sink.dropped_batches > 0
         finally:
-            pg.stop()
-            framed.stop()
+            server.stop()
             engine.close()
 
     def test_pg_server_alone_bounds_result_sinks(self, pg_server):
         from repro.core.emitter import SERVED_MAX_BATCHES
 
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         client.query("REGISTER CONTINUOUS late AS SELECT k FROM s")
         client.close()
         engine = pg_server.engine
@@ -445,7 +440,7 @@ class TestDialect:
         assert engine.results("late").max_batches == SERVED_MAX_BATCHES
 
     def test_noops_keep_drivers_happy(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         assert tags_of(client.query("BEGIN")) == ["BEGIN"]
         assert tags_of(client.query("COMMIT")) == ["COMMIT"]
         assert tags_of(client.query(
@@ -457,7 +452,7 @@ class TestDialect:
         result = {}
 
         def tail():
-            client = MiniPG(pg_server.host, pg_server.port)
+            client = MiniPG(pg_server.pg_host, pg_server.pg_port)
             msgs = client.query("TAIL q BATCHES 2 TIMEOUT 8000")
             result["desc"] = row_description(msgs)
             result["rows"] = data_rows(msgs)
@@ -467,7 +462,7 @@ class TestDialect:
         thread = threading.Thread(target=tail)
         thread.start()
         assert _wait_until(
-            lambda: pg_server.pg_stats()["tails"] == 1)
+            lambda: pg_server.pg.pg_stats()["tails"] == 1)
         engine.feed("s", [(1, 1.5, "a", True)])
         assert _wait_until(lambda: engine.results("q").rows())
         engine.feed("s", [(2, 2.5, "b", False)])
@@ -478,7 +473,7 @@ class TestDialect:
         assert result["tags"] == ["TAIL 2"]
 
     def test_tail_timeout_completes_empty(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         start = time.monotonic()
         msgs = client.query("TAIL q TIMEOUT 300")
         assert tags_of(msgs) == ["TAIL 0"]
@@ -489,25 +484,22 @@ class TestDialect:
         """The acceptance bar: a psql tail and a framed-client
         subscriber see byte-identical row text for the same firings."""
         engine = _pg_engine()
-        framed = DataCellServer(engine)
-        framed.start()
-        pg = PGWireServer(engine, drive_scheduler=False,
-                          io_loop=framed.io)
-        pg.start()
+        server = DataCellServer(engine, pg_port=0).start()
         try:
-            sub = DataCellClient(port=framed.port)
+            sub = DataCellClient(port=server.port)
             sub.subscribe("q")
             result = {}
 
             def tail():
-                client = MiniPG(pg.host, pg.port)
+                client = MiniPG(server.pg_host, server.pg_port)
                 msgs = client.query("TAIL q BATCHES 2 TIMEOUT 8000")
                 result["raw"] = data_rows(msgs, raw=True)
                 client.close()
 
             thread = threading.Thread(target=tail)
             thread.start()
-            assert _wait_until(lambda: pg.pg_stats()["tails"] == 1)
+            assert _wait_until(
+                lambda: server.pg.pg_stats()["tails"] == 1)
             engine.feed("s", [(1, 1.5, "a", True),
                               (2, 0.75, None, False)])
             assert _wait_until(lambda: engine.results("q").rows())
@@ -521,8 +513,7 @@ class TestDialect:
             assert len(result["raw"]) == 3
             sub.close()
         finally:
-            pg.stop()
-            framed.stop()
+            server.stop()
             engine.close()
 
 
@@ -533,7 +524,7 @@ class TestDialect:
 
 class TestExtendedQuery:
     def test_parse_describe_bind_execute(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         client.query("CREATE STREAM e1 (k INT, v FLOAT); "
                      "INSERT INTO e1 VALUES (5, 2.0)")
         # round 1: Parse + Describe(statement) + Sync (pg8000 shape)
@@ -551,7 +542,7 @@ class TestExtendedQuery:
         client.close()
 
     def test_describe_nondata_statement_is_nodata(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         client.parse("INSERT INTO s VALUES (6, 3.0, 'f', FALSE)")
         client.describe(b"S")
         msgs = client.sync()
@@ -563,7 +554,7 @@ class TestExtendedQuery:
         client.close()
 
     def test_binary_result_format_rejected(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         client.parse("SELECT k FROM s")
         client.bind(result_formats=(1,))
         msgs = client.sync()
@@ -571,7 +562,7 @@ class TestExtendedQuery:
         client.close()
 
     def test_error_recovery_skips_until_sync(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         client.parse("SELEC oops")      # syntax error at Parse
         client.describe(b"S")           # must be skipped
         client.execute()                # must be skipped
@@ -587,7 +578,7 @@ class TestExtendedQuery:
         client.close()
 
     def test_unknown_portal_and_statement(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         client.describe(b"S", b"nope")
         msgs = client.sync()
         assert [e[0] for e in errors_of(msgs)] == ["26000"]
@@ -609,7 +600,7 @@ class TestCancel:
         ready = threading.Event()
 
         def tail():
-            client = MiniPG(pg_server.host, pg_server.port)
+            client = MiniPG(pg_server.pg_host, pg_server.pg_port)
             keys["key"] = client.key
             ready.set()
             msgs = client.query("TAIL q")  # unbounded
@@ -620,16 +611,16 @@ class TestCancel:
         thread.start()
         assert ready.wait(5)
         assert _wait_until(
-            lambda: pg_server.pg_stats()["tails"] == 1)
-        cancel_request(pg_server.host, pg_server.port, keys["key"])
+            lambda: pg_server.pg.pg_stats()["tails"] == 1)
+        cancel_request(pg_server.pg_host, pg_server.pg_port, keys["key"])
         thread.join(10)
         assert not thread.is_alive()
         assert [e[0] for e in result["errors"]] == ["57014"]
-        assert pg_server.pg_stats()["cancels"] == 1
+        assert pg_server.pg.pg_stats()["cancels"] == 1
 
     def test_unknown_cancel_key_ignored(self, pg_server):
-        cancel_request(pg_server.host, pg_server.port, (999, 999))
-        client = MiniPG(pg_server.host, pg_server.port)
+        cancel_request(pg_server.pg_host, pg_server.pg_port, (999, 999))
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         assert tags_of(client.query("BEGIN")) == ["BEGIN"]
         client.close()
 
@@ -641,16 +632,16 @@ class TestCancel:
 
 class TestStatsAndCLI:
     def test_pg_stats_in_network_stats(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         client.query("SELECT k FROM s")
-        stats = pg_server.engine.network_stats()
+        stats = pg_server.submit(pg_server.engine.network_stats).result(5)
         assert stats["pg"]["connections_total"] == 1
         assert stats["pg"]["queries"] == 1
         assert stats["pg"]["sessions"][0]["user"] == "tester"
         client.close()
 
     def test_monitor_pg_pane(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         client.query("SELECT k FROM s")
         pane = pg_server.engine.monitor.pg()
         assert "postgres front end [running]" in pane
@@ -663,12 +654,12 @@ class TestStatsAndCLI:
         engine.close()
 
     def test_session_teardown_folds_into_stats(self, pg_server):
-        client = MiniPG(pg_server.host, pg_server.port)
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         client.query("SELECT k FROM s")
         client.close()
         assert _wait_until(
-            lambda: not pg_server.pg_stats()["sessions"])
-        stats = pg_server.pg_stats()
+            lambda: not pg_server.pg.pg_stats()["sessions"])
+        stats = pg_server.pg.pg_stats()
         assert stats["connections_total"] == 1
         # counters from the closed session are folded into aggregates
         assert stats["queries"] == 1
@@ -719,9 +710,9 @@ class TestPG8000:
             reason="pg8000 not installed (pip install pg8000 or the "
                    "[test] extra)")
         engine = DataCellEngine(clock=WallClock())
-        with PGWireServer(engine, drive_scheduler=True) as server:
-            conn = pg8000.connect(user="tester", host=server.host,
-                                  port=server.port, database="dc")
+        with DataCellServer(engine, pg_port=0) as server:
+            conn = pg8000.connect(user="tester", host=server.pg_host,
+                                  port=server.pg_port, database="dc")
             try:
                 conn.autocommit = True
             except (AttributeError, pg8000.InterfaceError):

@@ -1354,8 +1354,9 @@ class TestNetRetention:
                 while time.monotonic() < deadline \
                         and engine.basket("s").first_oid < 48:
                     time.sleep(0.05)
-                engine.checkpoint()  # flush the async writer
-                dropped = engine.apply_retention()
+                # flush the async writer
+                server.submit(engine.checkpoint).result(5)
+                dropped = server.submit(engine.apply_retention).result(5)
                 assert dropped.get("s", 0) > 0
                 floor = engine.basket("s").history_floor()
                 assert floor > 0
@@ -1412,8 +1413,8 @@ class TestNetRetention:
                 while time.monotonic() < deadline \
                         and engine.basket("s").first_oid < 64:
                     time.sleep(0.05)
-                engine.checkpoint()
-                engine.apply_retention()
+                server.submit(engine.checkpoint).result(5)
+                server.submit(engine.apply_retention).result(5)
                 floor = engine.basket("s").history_floor()
                 assert floor == 64  # nothing retained below the head
                 with DataCellClient(port=server.port) as consumer:

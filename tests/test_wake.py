@@ -18,7 +18,6 @@ from repro.core.clock import WallClock
 from repro.core.engine import DataCellEngine
 from repro.net.client import DataCellClient
 from repro.net.server import DataCellServer
-from repro.pg.server import PGWireServer
 from repro.streams.source import ListSource
 from tests.test_pg import MiniPG, _wait_until
 
@@ -38,7 +37,7 @@ def _scheduler_threads():
 
 HOSTS = {
     "framed": lambda engine: DataCellServer(engine),
-    "pg": lambda engine: PGWireServer(engine, drive_scheduler=True),
+    "pg": lambda engine: DataCellServer(engine, pg_port=0),
     "live": lambda engine: live.LiveRunner(engine),
 }
 
@@ -50,14 +49,11 @@ def no_heartbeat(monkeypatch):
 
 @pytest.fixture
 def served(no_heartbeat):
-    """Framed and pg front ends on one engine, heartbeat patched out."""
+    """Framed and pg front ends on one host, heartbeat patched out."""
     engine = _engine()
-    framed = DataCellServer(engine).start()
-    pg = PGWireServer(engine, drive_scheduler=False,
-                      io_loop=framed.io).start()
-    yield engine, framed, pg
-    pg.stop()
-    framed.stop()
+    server = DataCellServer(engine, pg_port=0).start()
+    yield engine, server
+    server.stop()
     engine.close()
 
 
@@ -89,13 +85,13 @@ def test_every_arrival_wakes_the_loop(served):
     second connection once the producers are quiet (so each INSERT is
     the only signal around), are all delivered with no heartbeat to
     lean on."""
-    engine, framed, pg = served
+    engine, server = served
     batches, per_batch, inserts = 10, 5, 5
-    subscriber = DataCellClient(port=framed.port)
+    subscriber = DataCellClient(port=server.port)
     subscriber.subscribe("q")
 
     def produce(base):
-        with DataCellClient(port=framed.port) as producer:
+        with DataCellClient(port=server.port) as producer:
             for b in range(batches):
                 producer.ingest("s", [[base + b * per_batch + i, 1.0]
                                       for i in range(per_batch)])
@@ -110,7 +106,7 @@ def test_every_arrival_wakes_the_loop(served):
     got = subscriber.results(max_rows=total, timeout=2.0)
     assert sum(b.row_count for b in got) == total
 
-    client = MiniPG(pg.host, pg.port)
+    client = MiniPG(server.pg_host, server.pg_port)
     for i in range(inserts):
         client.query(f"INSERT INTO s VALUES ({i}, 2.0), ({i + 100}, 2.0)")
         got = subscriber.results(max_rows=2, timeout=2.0)
@@ -123,19 +119,19 @@ def test_every_arrival_wakes_the_loop(served):
 def test_register_and_resume_wake_the_loop(served):
     """(b) a query registered on a running server over rows already in
     its basket fires; resume after pause fires what arrived meanwhile."""
-    engine, _framed, _pg = served
+    engine, server = served
     engine.feed("t", [[1, 1.0], [2, 2.0]])  # no reader: rows stay put
     assert _wait_until(lambda: not engine.wake.is_set(), 2.0)
-    engine.register_continuous("SELECT k FROM t", name="late",
-                               from_start=True)
+    server.submit(lambda: engine.register_continuous(
+        "SELECT k FROM t", name="late", from_start=True)).result(2.0)
     assert _wait_until(
         lambda: engine.results("late").rows() == [(1,), (2,)], 2.0)
 
-    engine.pause_query("q")
+    server.submit(engine.pause_query, "q").result(2.0)
     engine.feed("s", [[7, 7.0]])
     time.sleep(0.2)
     assert engine.results("q").rows() == []
-    engine.resume_query("q")
+    server.submit(engine.resume_query, "q").result(2.0)
     assert _wait_until(
         lambda: engine.results("q").rows() == [(7, 7.0)], 2.0)
 
@@ -145,10 +141,11 @@ def test_time_window_fires_at_its_boundary(served, mode):
     """(c) the timer path: no arrival after the feed, so only the
     window's own deadline can fire it — within one window of the
     boundary, not at the 30 s heartbeat."""
-    engine, _framed, _pg = served
+    engine, server = served
     t0 = time.monotonic()
-    engine.register_continuous(
-        "SELECT count(*) FROM s [RANGE 1 SECONDS]", name="w", mode=mode)
+    server.submit(lambda: engine.register_continuous(
+        "SELECT count(*) FROM s [RANGE 1 SECONDS]", name="w",
+        mode=mode)).result(2.0)
     engine.feed("s", [[1, 1.0], [2, 2.0], [3, 3.0]])
     assert _wait_until(lambda: engine.results("w").rows(), 2.5,
                        interval_s=0.005)
@@ -159,10 +156,11 @@ def test_time_window_fires_at_its_boundary(served, mode):
 
 def test_pumped_source_delivers_at_its_event_time(served):
     """(c) an attach_source receptor's next event time is a deadline."""
-    engine, _framed, _pg = served
+    engine, server = served
     t0 = time.monotonic()
     due = engine.now() + 400
-    engine.attach_source("s", ListSource([(due, (5, 5.0))]))
+    server.submit(engine.attach_source, "s",
+                  ListSource([(due, (5, 5.0))])).result(2.0)
     assert _wait_until(lambda: engine.results("q").rows(), 2.0,
                        interval_s=0.005)
     elapsed = time.monotonic() - t0
