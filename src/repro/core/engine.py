@@ -54,6 +54,7 @@ from repro.sql.optimizer import Optimizer
 from repro.sql.parser import parse, parse_script
 from repro.sql.plan import PlanNode, find_stream_scans
 from repro.sql.planner import Planner
+from repro.storage import types as dt
 from repro.storage.catalog import Catalog
 from repro.storage.persistence import (load_catalog, load_queries,
                                        save_catalog, save_queries)
@@ -362,14 +363,12 @@ class DataCellEngine:
             rel = self._one_time_select(stmt.select)
             rows = rel.to_rows()
         else:
+            # a literal cell is its value; only expressions are bound
             binder = Binder(Scope())
-            rows = []
-            for row_exprs in stmt.rows:
-                row = []
-                for expr in row_exprs:
-                    bound = binder.bind(expr)
-                    row.append(bound.const_value())
-                rows.append(row)
+            rows = [[dt.literal_value(expr.value)
+                     if type(expr) is ast.Literal
+                     else binder.bind(expr).const_value() for expr in row]
+                    for row in stmt.rows]
         if list(columns) != schema.names:
             index = {c: i for i, c in enumerate(columns)}
             full_rows = []

@@ -56,6 +56,7 @@ from repro.errors import (BindError, CatalogError, DataCellError,
 from repro.pg import messages as msg
 from repro.pg import protocol
 from repro.sql import ast
+from repro.sql.lexer import split_statements
 from repro.sql.optimizer import Optimizer
 from repro.sql.parser import parse_script
 from repro.sql.planner import Planner
@@ -100,29 +101,6 @@ def sqlstate_for(exc: BaseException) -> str:
     if isinstance(exc, NetError) and exc.code == "shutdown":
         return "57P01"  # admin_shutdown
     return "XX000"      # internal_error
-
-
-def split_statements(text: str) -> List[str]:
-    """Split a simple-Query string on top-level semicolons (quote
-    aware); drops empty pieces."""
-    parts: List[str] = []
-    buf: List[str] = []
-    quote: Optional[str] = None
-    for ch in text:
-        if quote:
-            buf.append(ch)
-            if ch == quote:
-                quote = None
-        elif ch in ("'", '"'):
-            quote = ch
-            buf.append(ch)
-        elif ch == ";":
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
-    return [p for p in (part.strip() for part in parts) if p]
 
 
 # -- statement classification ------------------------------------------

@@ -84,6 +84,11 @@ class Binder:
             raise BindError("'*' is only allowed in COUNT(*) here")
         if isinstance(expr, ast.UnaryOp):
             if expr.op == "-":
+                # a signed number is one literal, as the lexer reads it
+                # in a VALUES row: -9223372036854775808 is in range
+                if isinstance(expr.operand, ast.Literal) \
+                        and type(expr.operand.value) in (int, float):
+                    return _literal(-expr.operand.value)
                 operand = self.bind(expr.operand, inside_aggregate)
                 if isinstance(operand, BoundLiteral) \
                         and operand.value is not None:

@@ -1,13 +1,21 @@
 """SQL tokenizer.
 
-Hand-written scanner producing a flat token list. Keywords are
-case-insensitive; identifiers are lower-cased (MonetDB folds unquoted
-identifiers to lower case). String literals use single quotes with ``''``
-escaping; ``--`` starts a line comment and ``/* */`` a block comment.
+One compiled master pattern scans the text into a flat token list.
+Keywords are case-insensitive; identifiers are lower-cased (MonetDB folds
+unquoted identifiers to lower case). String literals use single quotes
+with ``''`` escaping; ``--`` starts a line comment and ``/* */`` a block
+comment. Every token's ``pos`` is its start offset.
+
+A literal ``VALUES`` row — ``(`` cells ``)`` where every cell is a
+signed number, a string, ``NULL``, ``TRUE`` or ``FALSE`` — is one ``ROW``
+token whose value is the list of the cells' Python values, when it
+follows ``VALUES`` or the ``,`` after such a row. Any other row is
+tokenised cell by cell and parsed as expressions.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.errors import LexerError
@@ -21,14 +29,42 @@ KEYWORDS = frozenset("""
     outer union all delete update set explain
 """.split())
 
-# multi-character operators first so the scanner is greedy
-_OPERATORS = ("<>", "<=", ">=", "!=", "||", "=", "<", ">", "+", "-", "*",
-              "/", "%")
-_PUNCT = "(),.;[]"
+# the quoting and comment rules, shared by the tokenizer and the
+# statement splitter
+_STRING = r"'[^']*(?:''[^']*)*'"
+_QUOTED = r'"[^"]*"'
+_COMMENT = r"--[^\n]*|/\*.*?\*/"
+_OPEN = r"/\*|['\"]"    # the start of one of them left unterminated
+_SKIP = rf"(?:\s+|{_COMMENT})*"
+_UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)"
+
+# multi-character operators first so the scanner is greedy; an
+# unterminated quote or block comment (OPEN) is caught before the
+# operators and punctuation, any other stray character (BAD) after them
+_TOKEN = re.compile(
+    rf"{_SKIP}(?:(?P<NUMBER>{_UNSIGNED}(?:[eE][+-]?\d*)?)"
+    rf"|(?P<STRING>{_STRING})|(?P<QUOTED>{_QUOTED})"
+    rf"|(?P<WORD>[^\W\d]\w*)|(?P<OPEN>{_OPEN})"
+    r"|(?P<OP><>|<=|>=|!=|\|\||[=<>+\-*/%])|(?P<PUNCT>[(),.;\[\]])"
+    r"|(?P<BAD>.)|(?P<EOF>\Z))", re.DOTALL)
+
+_CELL = rf"[+-]?{_UNSIGNED}(?:[eE][+-]?\d+)?|{_STRING}|(?i:null|true|false)"
+# a literal row and the `,` after it (a comment around either falls back
+# to one token per cell)
+_ROW = re.compile(
+    rf"\s*(\((?:\s*(?:{_CELL})\s*,)*\s*(?:{_CELL})\s*\))\s*(,)?")
+# the cells of a matched row: strings, and runs free of separators
+_CELLS = re.compile(rf"{_STRING}|[^\s,()']+")
+_WORDS = {"null": None, "true": True, "false": False}
+
+_UNTERMINATED = {"'": "unterminated string literal",
+                 '"': "unterminated quoted identifier",
+                 "/*": "unterminated block comment"}
 
 
 class Token:
-    """One lexical token: ``kind`` in IDENT/KEYWORD/NUMBER/STRING/OP/PUNCT/EOF."""
+    """One lexical token: ``kind`` in IDENT/KEYWORD/NUMBER/STRING/OP/PUNCT/
+    ROW/EOF."""
 
     __slots__ = ("kind", "value", "pos")
 
@@ -50,105 +86,85 @@ class Token:
 def tokenize(text: str) -> List[Token]:
     """Scan *text* into tokens ending with one EOF token."""
     tokens: List[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("--", i):
-            nl = text.find("\n", i)
-            i = n if nl < 0 else nl + 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise LexerError("unterminated block comment", i)
-            i = end + 2
-            continue
-        if ch == "'":
-            value, i = _scan_string(text, i)
-            tokens.append(Token("STRING", value, i))
-            continue
-        if ch == '"':
-            end = text.find('"', i + 1)
-            if end < 0:
-                raise LexerError("unterminated quoted identifier", i)
-            tokens.append(Token("IDENT", text[i + 1:end], i))
-            i = end + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            value, i = _scan_number(text, i)
-            tokens.append(Token("NUMBER", value, i))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i].lower()
+    pos = 0
+    row_next = False    # may a literal VALUES row start here?
+    while True:
+        if row_next:
+            m = _ROW.match(text, pos)
+            if m:
+                row = m.group(1)
+                cells = _CELLS.findall(row) if "'" in row \
+                    else row[1:-1].split(",")
+                tokens.append(Token("ROW", [_cell(c) for c in cells],
+                                        m.start(1)))
+                pos = m.end()
+                if m.group(2):
+                    tokens.append(Token("PUNCT", ",", m.start(2)))
+                    continue
+            row_next = False
+        m = _TOKEN.match(text, pos)
+        kind = m.lastgroup
+        start = m.start(kind)
+        raw = m.group(kind)
+        pos = m.end()
+        if kind == "WORD":
+            if not (raw[0].isalpha() or raw[0] == "_"):
+                raise LexerError(f"unexpected character {raw[0]!r}", start)
+            word = raw.lower()
             if word in KEYWORDS:
                 tokens.append(Token("KEYWORD", word, start))
+                row_next = word == "values"
             else:
                 tokens.append(Token("IDENT", word, start))
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("OP", op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("PUNCT", ch, i))
-            i += 1
-            continue
-        raise LexerError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("EOF", None, n))
-    return tokens
-
-
-def _scan_string(text: str, i: int):
-    out = []
-    i += 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < n and text[i + 1] == "'":
-                out.append("'")
-                i += 2
-                continue
-            return "".join(out), i + 1
-        out.append(ch)
-        i += 1
-    raise LexerError("unterminated string literal", i)
-
-
-def _scan_number(text: str, i: int):
-    start = i
-    n = len(text)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = text[i]
-        if ch.isdigit():
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            i += 1
-        elif ch in "eE" and not seen_exp and i > start:
-            seen_exp = True
-            i += 1
-            if i < n and text[i] in "+-":
-                i += 1
+        elif kind == "PUNCT":
+            tokens.append(Token("PUNCT", raw, start))
+        elif kind == "NUMBER":
+            try:
+                value = _number(raw)
+            except ValueError:
+                raise LexerError(f"bad numeric literal {raw!r}",
+                                 start) from None
+            tokens.append(Token("NUMBER", value, start))
+        elif kind == "STRING":
+            tokens.append(Token("STRING", raw[1:-1].replace("''", "'"),
+                                start))
+        elif kind == "QUOTED":
+            tokens.append(Token("IDENT", raw[1:-1], start))
+        elif kind == "OP":
+            tokens.append(Token("OP", raw, start))
+        elif kind == "EOF":
+            tokens.append(Token("EOF", None, start))
+            return tokens
+        elif kind == "OPEN":
+            raise LexerError(_UNTERMINATED[raw],
+                             len(text) if raw == "'" else start)
         else:
-            break
-    raw = text[start:i]
-    try:
-        value = float(raw) if (seen_dot or seen_exp) else int(raw)
-    except ValueError:
-        raise LexerError(f"bad numeric literal {raw!r}", start) from None
-    return value, i
+            raise LexerError(f"unexpected character {raw!r}", start)
+
+
+def _number(raw: str):
+    return float(raw) if "." in raw or "e" in raw or "E" in raw \
+        else int(raw)
+
+
+def _cell(raw: str):
+    """The Python value of one cell of a matched literal row."""
+    raw = raw.strip()
+    head = raw[0]
+    if head == "'":
+        return raw[1:-1].replace("''", "'")
+    if head.isalpha():
+        return _WORDS[raw.lower()]
+    return _number(raw)
+
+
+_STATEMENT = re.compile(
+    rf"(?:[^;'\"/-]+|{_STRING}|{_QUOTED}|{_COMMENT}|(?:{_OPEN}).*|[/-])+",
+    re.DOTALL)
+
+
+def split_statements(text: str) -> List[str]:
+    """Split a script on the ``;`` that end statements — not those inside
+    a string, quoted identifier or comment; drops empty pieces. An
+    unterminated quote or comment runs to the end of the text."""
+    return [p for p in (s.strip() for s in _STATEMENT.findall(text)) if p]

@@ -205,6 +205,9 @@ class Parser:
                          self.current)
 
     def _value_row(self) -> List[ast.Expr]:
+        literals = self._accept("ROW")
+        if literals is not None:
+            return [ast.Literal(value) for value in literals.value]
         self._expect("PUNCT", "(")
         row = [self._expr()]
         while self._accept("PUNCT", ","):

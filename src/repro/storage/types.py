@@ -22,6 +22,7 @@ import numpy as np
 from repro.errors import TypeMismatchError
 
 INT_NIL = np.iinfo(np.int64).min
+INT_MAX = np.iinfo(np.int64).max
 FLOAT_NIL = float("nan")
 BOOL_NIL = np.int8(-1)
 
@@ -137,7 +138,11 @@ def coerce_value(dtype: DataType, value: Any):
             if isinstance(value, float) and value != int(value):
                 raise TypeMismatchError(
                     f"cannot store non-integral {value!r} in {dtype.name}")
-            return int(value)
+            out = int(value)
+            if not INT_NIL <= out <= INT_MAX:
+                raise TypeMismatchError(
+                    f"{value!r} is out of range for {dtype.name}")
+            return out
         if dtype is FLOAT:
             return float(value)
         if dtype is BOOLEAN:
@@ -150,7 +155,7 @@ def coerce_value(dtype: DataType, value: Any):
             if isinstance(value, str):
                 return value
             raise TypeMismatchError(f"cannot store {value!r} in STRING")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise TypeMismatchError(
             f"cannot store {value!r} in {dtype.name}") from exc
     raise TypeMismatchError(f"unsupported type {dtype!r}")
@@ -171,13 +176,16 @@ def coerce_column(dtype: DataType, values) -> np.ndarray:
         return values
     values = values if isinstance(values, list) else list(values)
     n = len(values)
-    if dtype is INT or dtype is TIMESTAMP:
-        if all(type(v) is int for v in values):
-            return np.fromiter(values, dtype=np.int64, count=n)
-    elif dtype is FLOAT:
-        if all(type(v) is float or type(v) is int for v in values):
-            return np.fromiter(values, dtype=np.float64, count=n)
-    elif dtype is STRING:
+    try:
+        if dtype is INT or dtype is TIMESTAMP:
+            if all(type(v) is int for v in values):
+                return np.fromiter(values, dtype=np.int64, count=n)
+        elif dtype is FLOAT:
+            if all(type(v) is float or type(v) is int for v in values):
+                return np.fromiter(values, dtype=np.float64, count=n)
+    except OverflowError:
+        pass    # a value out of range: the slow path names it
+    if dtype is STRING:
         if all(type(v) is str or v is None for v in values):
             arr = np.empty(n, dtype=object)
             arr[:] = values
@@ -189,6 +197,20 @@ def coerce_column(dtype: DataType, values) -> np.ndarray:
         arr[:] = coerced
         return arr
     return np.asarray(coerced, dtype=dtype.np_dtype)
+
+
+def literal_value(value: Any) -> Any:
+    """The value a SQL literal (int, float, str, bool or None) denotes
+    when stored without binding: an integer must fit int64, and
+    ``-9223372036854775808`` (the INT nil) is NULL — what a bound
+    literal gives through :func:`coerce_value` and :func:`from_storage`."""
+    if type(value) is int:
+        if INT_NIL < value <= INT_MAX:
+            return value
+        if value == INT_NIL:
+            return None
+        raise TypeMismatchError(f"integer literal {value} is out of range")
+    return value
 
 
 def from_storage(dtype: DataType, value: Any) -> Optional[Any]:

@@ -98,6 +98,59 @@ class TestErrors:
         assert err.value.position == 7
 
 
+class TestPositions:
+    def test_every_token_starts_at_its_pos(self):
+        tokens = tokenize("x = 'ab' + 123")
+        assert [t.pos for t in tokens] == [0, 2, 4, 9, 11, 14]
+
+
+class TestLiteralRows:
+    def test_literal_rows_are_one_token_each(self):
+        tokens = tokenize("INSERT INTO t VALUES (1, -2.5e1, 'a''b', "
+                          "NULL, TRUE) , ( +3 ,false)")
+        assert [(t.kind, t.value, t.pos) for t in tokens[3:]] == [
+            ("KEYWORD", "values", 14),
+            ("ROW", [1, -25.0, "a'b", None, True], 21),
+            ("PUNCT", ",", 53),
+            ("ROW", [3, False], 55),
+            ("EOF", None, 67)]
+
+    def test_a_row_with_an_expression_is_tokenised(self):
+        assert kinds("VALUES (1, x), (2)") == [
+            ("KEYWORD", "values"), ("PUNCT", "("), ("NUMBER", 1),
+            ("PUNCT", ","), ("IDENT", "x"), ("PUNCT", ")"),
+            ("PUNCT", ","), ("PUNCT", "("), ("NUMBER", 2),
+            ("PUNCT", ")")]
+
+    def test_literal_rows_stop_at_the_first_expression_row(self):
+        assert [k for k, _v in kinds("VALUES (1), (1 + 1), (3)")] == [
+            "KEYWORD", "ROW", "PUNCT", "PUNCT", "NUMBER", "OP", "NUMBER",
+            "PUNCT", "PUNCT", "PUNCT", "NUMBER", "PUNCT"]
+
+    def test_only_after_values(self):
+        assert [k for k, _v in kinds("IN (1, 2)")] == [
+            "KEYWORD", "PUNCT", "NUMBER", "PUNCT", "NUMBER", "PUNCT"]
+
+    def test_separator_characters_inside_strings(self):
+        assert kinds("VALUES ('a, (b)', ' -- ', '/* x */')") == [
+            ("KEYWORD", "values"), ("ROW", ["a, (b)", " -- ", "/* x */"])]
+
+    def test_malformed_number_in_a_row_still_raises(self):
+        with pytest.raises(LexerError):
+            tokenize("VALUES (1e)")
+
+
+class TestUnicode:
+    def test_non_ascii_identifier_and_string(self):
+        assert kinds("café 'naïve'") == [("IDENT", "café"),
+                                          ("STRING", "naïve")]
+
+    @pytest.mark.parametrize("text", ["²", "x ½", "1 ²"])
+    def test_numeric_symbols_are_not_identifiers(self, text):
+        with pytest.raises(LexerError):
+            tokenize(text)
+
+
 class TestTokenHelpers:
     def test_is_keyword(self):
         token = tokenize("select")[0]

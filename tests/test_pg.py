@@ -242,6 +242,27 @@ class TestMessages:
             == ["insert into s values ('x;y')", "b"]
         assert split_statements("  ;; ") == []
 
+    @pytest.mark.parametrize("text, pieces", [
+        ("SELECT 1 FROM t -- it's\n; SELECT 2 FROM t",
+         ["SELECT 1 FROM t -- it's", "SELECT 2 FROM t"]),
+        ("SELECT 1 FROM t -- a; b\n; SELECT 2 FROM t",
+         ["SELECT 1 FROM t -- a; b", "SELECT 2 FROM t"]),
+        ("SELECT 1 /* it's; */ FROM t; SELECT 2 FROM t",
+         ["SELECT 1 /* it's; */ FROM t", "SELECT 2 FROM t"]),
+        ("INSERT INTO s VALUES ('a;b', 'it''s;'); SELECT 1 FROM s",
+         ["INSERT INTO s VALUES ('a;b', 'it''s;')", "SELECT 1 FROM s"]),
+        ('SELECT "a;b" FROM t; x', ['SELECT "a;b" FROM t', "x"]),
+        ("a - b / c; d", ["a - b / c", "d"]),
+        ("SELECT 'open; x", ["SELECT 'open; x"]),
+    ])
+    def test_split_statements_follows_the_lexer(self, text, pieces):
+        assert split_statements(text) == pieces
+
+    def test_classify_after_comment_with_quote(self):
+        first, second = split_statements(
+            "SELECT 1 FROM t -- it's\n; SELECT 2 FROM t")
+        assert classify(first).kind == classify(second).kind == "sql"
+
     def test_classify_dialect(self):
         cmd = classify("REGISTER CONTINUOUS q1 MODE incremental AS "
                        "SELECT k FROM s")
@@ -346,6 +367,28 @@ class TestSimpleQuery:
             msgs = client.query(sql)
             assert [e[0] for e in errors_of(msgs)] == [state], sql
             assert msgs[-1][0] == b"Z"  # still ready after the error
+        client.close()
+
+    def test_out_of_range_integer_is_an_error_not_a_hangup(self, pg_server):
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
+        client.query("CREATE STREAM big (k INT, v FLOAT)")
+        msgs = client.query(
+            "INSERT INTO big VALUES (99999999999999999999, 1.5)")
+        assert [e[0] for e in errors_of(msgs)] == ["42804"]
+        assert msgs[-1][0] == b"Z"
+        # the same connection still serves
+        msgs = client.query("SELECT k, v FROM big")
+        assert tags_of(msgs) == ["SELECT 0"]
+        client.close()
+
+    def test_comment_with_quote_does_not_merge_statements(self,
+                                                          pg_server):
+        client = MiniPG(pg_server.pg_host, pg_server.pg_port)
+        msgs = client.query("CREATE STREAM cm (a INT) -- it's\n; "
+                            "INSERT INTO cm VALUES (1) /* ; ' */; "
+                            "SELECT a FROM cm")
+        assert tags_of(msgs) == ["CREATE STREAM", "INSERT 0 1",
+                                 "SELECT 1"]
         client.close()
 
     def test_error_aborts_statement_batch(self, pg_server):
