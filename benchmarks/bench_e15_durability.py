@@ -5,13 +5,14 @@ bolts a segmented append-only log under each basket so admitted tuples
 survive a crash. This experiment prices that guarantee:
 
 * **E15a** — ingest throughput by write discipline. ``off`` is the
-  in-memory engine (no data_dir); ``async`` appends through the
-  group-commit writer thread (flush per drained group, no fsync on the
-  ingest path); ``fsync`` forces every group to disk before the
-  offsets count as durable. The measured span includes a final
-  :meth:`StreamLog.flush` barrier, so async pays its whole backlog.
+  in-memory engine (no data_dir). The logged runs ``feed`` without
+  stepping, so every append only stages its columns on the log; the
+  measured span is those staged appends plus one final
+  :meth:`StreamLog.flush`, which writes them all as one group commit
+  (the write a scheduler step makes for what it appended): ``async``
+  flushes that group to the OS, ``fsync`` also fsyncs it.
   Acceptance: async sustains at least half the in-memory rate — the
-  log is a background mirror, not a write-through tax.
+  log is a mirror written once per group, not a write-through tax.
 * **E15b** — cold-start recovery time against log size: rebuild
   baskets, cursors and emit stamps from the manifest + checkpoint.
   Recovery replays only what the queries still need (the cursor
@@ -59,7 +60,7 @@ def ingest_throughput(durability: str, nrows: int = N_ROWS,
         for i in range(0, nrows, batch):
             engine.feed("s", rows[i:i + batch])
         if engine.durable:
-            engine.stream_log("s").flush()  # async pays its backlog
+            engine.stream_log("s").flush()  # one group: every append
         elapsed = time.perf_counter() - start
         return nrows / elapsed if elapsed > 0 else 0.0
     finally:

@@ -86,7 +86,7 @@ def paged_replay_run(nrows: int = N_ROWS) -> dict:
     reference = in_memory_reference(nrows)
     data_dir = tempfile.mkdtemp(prefix="e16_")
     engine = DataCellEngine(clock=SimulatedClock(), data_dir=data_dir,
-                            durability="fsync", log_inline=True,
+                            durability="fsync",
                             segment_rows=SEGMENT_ROWS,
                             checkpoint_interval_s=1e9)
     try:
@@ -156,7 +156,7 @@ def retention_run(nrows: int = 40_000,
     retention mid-stream; the query must keep firing throughout."""
     data_dir = tempfile.mkdtemp(prefix="e16r_")
     engine = DataCellEngine(clock=SimulatedClock(), data_dir=data_dir,
-                            durability="fsync", log_inline=True,
+                            durability="fsync",
                             segment_rows=SEGMENT_ROWS,
                             retain_bytes=retain_bytes,
                             checkpoint_interval_s=1e9)

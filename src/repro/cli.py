@@ -54,25 +54,7 @@ from repro.core.engine import DataCellEngine
 from repro.core.factory import EXECUTION_MODES
 from repro.errors import DataCellError
 from repro.mal.relation import Relation
-
-
-def parse_row_values(text: str) -> List:
-    """Parse a comma-separated row of SQL-ish literals (numbers,
-    ``'strings'``, ``null``/empty) into Python values. Shared by the
-    shell's ``.feed`` and the ``repro send`` CLI."""
-    row = []
-    for cell in text.split(","):
-        cell = cell.strip()
-        if cell.lower() == "null" or cell == "":
-            row.append(None)
-        elif cell.startswith("'") and cell.endswith("'") and len(cell) > 1:
-            row.append(cell[1:-1])
-        else:
-            try:
-                row.append(int(cell))
-            except ValueError:
-                row.append(float(cell))
-    return row
+from repro.sql.lexer import literal_row
 
 
 class DataCellShell:
@@ -190,10 +172,11 @@ class DataCellShell:
         self._print(f"resumed {arg!r}")
 
     def _cmd_feed(self, arg: str) -> None:
-        """.feed stream v1, v2, ... — one tuple, values parsed as SQL
-        literals (numbers, 'strings', null)."""
+        """.feed stream v1, v2, ... — one tuple, values parsed as the
+        cells of a literal ``VALUES`` row (numbers, 'strings', null,
+        true, false)."""
         stream, _sep, values = arg.partition(" ")
-        row = parse_row_values(values)
+        row = literal_row(values)
         n = self.engine.feed(stream, [row])
         self.engine.step()
         self._print(f"+{n} tuple into {stream!r}")

@@ -133,12 +133,13 @@ class Basket:
         arrival = np.full(len(rows), now, dtype=np.int64)
         with self._lock:
             lo = self.next_oid
+            self._stage_on_log(lo, staged, arrival)
             for coldef, column in zip(self.schema.columns, staged):
                 self._bats[coldef.name].extend(column)
             self._arrival.extend(arrival)
             self.total_in += len(rows)
             self.high_water = max(self.high_water, len(self))
-            self._log_and_tap(lo, staged, arrival, now)
+            self._tap(lo, now)
         return len(rows)
 
     def append_relation(self, rel: Relation, now: int
@@ -154,14 +155,14 @@ class Basket:
             lo = self.next_oid
             if n == 0:
                 return lo, lo
+            self._stage_on_log(lo, [rel.column(c.name).values
+                                    for c in self.schema.columns], arrival)
             for coldef in self.schema.columns:
                 self._bats[coldef.name].append_bat(rel.column(coldef.name))
             self._arrival.extend(arrival)
             self.total_in += n
             self.high_water = max(self.high_water, len(self))
-            self._log_and_tap(
-                lo, [rel.column(c.name).values
-                     for c in self.schema.columns], arrival, now)
+            self._tap(lo, now)
         return lo, lo + n
 
     # -- durability & taps -------------------------------------------------
@@ -215,15 +216,20 @@ class Basket:
         with self._lock:
             self._taps = [t for t in self._taps if t is not tap]
 
-    def _log_and_tap(self, lo: int, columns: List[np.ndarray],
-                     arrival: np.ndarray, now: int) -> None:
-        hi = self.next_oid
+    def _stage_on_log(self, lo: int, columns: List[np.ndarray],
+                      arrival: np.ndarray) -> None:
+        """Stage the batch on the log *before* the basket takes it: a
+        failed log raises :class:`~repro.errors.StoreError` here and
+        the basket stays as it was."""
         if self._log is not None:
-            _llo, lhi = self._log.append(columns, arrival)
-            if lhi != hi:
+            llo, _lhi = self._log.append(columns, arrival)
+            if llo != lo:
                 raise StreamError(
-                    f"basket {self.name!r}: log drifted to {lhi}, "
-                    f"basket at {hi}")
+                    f"basket {self.name!r}: log drifted to {llo}, "
+                    f"basket at {lo}")
+
+    def _tap(self, lo: int, now: int) -> None:
+        hi = self.next_oid
         for tap in self._taps:
             tap(lo, hi, now)
 

@@ -106,7 +106,6 @@ class DataCellEngine:
                  durability: str = "async",
                  segment_rows: int = 4096,
                  checkpoint_interval_s: float = 2.0,
-                 log_inline: bool = False,
                  retain_ms: Optional[int] = None,
                  retain_bytes: Optional[int] = None):
         """``recycler_enabled`` shares window slices and operator
@@ -137,14 +136,13 @@ class DataCellEngine:
         query definitions are checkpointed there, and constructing an
         engine over an existing ``data_dir`` *recovers* — baskets and
         window cursors are rebuilt so emissions resume
-        byte-identically to an uninterrupted run. ``durability`` picks
-        the write discipline: ``"async"`` (default) group-commits with
-        one flush per group, ``"fsync"`` additionally fsyncs,
-        ``"off"`` disables logging even with a ``data_dir``.
-        ``checkpoint_interval_s`` paces the periodic checkpoint driven
-        from :meth:`step` (the serving loop wakes for it);
-        ``log_inline`` persists synchronously inside each append — the
-        deterministic mode crash tests drive.
+        byte-identically to an uninterrupted run. Every scheduler step
+        is one group commit per log. ``durability`` picks the write
+        discipline: ``"async"`` (default) flushes each group to the
+        OS, ``"fsync"`` additionally fsyncs, ``"off"`` disables
+        logging even with a ``data_dir``. ``checkpoint_interval_s``
+        paces the periodic checkpoint driven from :meth:`step` (the
+        serving loop wakes for it).
 
         ``retain_ms`` / ``retain_bytes`` bound how much durable history
         each stream log keeps: after every periodic checkpoint, sealed
@@ -194,7 +192,6 @@ class DataCellEngine:
         self.durability = durability if data_dir is not None else "off"
         self.segment_rows = int(segment_rows)
         self.checkpoint_interval_s = float(checkpoint_interval_s)
-        self.log_inline = bool(log_inline)
         self.retain_ms = retain_ms
         self.retain_bytes = retain_bytes
         self.retention_rows_dropped = 0
@@ -219,7 +216,7 @@ class DataCellEngine:
             try:
                 self.checkpoint()
             except StoreError:
-                pass  # a failed writer must not block shutdown
+                pass  # a failed log must not block shutdown
         for log in self._logs.values():
             log.close()
         self._logs = {}
@@ -481,7 +478,9 @@ class DataCellEngine:
                 r for r in bucket if r is not receptor]
 
     def feed(self, stream: str, rows: Sequence[Sequence[Any]]) -> int:
-        """Push rows into a stream right now (external event driver)."""
+        """Push rows into a stream right now (external event driver).
+        On a durable stream the rows are staged on its log; the next
+        step (or a :meth:`StreamLog.flush`) commits them."""
         return self.basket(stream).append_rows(rows, self.now())
 
     def pause_stream(self, name: str) -> None:
@@ -902,7 +901,6 @@ class DataCellEngine:
         log = StreamLog(self._stream_log_dir(name), name, schema,
                         segment_rows=self.segment_rows,
                         durability=self.durability,
-                        inline=self.log_inline,
                         fault=self._fault,
                         retain_ms=self.retain_ms,
                         retain_bytes=self.retain_bytes)
@@ -989,8 +987,8 @@ class DataCellEngine:
 
     def maybe_checkpoint(self) -> bool:
         """Periodic checkpoint driver (called per :meth:`step`, so by
-        the serving loop too). A failed log writer is recorded — not
-        raised — so the serving loop stays up."""
+        the serving loop too). A failed log is recorded — not raised —
+        so the serving loop stays up."""
         if not self.durable or self._recovering:
             return False
         if self.checkpoint_due_s() > 0:

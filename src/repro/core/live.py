@@ -69,7 +69,7 @@ def _wait_until(predicate: Callable[[], bool], timeout_s: float) -> bool:
 
 
 # the longest the serving loop sleeps with no wake and no timer due;
-# paces housekeeping only (receptor reaping, vacuum behind the log writer)
+# paces housekeeping only (receptor reaping)
 HEARTBEAT_S = 0.1
 
 

@@ -266,8 +266,7 @@ class Monitor:
             lines.append(
                 f"  {name}: next={s['next_offset']} "
                 f"durable={s['durable_offset']} "
-                f"segments={s['segments']}x{s['segment_rows']} "
-                f"backlog={s['backlog_rows']} rows")
+                f"segments={s['segments']}x{s['segment_rows']}")
             lines.append(
                 f"    groups={s['groups']} "
                 f"(avg {s['group_rows'] / max(s['groups'], 1):.1f} "

@@ -18,7 +18,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
 
 from repro.core.basket import Basket
 from repro.core.clock import Clock
-from repro.errors import StreamError
+from repro.errors import StoreError, StreamError
 from repro.streams.source import StreamSource
 
 
@@ -141,8 +141,10 @@ class SocketReceptor(Receptor):
     A connection thread :meth:`offer`\\ s row batches into a bounded
     *admission queue* and then signals *wake* (the serving loop's);
     the scheduler's pump phase drains queued batches into the basket,
-    so socket ingestion overlaps factory firing. The bound is the
-    backpressure valve when baskets back up:
+    so socket ingestion overlaps factory firing. The bound is the one
+    backpressure valve, whether the net or the disk is slow (the step
+    that pumps also commits the stream's log, so a slow write slows
+    the draining):
 
     * ``policy="block"`` — a full queue makes ``offer`` wait (up to
       ``block_timeout_s``) for the scheduler to drain, propagating
@@ -156,7 +158,6 @@ class SocketReceptor(Receptor):
 
     def __init__(self, name: str, basket: Basket, max_pending: int = 64,
                  policy: str = "block", block_timeout_s: float = 5.0,
-                 log_backlog_limit: int = 256,
                  wake: Callable[[], Any] = lambda: None):
         if policy not in self.POLICIES:
             raise StreamError(
@@ -169,11 +170,6 @@ class SocketReceptor(Receptor):
         self.max_pending = max_pending
         self.block_timeout_s = block_timeout_s
         self._wake = wake
-        # durability backpressure: when the stream's log writer backlog
-        # exceeds this many queued group-commit batches, admission
-        # treats it like a full queue (the disk, not the scheduler, is
-        # the bottleneck)
-        self.log_backlog_limit = max(int(log_backlog_limit), 1)
         self._queue: "queue.Queue[List[Sequence[Any]]]" = \
             queue.Queue(maxsize=max_pending)
         self.closed = False
@@ -181,24 +177,25 @@ class SocketReceptor(Receptor):
         self.total_offered = 0
         self.total_shed = 0
         self.total_blocked = 0
-        self.total_log_blocked = 0
 
     # -- producer side (connection thread) -----------------------------
 
     def offer(self, rows: Sequence[Sequence[Any]]) -> int:
         """Admit one batch; returns the number of rows accepted (0 when
         the batch was shed). Raises :class:`StreamError` when paused,
-        closed, or when a blocking admission times out."""
+        closed, or when a blocking admission times out, and
+        :class:`~repro.errors.StoreError` once the stream's log has
+        failed."""
         if self.paused:
             raise StreamError(f"receptor {self.name!r} is paused")
         if self.closed:
             raise StreamError(f"receptor {self.name!r} is closed")
+        if self.basket.log is not None:
+            self.basket.log.raise_if_failed()
         batch = [list(row) for row in rows]
         if not batch:
             return 0
         self.total_offered += len(batch)
-        if not self._log_admission(len(batch)):
-            return 0
         try:
             self._queue.put_nowait(batch)
         except queue.Full:
@@ -217,34 +214,13 @@ class SocketReceptor(Receptor):
         self._wake()  # enqueue, then signal: early at worst, never lost
         return len(batch)
 
-    def _log_admission(self, batch_rows: int) -> bool:
-        """Durability backpressure: hold (or shed) offers while the
-        stream log's group-commit writer is drowning. Returns False
-        when the batch was shed."""
-        log = self.basket.log
-        if log is None or log.backlog_batches() < self.log_backlog_limit:
-            return True
-        if self.policy == "shed":
-            self.total_shed += batch_rows
-            return False
-        self.total_log_blocked += 1
-        deadline = time.monotonic() + self.block_timeout_s
-        while log.backlog_batches() >= self.log_backlog_limit:
-            if time.monotonic() >= deadline:
-                self.total_shed += batch_rows
-                raise StreamError(
-                    f"receptor {self.name!r}: log writer backlog above "
-                    f"{self.log_backlog_limit} batches for "
-                    f"{self.block_timeout_s}s (disk not keeping up)")
-            time.sleep(0.005)
-        return True
-
     # -- scheduler side -------------------------------------------------
 
     def pump(self, now: int) -> int:
         """Drain the batches queued at entry into the basket (scheduler
         phase); a refill waits for the next step, which its offer has
-        already woken, so no producer can stretch this one unboundedly."""
+        already woken, so no producer can stretch this one unboundedly.
+        Once the stream's log has failed, queued batches are shed."""
         if self.paused:
             return 0
         appended = 0
@@ -253,7 +229,10 @@ class SocketReceptor(Receptor):
                 batch = self._queue.get_nowait()
             except queue.Empty:
                 break
-            appended += self.basket.append_rows(batch, now)
+            try:
+                appended += self.basket.append_rows(batch, now)
+            except StoreError:
+                self.total_shed += len(batch)
         self.total_ingested += appended
         if self.closed and self._queue.empty():
             self.exhausted = True
@@ -275,7 +254,6 @@ class SocketReceptor(Receptor):
                 "total_ingested": self.total_ingested,
                 "total_shed": self.total_shed,
                 "total_blocked": self.total_blocked,
-                "total_log_blocked": self.total_log_blocked,
                 "policy": self.policy,
                 "closed": self.closed}
 

@@ -9,7 +9,10 @@ Places are baskets (tokens = pending tuples), transitions are factories;
 receptors inject tokens, emitters remove them. :meth:`PetriNetScheduler.step`
 is one net evaluation: pump receptors, let factories absorb basic
 windows, fire every enabled transition (repeatedly, so factory chains
-cascade within a step), then vacuum consumed prefixes.
+cascade within a step), commit each durable basket's log, then vacuum
+consumed prefixes. The step is the log's group: whatever it appended —
+arrivals and output-stream results alike — is written as one group
+before vacuum may drop it from memory.
 
 The scheduler runs against a :class:`~repro.core.clock.Clock`; with a
 :class:`~repro.core.clock.SimulatedClock` whole benchmark runs are
@@ -104,8 +107,8 @@ class PetriNetScheduler:
 
         While :attr:`paused` the net still pumps receptors — pause
         holds back *firing* (and vacuuming), not arrival; events keep
-        landing in their baskets so nothing in flight is lost while
-        the operator inspects the net.
+        landing in their baskets (and their logs) so nothing in flight
+        is lost while the operator inspects the net.
         """
         now = self.clock.now()
         self.steps += 1
@@ -113,6 +116,7 @@ class PetriNetScheduler:
         for receptor in self.receptors:
             ingested += receptor.pump(now)
         if self.paused:
+            self._commit_logs()
             return {"ingested": ingested, "fired": 0, "dropped": 0}
 
         fired = 0
@@ -125,6 +129,7 @@ class PetriNetScheduler:
             raise SchedulerError(
                 "factory network did not quiesce (livelock?)")
 
+        self._commit_logs()
         dropped = 0
         for basket in self.baskets.values():
             dropped += basket.vacuum()
@@ -135,6 +140,13 @@ class PetriNetScheduler:
             self.recycler.autotune_tick()
         self.total_fired += fired
         return {"ingested": ingested, "fired": fired, "dropped": dropped}
+
+    def _commit_logs(self) -> None:
+        """The step's group commit: one write per durable basket's log
+        (a failed write is recorded on the log, not raised)."""
+        for basket in self.baskets.values():
+            if basket.log is not None:
+                basket.log.commit()
 
     def _fire_round(self, now: int) -> int:
         """One cascade round: poll, then fire each factory until it

@@ -106,9 +106,9 @@ class InjectedCrash(Exception):
 
     Deliberately *not* a :class:`DataCellError`: test harnesses that
     simulate a crash mid-write must not have the signal swallowed by a
-    blanket ``except DataCellError``. The log writer treats it exactly
-    like a process kill — the partial write stays on disk as a torn
-    tail for recovery to truncate.
+    blanket ``except DataCellError``. The log's commit records it like
+    any failed write — the partial write stays on disk as a torn tail
+    for recovery to truncate.
     """
 
 

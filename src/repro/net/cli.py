@@ -36,6 +36,7 @@ from typing import IO, List, Optional
 from repro.errors import DataCellError, NetError
 from repro.net.client import DataCellClient
 from repro.net.server import DataCellServer
+from repro.sql.lexer import literal_row
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -201,24 +202,22 @@ def _cmd_serve(args, out: IO) -> int:
     return 0
 
 
-def _read_rows(source: IO, parse) -> List[List]:
+def _read_rows(source: IO) -> List[List]:
     rows = []
     for line in source:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append(parse(line))
+        rows.append(literal_row(line))
     return rows
 
 
 def _cmd_send(args, out: IO) -> int:
-    from repro.cli import parse_row_values
-
     if args.file:
         with open(args.file) as f:
-            rows = _read_rows(f, parse_row_values)
+            rows = _read_rows(f)
     else:
-        rows = _read_rows(sys.stdin, parse_row_values)
+        rows = _read_rows(sys.stdin)
     accepted = shed = 0
     start = time.perf_counter()
     with DataCellClient(args.host, port=args.port,

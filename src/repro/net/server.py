@@ -60,7 +60,7 @@ from repro.core.engine import DataCellEngine
 from repro.core.live import ServingLoop
 from repro.core.receptor import SocketReceptor
 from repro.errors import CatalogError, DataCellError, NetError, \
-    StreamError
+    StoreError, StreamError
 from repro.net import protocol
 from repro.net.aio import IOLoop
 from repro.pg.server import PGFrontEnd
@@ -647,11 +647,11 @@ class DataCellServer:
                 conn.receptors[stream_name] = receptor
         try:
             if self._offer_may_block(receptor):
-                # a blocking admission (queue full / log writer
-                # drowning, policy="block") must not stall the event
-                # loop — push it to a worker thread; backpressure
-                # still rides this connection because its coroutine
-                # awaits the result before reading the next frame
+                # a blocking admission (queue full, policy="block")
+                # must not stall the event loop — push it to a worker
+                # thread; backpressure still rides this connection
+                # because its coroutine awaits the result before
+                # reading the next frame
                 accepted = await asyncio.get_running_loop() \
                     .run_in_executor(None, receptor.offer, rows)
             else:
@@ -659,6 +659,10 @@ class DataCellServer:
         except StreamError as exc:
             await conn.send(protocol.error(
                 "overload", str(exc), stream=stream_name, seq=seq))
+            return
+        except StoreError as exc:  # the stream's log has failed
+            await conn.send(protocol.error(
+                "io", str(exc), stream=stream_name, seq=seq))
             return
         if accepted == 0 and rows:
             await conn.send(protocol.error(
@@ -671,13 +675,9 @@ class DataCellServer:
 
     @staticmethod
     def _offer_may_block(receptor: SocketReceptor) -> bool:
-        if receptor.policy != "block":
-            return False  # shed admission never blocks
-        if receptor.pending_batches() >= receptor.max_pending:
-            return True
-        log = receptor.basket.log
-        return log is not None and \
-            log.backlog_batches() >= receptor.log_backlog_limit
+        # shed admission never blocks
+        return receptor.policy == "block" \
+            and receptor.pending_batches() >= receptor.max_pending
 
     async def _on_subscribe(self, conn: _Connection,
                             message: Dict[str, Any]) -> None:

@@ -92,11 +92,8 @@ def tokenize(text: str) -> List[Token]:
         if row_next:
             m = _ROW.match(text, pos)
             if m:
-                row = m.group(1)
-                cells = _CELLS.findall(row) if "'" in row \
-                    else row[1:-1].split(",")
-                tokens.append(Token("ROW", [_cell(c) for c in cells],
-                                        m.start(1)))
+                tokens.append(Token("ROW", _row_values(m.group(1)),
+                                    m.start(1)))
                 pos = m.end()
                 if m.group(2):
                     tokens.append(Token("PUNCT", ",", m.start(2)))
@@ -145,6 +142,26 @@ def tokenize(text: str) -> List[Token]:
 def _number(raw: str):
     return float(raw) if "." in raw or "e" in raw or "E" in raw \
         else int(raw)
+
+
+def literal_row(text: str) -> list:
+    """The values of *text* read as the cells of one literal row —
+    ``1, 'a,b', null`` without the parentheses — by the rule of a
+    ``VALUES`` row (the shell's ``.feed``, ``repro send``); raises
+    :class:`LexerError` unless the whole text is such a row."""
+    m = _ROW.fullmatch(f"({text})")
+    if m is None:
+        raise LexerError(
+            f"not a row of literals: {text!r} (cells are numbers, "
+            f"'strings', null, true or false; write null for a missing "
+            f"value)")
+    return _row_values(m.group(1))
+
+
+def _row_values(row: str) -> list:
+    """The Python values of a matched ``(...)`` literal row."""
+    cells = _CELLS.findall(row) if "'" in row else row[1:-1].split(",")
+    return [_cell(c) for c in cells]
 
 
 def _cell(raw: str):

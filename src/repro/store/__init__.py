@@ -1,8 +1,8 @@
 """Durability subsystem: per-stream segmented logs + crash recovery.
 
 ``repro.store`` persists every admitted stream tuple to an append-only
-columnar log (:class:`~repro.store.log.StreamLog`) behind a
-group-commit writer, and gives the engine what it needs to come back
+columnar log (:class:`~repro.store.log.StreamLog`), one group commit
+per scheduler step, and gives the engine what it needs to come back
 from a crash: torn-tail truncation, zero-copy basket rebuilds, and the
 offset coordinate system (log offset == basket oid) that subscriber
 cursors and replay-on-subscribe ride on. The

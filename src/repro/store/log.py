@@ -11,22 +11,27 @@ stream has offset n in the log and absolute oid n in the basket, so
 subscriber cursors, window cursors, emit stamps and replay all share
 one coordinate system.
 
-Writes go through a **group-commit** writer thread: appends enqueue the
-already-staged column arrays (no copy — the basket's staging buffers
-are immutable after admission) and the writer drains whatever has
-accumulated into one write+flush(+fsync) per group, so the hot path
-pays one syscall batch per scheduler beat rather than per append.
+Writes are one **group commit per scheduler step**: :meth:`append` only
+stages the already-admitted column arrays (no copy — the basket's
+staging buffers are immutable after admission), and :meth:`commit`,
+which the scheduler calls at the end of every step, writes everything
+staged as one group: one write and one flush per column file, so the
+serving loop pays one syscall batch per step rather than per append.
 ``durability="async"`` flushes to the OS per group (survives a process
-crash); ``"fsync"`` additionally fsyncs (survives power loss).
-``inline=True`` bypasses the thread and persists synchronously inside
-:meth:`append` — the deterministic mode the crash-equivalence tests
-drive.
+crash); ``"fsync"`` additionally fsyncs (survives power loss). A failed
+write is recorded in :attr:`StreamLog.failed`; from then on every
+append and :meth:`flush` raises.
 
 Recovery (:class:`StreamLog` opened over an existing directory) trusts
 the manifest's sealed segments, re-scans the unsealed tail segment, and
 truncates every column file back to the *minimum complete row count*
 across columns — a torn group commit leaves columns of unequal length,
 and only whole rows may survive.
+
+A roll to a new segment does not rewrite the manifest (a rewrite waits
+on disk writeback, and rolls run inside the step); checkpoints,
+retention, :meth:`truncate_to` and :meth:`close` do, and recovery finds
+the segments rolled since by their base offsets.
 """
 
 from __future__ import annotations
@@ -34,12 +39,11 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import InjectedCrash, StoreError
+from repro.errors import StoreError
 from repro.storage import types as dt
 from repro.storage.schema import Schema
 from repro.store import segment as seg
@@ -81,7 +85,7 @@ class StreamLog:
 
     def __init__(self, directory: str, name: str, schema: Schema,
                  segment_rows: int = DEFAULT_SEGMENT_ROWS,
-                 durability: str = "async", inline: bool = False,
+                 durability: str = "async",
                  fault: Optional[seg.FaultInjector] = None,
                  retain_ms: Optional[int] = None,
                  retain_bytes: Optional[int] = None):
@@ -103,7 +107,6 @@ class StreamLog:
         self.schema = schema
         self.segment_rows = int(segment_rows)
         self.durability = durability
-        self.inline = bool(inline)
         self.retain_ms = retain_ms
         self.retain_bytes = retain_bytes
         self._fault = fault
@@ -113,10 +116,11 @@ class StreamLog:
             [(c.name, c.dtype) for c in schema.columns] + \
             [(ARRIVAL_COLUMN, dt.TIMESTAMP)]
 
-        self._cv = threading.Condition()
-        self._pending: List[Tuple[int, List[np.ndarray], np.ndarray]] = []
-        self._pending_rows = 0
-        self._stop = False
+        # appends come from the serving loop and from feeding threads;
+        # replay readers snapshot the segment table from executors
+        self._lock = threading.Lock()
+        self._staged: List[Tuple[int, List[np.ndarray], np.ndarray]] = []
+        self._staged_rows = 0
         self.failed: Optional[BaseException] = None
 
         self._segments: List[SegmentInfo] = []
@@ -146,13 +150,6 @@ class StreamLog:
             self._write_manifest()
         self._open_handles()
 
-        self._writer: Optional[threading.Thread] = None
-        if not self.inline:
-            self._writer = threading.Thread(
-                target=self._writer_loop, daemon=True,
-                name=f"log-writer-{self.name}")
-            self._writer.start()
-
     # -- offsets --------------------------------------------------------
 
     @property
@@ -173,11 +170,10 @@ class StreamLog:
         (:meth:`read_clamped`) or fail (:meth:`read`)."""
         return self._segments[0].base if self._segments else 0
 
-    def backlog_batches(self) -> int:
-        return len(self._pending)
-
     def backlog_rows(self) -> int:
-        return self._pending_rows
+        """Rows staged and not yet committed (on a stepping engine, at
+        most what the current step appended)."""
+        return self._staged_rows
 
     # -- manifest -------------------------------------------------------
 
@@ -199,7 +195,7 @@ class StreamLog:
 
     def sync_manifest(self) -> None:
         """Persist the current segment table (checkpoint hook)."""
-        with self._cv:
+        with self._lock:
             self._write_manifest()
 
     def _col_path(self, base: int, col: str) -> str:
@@ -229,31 +225,14 @@ class StreamLog:
         segments = [SegmentInfo.from_json(s)
                     for s in manifest.get("segments", [])]
         kept: List[SegmentInfo] = []
+        torn = False
         for i, info in enumerate(segments):
-            counts = [seg.complete_rows(dtype,
-                                        self._col_path(info.base, col))[0]
-                      for col, dtype in self._cols]
-            complete = min(counts) if counts else 0
-            if info.sealed and complete >= info.rows:
+            if info.sealed and min(self._row_counts(info)) >= info.rows:
                 # trailing junk beyond a sealed segment's declared rows
                 # is unreachable (reads index by the manifest), leave it
                 kept.append(info)
                 continue
-            # the tail (or a damaged sealed segment): keep only whole
-            # rows present in *every* column, truncate the rest
-            declared_rows = info.rows if info.sealed \
-                else (max(counts) if counts else 0)
-            self.torn_rows += max(0, declared_rows - complete)
-            for col, dtype in self._cols:
-                path = self._col_path(info.base, col)
-                extent = seg.row_byte_extent(dtype, path, complete)
-                if os.path.exists(path):
-                    if os.path.getsize(path) > extent:
-                        os.truncate(path, extent)
-                elif complete:
-                    raise StoreError(f"segment column missing: {path}")
-            info.rows = complete
-            info.sealed = False
+            torn = self._scan_tail(info)
             kept.append(info)
             # anything after a truncated segment is unreachable
             for later in segments[i + 1:]:
@@ -263,9 +242,44 @@ class StreamLog:
             kept = [SegmentInfo(0, 0, False)]
         if kept[-1].sealed:
             kept.append(SegmentInfo(kept[-1].end, 0, False))
+            torn = self._scan_tail(kept[-1])
+        # segments rolled since the manifest was last written: a roll
+        # follows a group that is whole in every column, so an untorn
+        # tail with files at its end offset was sealed there
+        while not torn and kept[-1].rows and any(
+                os.path.exists(self._col_path(kept[-1].end, col))
+                for col, _dtype in self._cols):
+            kept[-1].sealed = True
+            kept.append(SegmentInfo(kept[-1].end, 0, False))
+            torn = self._scan_tail(kept[-1])
         self._segments = kept
         self._next = self._durable = kept[-1].end
         self._write_manifest()
+
+    def _row_counts(self, info: SegmentInfo) -> List[int]:
+        """Complete rows in each column file of segment *info*."""
+        return [seg.complete_rows(dtype, self._col_path(info.base, col))[0]
+                for col, dtype in self._cols]
+
+    def _scan_tail(self, info: SegmentInfo) -> bool:
+        """Make *info* the unsealed tail: keep only whole rows present
+        in *every* column and truncate the rest. Returns whether rows
+        were torn off (or a sealed segment came up short)."""
+        counts = self._row_counts(info)
+        complete = min(counts)
+        declared_rows = info.rows if info.sealed else max(counts)
+        self.torn_rows += max(0, declared_rows - complete)
+        for col, dtype in self._cols:
+            path = self._col_path(info.base, col)
+            extent = seg.row_byte_extent(dtype, path, complete)
+            if os.path.exists(path):
+                if os.path.getsize(path) > extent:
+                    os.truncate(path, extent)
+            elif complete:
+                raise StoreError(f"segment column missing: {path}")
+        info.rows = complete
+        info.sealed = False
+        return declared_rows > complete
 
     def _delete_segment_files(self, base: int) -> None:
         for col, _dtype in self._cols:
@@ -277,8 +291,11 @@ class StreamLog:
 
     def _open_handles(self) -> None:
         active = self._segments[-1]
+        # an empty segment starts empty on disk: files a lost roll left
+        # at its base (power loss under async) are not appended to
+        mode = "ab" if active.rows else "wb"
         self._handles = {
-            col: open(self._col_path(active.base, col), "ab")
+            col: open(self._col_path(active.base, col), mode)
             for col, _dtype in self._cols}
 
     def _close_handles(self) -> None:
@@ -293,77 +310,56 @@ class StreamLog:
 
     def append(self, columns: Sequence[np.ndarray],
                arrival: np.ndarray) -> Tuple[int, int]:
-        """Enqueue one admitted batch; returns its offset range
-        ``[lo, hi)``. *columns* are storage arrays in schema order —
-        ownership stays with the caller but they must not be mutated
-        (the writer encodes them asynchronously)."""
-        if self.failed is not None:
-            raise StoreError(
-                f"stream log {self.name!r} writer failed: {self.failed}")
+        """Stage one admitted batch for the next :meth:`commit`; returns
+        its offset range ``[lo, hi)``. *columns* are storage arrays in
+        schema order — ownership stays with the caller but they must
+        not be mutated (the commit encodes them later). Raises
+        :class:`StoreError` once the log has failed."""
         n = len(arrival)
-        with self._cv:
+        with self._lock:
+            self.raise_if_failed()
             lo = self._next
-            if n == 0:
-                return lo, lo
-            self._next += n
-            if self.inline:
-                self._write_group([(lo, list(columns), arrival)])
-                return lo, lo + n
-            self._pending.append((lo, list(columns), arrival))
-            self._pending_rows += n
-            self.appends += 1
-            self._cv.notify_all()
+            if n:
+                self._next += n
+                self._staged.append((lo, list(columns), arrival))
+                self._staged_rows += n
+                self.appends += 1
         return lo, lo + n
 
-    def flush(self, timeout: float = 30.0) -> int:
-        """Barrier: block until everything appended so far is durable."""
-        with self._cv:
-            target = self._next
-            deadline = time.monotonic() + timeout
-            while self._durable < target:
-                if self.failed is not None:
-                    raise StoreError(
-                        f"stream log {self.name!r} writer failed: "
-                        f"{self.failed}")
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise StoreError(
-                        f"stream log {self.name!r}: flush timed out "
-                        f"({self._durable}/{target} durable)")
-                self._cv.wait(min(remaining, 0.1))
-            return self._durable
-
-    # -- writer ---------------------------------------------------------
-
-    def _writer_loop(self) -> None:
-        while True:
-            with self._cv:
-                while not self._pending and not self._stop:
-                    self._cv.wait(0.1)
-                if not self._pending and self._stop:
-                    return
-                group = self._pending
-                self._pending = []
-                self._pending_rows = 0
+    def commit(self) -> None:
+        """Write everything staged as one group — the scheduler's
+        per-step group commit. A failed write is recorded in
+        :attr:`failed`, not raised, so the serving loop stays up: the
+        group's rows stay non-durable (the basket keeps them in
+        memory) and every later append raises."""
+        with self._lock:
+            if not self._staged or self.failed is not None:
+                return
+            group = self._staged
+            self._staged, self._staged_rows = [], 0
             try:
                 self._write_group(group)
-            except InjectedCrash as exc:
-                with self._cv:
-                    self.failed = exc
-                    self._cv.notify_all()
-                return
-            except Exception as exc:  # disk full, permissions, ...
-                with self._cv:
-                    self.failed = exc
-                    self._cv.notify_all()
-                return
-            with self._cv:
-                self._cv.notify_all()
+            except Exception as exc:  # disk full, injected crash, ...
+                self.failed = exc
+
+    def flush(self) -> int:
+        """Barrier: commit what is staged; returns the durable offset.
+        Raises :class:`StoreError` when the log has failed."""
+        self.commit()
+        self.raise_if_failed()
+        return self._durable
+
+    def raise_if_failed(self) -> None:
+        """Raise :class:`StoreError` naming this log once a write has
+        failed (checked by appends, :meth:`flush` and admission)."""
+        if self.failed is not None:
+            raise StoreError(
+                f"stream log {self.name!r} failed: {self.failed}")
 
     def _write_group(self, group: List[Tuple[int, List[np.ndarray],
                                              np.ndarray]]) -> None:
-        """Persist a drained group: encode + write every batch, then one
-        flush (and under ``fsync`` one fsync) per column file."""
+        """Persist one group: encode + write every batch, then one flush
+        (and under ``fsync`` one fsync) per column file."""
         rows = 0
         for _lo, columns, arrival in group:
             for (col, dtype), values in zip(self._cols,
@@ -392,7 +388,6 @@ class StreamLog:
         self._segments[-1].sealed = True
         self._segments.append(SegmentInfo(self._segments[-1].end, 0,
                                           False))
-        self._write_manifest()
         self._open_handles()
 
     # -- reading --------------------------------------------------------
@@ -420,7 +415,7 @@ class StreamLog:
         hi = min(hi, self._durable)
         if hi <= lo:
             return self._empty_read(lo)
-        with self._cv:
+        with self._lock:
             segments = list(self._segments)
         floor = segments[0].base if segments else 0
         actual_lo = min(max(lo, floor), hi)
@@ -482,9 +477,9 @@ class StreamLog:
         are rolled back to the last checkpoint so the producing query's
         re-fired windows regenerate — rather than duplicate — the tail.
         """
-        with self._cv:
-            if self._pending:
-                raise StoreError("truncate_to with pending appends")
+        with self._lock:
+            if self._staged:
+                raise StoreError("truncate_to with staged appends")
             offset = max(offset, 0)
             if offset >= self._next:
                 return 0
@@ -521,7 +516,7 @@ class StreamLog:
 
     def segment_table(self) -> List[SegmentInfo]:
         """Snapshot of the segment table (copies, safe to hold)."""
-        with self._cv:
+        with self._lock:
             return [SegmentInfo(s.base, s.rows, s.sealed)
                     for s in self._segments]
 
@@ -559,7 +554,7 @@ class StreamLog:
         return result
 
     def retained_bytes(self) -> int:
-        with self._cv:
+        with self._lock:
             segments = list(self._segments)
         return sum(self._segment_stats(s)[0] for s in segments)
 
@@ -584,7 +579,7 @@ class StreamLog:
         """
         if self.retain_ms is None and self.retain_bytes is None:
             return 0
-        with self._cv:
+        with self._lock:
             segments = self._segments
             limit = len(segments) - 1  # never the active tail
             droppable = 0
@@ -626,48 +621,19 @@ class StreamLog:
 
     # -- lifecycle ------------------------------------------------------
 
-    def close(self, timeout: float = 30.0) -> None:
-        """Drain, stop the writer, and persist a clean manifest.
-
-        If the writer thread does not stop within *timeout* it may
-        still be appending — writing a "clean" manifest then would
-        declare rows durable that a wedged write may never complete.
-        In that case the log records a :class:`StoreError` in
-        ``self.failed``, leaves the handles open for the stuck writer,
-        and skips the manifest write; the next open recovers via the
-        normal torn-tail scan.
-        """
-        with self._cv:
-            self._stop = True
-            self._cv.notify_all()
-        writer = self._writer
-        if writer is not None:
-            writer.join(timeout=timeout)
-            if writer.is_alive():
-                with self._cv:
-                    if self.failed is None:
-                        self.failed = StoreError(
-                            f"stream log {self.name!r}: writer thread "
-                            f"still running after {timeout:.0f}s close "
-                            f"timeout; manifest not rewritten")
-                    self._cv.notify_all()
-                return
-            self._writer = None
-        with self._cv:
-            if self.failed is None and self._pending:
-                try:
-                    self._write_group(self._pending)
-                except (InjectedCrash, OSError) as exc:
-                    self.failed = exc
-                self._pending = []
-                self._pending_rows = 0
+    def close(self) -> None:
+        """Commit what is staged, close the column files and persist a
+        clean manifest. After a failed write the manifest stays as last
+        written — it would declare rows durable that never landed — and
+        the next open recovers through the torn-tail scan."""
+        self.commit()
+        with self._lock:
             self._close_handles()
             if self.failed is None:
                 self._write_manifest()
 
     def stats(self) -> Dict[str, object]:
         return {"durability": self.durability,
-                "inline": self.inline,
                 "segments": len(self._segments),
                 "segment_rows": self.segment_rows,
                 "next_offset": self._next,
@@ -678,7 +644,6 @@ class StreamLog:
                 "retention_truncations": self.retention_truncations,
                 "retention_rows": self.retention_rows,
                 "retained_bytes": self.retained_bytes(),
-                "backlog_batches": self.backlog_batches(),
                 "backlog_rows": self.backlog_rows(),
                 "groups": self.groups,
                 "group_rows": self.group_rows,

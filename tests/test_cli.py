@@ -137,6 +137,39 @@ class TestDotCommands:
         assert "abc" in out
         assert "NULL" in out
 
+    def feed_one(self, cells):
+        return run_shell(
+            "CREATE STREAM s (k INT, name VARCHAR(8), b BOOLEAN);\n"
+            ".register q SELECT k, name, b FROM s;\n"
+            f".feed s {cells}\n"
+            ".results q\n")
+
+    def test_feed_keeps_a_comma_inside_a_string(self):
+        out = self.feed_one("1, 'a,b', true")
+        assert "+1 tuple" in out and "| a,b  |" in out
+
+    def test_feed_undoubles_an_escaped_quote(self):
+        out = self.feed_one("1, 'it''s', false")
+        assert "| it's |" in out
+
+    def test_feed_reads_booleans(self):
+        out = self.feed_one("1, 'x', true")
+        assert "| True |" in out
+
+    def test_feed_malformed_cell_is_an_error_line(self):
+        for cells in ("1, abc, true", "1, , true"):
+            out = self.feed_one(cells)
+            assert "error: not a row of literals" in out
+            assert "write null for a missing value" in out
+            assert "Traceback" not in out and "+1 tuple" not in out
+
+    def test_send_reads_rows_by_the_same_rule(self):
+        from repro.net.cli import _read_rows
+
+        rows = _read_rows(io.StringIO(
+            "1, 'a,b', true\n# comment\n\n2, 'it''s', null\n"))
+        assert rows == [[1, "a,b", True], [2, "it's", None]]
+
     def test_sample(self):
         out = run_shell("CREATE STREAM s (k INT);\n.sample\n")
         assert "1 samples" in out

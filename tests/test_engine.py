@@ -285,9 +285,8 @@ class TestConstructorSurface:
             "clock", "recycler_enabled", "recycler_budget_bytes",
             "recycler_verify", "compile_plans", "interp_profile",
             "data_dir", "durability", "segment_rows",
-            "checkpoint_interval_s", "log_inline", "retain_ms",
-            "retain_bytes"]
-        assert len(params) == 13
+            "checkpoint_interval_s", "retain_ms", "retain_bytes"]
+        assert len(params) == 12
         assert not hasattr(DataCellEngine, "save")
         assert not hasattr(DataCellEngine, "restore")
 

@@ -1,5 +1,7 @@
 """Tests for the live (wall-clock, threaded) runtime mode."""
 
+import os
+import threading
 import time
 
 import pytest
@@ -8,6 +10,7 @@ from repro.core.clock import WallClock
 from repro.core.engine import DataCellEngine
 from repro.core.live import LiveRunner
 from repro.errors import StreamError
+from repro.store import StreamLog
 from repro.streams.source import RateSource
 
 
@@ -153,3 +156,30 @@ class TestLiveRunner:
             assert runner.wait_drained(timeout_s=2.0)
         assert engine.results("q").rows() == [(1,)]
         assert engine.loop_thread is None
+
+    def test_durable_threaded_receptor_rows_reach_the_log(self, tmp_path):
+        """A ThreadedReceptor appends to the log from its own thread;
+        the scheduler steps commit what it staged, and no other thread
+        writes the log."""
+        before = set(threading.enumerate())
+        engine = DataCellEngine(clock=WallClock(), data_dir=str(tmp_path))
+        engine.execute("CREATE STREAM s (k INT, v FLOAT)")
+        runner = LiveRunner(engine)
+        rows = [(i, float(i) / 2) for i in range(300)]
+        runner.attach("s", RateSource(rows, rate=6000))
+        runner.start()
+        started = sorted(t.name for t in threading.enumerate()
+                         if t not in before)
+        assert started == ["datacell-receptor-s_live0",
+                           "datacell-scheduler"]
+        assert runner.wait_drained(timeout_s=5.0)
+        runner.stop()
+        log = engine.stream_log("s")
+        assert log.durable_offset == log.next_offset == len(rows)
+        schema = engine.catalog.schema_of("s")
+        engine.close()
+        reopened = StreamLog(os.path.join(str(tmp_path), "streams", "s"),
+                             "s", schema)
+        cols, _arrival = reopened.read(0, reopened.next_offset)
+        assert list(zip(cols["k"].tolist(), cols["v"].tolist())) == rows
+        reopened.close()

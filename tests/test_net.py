@@ -13,12 +13,13 @@ from repro.core.clock import WallClock
 from repro.core.emitter import SERVED_MAX_BATCHES, QueueSink
 from repro.core.engine import DataCellEngine
 from repro.core.receptor import SocketReceptor
-from repro.errors import NetError, StreamError
+from repro.errors import NetError, StoreError, StreamError
 from repro.mal.relation import Relation
 from repro.net import protocol
 from repro.net.client import DataCellClient
 from repro.net.server import DataCellServer
 from repro.storage import Schema
+from repro.store import CRASH_ENV, FaultInjector, StreamLog
 from repro.streams.source import ListSource
 
 # ---------------------------------------------------------------------
@@ -612,3 +613,68 @@ class TestTeardownLeaks:
         assert totals["delivered_batches"] >= len(batches)
         assert totals["delivered_rows"] >= \
             sum(b.row_count for b in batches)
+
+
+# ---------------------------------------------------------------------
+# a failed log write: recorded on the log, the serving loop stays up
+# ---------------------------------------------------------------------
+
+
+class TestFailedLogWrite:
+    def test_queued_batches_are_shed_once_the_log_failed(
+            self, basket, tmp_path):
+        log = StreamLog(str(tmp_path / "s"), "s", basket.schema,
+                        fault=FaultInjector(8))
+        basket.attach_log(log)
+        receptor = SocketReceptor("r", basket)
+        assert receptor.offer([[1], [2]]) == 2  # queued, not pumped
+        basket.append_rows([[0]], now=0)
+        log.commit()  # the write fails: recorded, not raised
+        assert log.failed is not None
+        assert receptor.pump(0) == 0
+        assert receptor.total_shed == 2 and receptor.pending_batches() == 0
+        with pytest.raises(StoreError, match="stream log 's' failed"):
+            receptor.offer([[3]])
+        log.close()
+
+    def test_served_engine_keeps_serving_after_a_failed_write(
+            self, tmp_path, monkeypatch):
+        from tests.test_pg import MiniPG, errors_of
+
+        monkeypatch.setenv(CRASH_ENV, "4000")
+        engine = DataCellEngine(clock=WallClock(), data_dir=str(tmp_path))
+        engine.execute("CREATE STREAM s (k INT, v FLOAT)")
+        server = DataCellServer(engine, pg_port=0)
+        server.start()
+        try:
+            with DataCellClient(port=server.port) as client:
+                rows = [[i, float(i)] for i in range(64)]
+                refused = None
+                for _ in range(200):
+                    try:
+                        client.ingest("s", rows)
+                    except NetError as exc:
+                        refused = exc
+                        break
+                    time.sleep(0.005)
+                assert refused is not None
+                assert refused.code == "io"
+                assert "stream log 's' failed" in str(refused)
+                # the loop is alive: STATS answers and shows the failure
+                stats = client.stats()
+                assert "injected crash" in \
+                    stats["log"]["streams"]["s"]["failed"]
+                with pytest.raises(NetError, match="stream log 's'"):
+                    client.ingest("s", rows)
+            pg = MiniPG(server.pg_host, server.pg_port)
+            try:
+                errors = errors_of(
+                    pg.query("INSERT INTO s VALUES (1, 1.0)"))
+                assert errors and errors[0][0] == "55000"
+                assert "stream log 's' failed" in errors[0][1]
+                assert errors_of(pg.query("SHOW STREAMS")) == []
+            finally:
+                pg.close()
+        finally:
+            server.stop()
+            engine.close()

@@ -11,6 +11,8 @@ and the ``repro tail`` reconnect loop."""
 
 import io
 import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.core.basket import Basket
 from repro.core.clock import SimulatedClock, WallClock
 from repro.core.engine import DataCellEngine
 from repro.core.receptor import SocketReceptor
+from repro.core.scheduler import PetriNetScheduler
 from repro.errors import (InjectedCrash, ReplayGap, StoreError,
                           StreamError)
 from repro.storage import Schema
@@ -29,6 +32,7 @@ from repro.storage import types as dt
 from repro.store import (ARRIVAL_COLUMN, CRASH_ENV, FaultInjector,
                          PagedWindowBinder, StreamLog)
 from repro.store import segment as seg
+from repro.streams.source import ListSource
 
 SCHEMA = Schema.parse([("k", "INT"), ("v", "FLOAT"), ("tag", "STRING")])
 NUM_SCHEMA = Schema.parse([("k", "INT"), ("v", "FLOAT")])
@@ -109,11 +113,10 @@ class TestSegmentCodec:
 
 
 class TestStreamLog:
-    def make(self, tmp_path, inline=True, **kw):
+    def make(self, tmp_path, **kw):
         kw.setdefault("segment_rows", 8)
         kw.setdefault("durability", "fsync")
-        return StreamLog(str(tmp_path / "s"), "s", SCHEMA,
-                         inline=inline, **kw)
+        return StreamLog(str(tmp_path / "s"), "s", SCHEMA, **kw)
 
     def test_roundtrip_and_offsets(self, tmp_path):
         log = self.make(tmp_path)
@@ -121,7 +124,10 @@ class TestStreamLog:
         assert log.append(cols, ts) == (0, 5)
         cols2, ts2 = batch(5, 4)
         assert log.append(cols2, ts2) == (5, 9)
-        assert log.next_offset == 9 and log.durable_offset == 9
+        # appends only stage: nothing is durable before a commit
+        assert log.next_offset == 9 and log.durable_offset == 0
+        assert log.backlog_rows() == 9
+        assert log.flush() == 9 and log.backlog_rows() == 0
         out, arrival = log.read(3, 7)
         assert out["k"].tolist() == [3, 4, 5, 6]
         assert out["tag"].tolist() == [None, "t4", "t5", None]
@@ -133,6 +139,7 @@ class TestStreamLog:
         for i in range(3):
             cols, ts = batch(i * 8, 8)
             log.append(cols, ts)
+            log.commit()
         stats = log.stats()
         assert stats["segments"] == 4  # 3 sealed + fresh tail
         log.close()
@@ -144,14 +151,73 @@ class TestStreamLog:
         assert out["k"].tolist() == list(range(24))
         log2.close()
 
+    def test_roll_leaves_manifest_and_reopen_finds_rolled(self, tmp_path):
+        log = self.make(tmp_path)
+        manifest = tmp_path / "s" / "manifest.json"
+        before = manifest.read_text()
+        for i in range(3):
+            cols, ts = batch(i * 8, 8)
+            log.append(cols, ts)
+            log.commit()
+        cols, ts = batch(24, 5)
+        log.append(cols, ts)
+        log.commit()
+        # three rolls inside commits, and not one manifest rewrite
+        assert log.stats()["segments"] == 4
+        assert manifest.read_text() == before
+        # crash: reopen without close; the rolled segments are found
+        # by their base offsets
+        log2 = self.make(tmp_path)
+        assert log2.recovered and log2.torn_rows == 0
+        assert log2.next_offset == 29
+        assert [(s.base, s.rows, s.sealed) for s in log2.segment_table()] \
+            == [(0, 8, True), (8, 8, True), (16, 8, True), (24, 5, False)]
+        out, _ = log2.read(0, 29)
+        assert out["k"].tolist() == list(range(29))
+        assert manifest.read_text() != before  # recovery persists them
+        log2.close()
+
+    def test_torn_rolled_segment_recovers_prefix(self, tmp_path):
+        log = self.make(tmp_path)
+        for i in range(2):
+            cols, ts = batch(i * 8, 8)
+            log.append(cols, ts)
+            log.commit()
+        cols, ts = batch(16, 5)
+        log.append(cols, ts)
+        log.commit()
+        # chop the float column of the unlisted tail mid-row
+        vpath = os.path.join(str(tmp_path / "s"), f"{16:012d}.v")
+        os.truncate(vpath, 2 * 8 + 4)
+        log2 = self.make(tmp_path)
+        assert log2.next_offset == 18 and log2.torn_rows == 3
+        out, _ = log2.read(0, 18)
+        assert out["k"].tolist() == list(range(18))
+        log2.close()
+
+    def test_new_segment_starts_empty_over_stale_files(self, tmp_path):
+        log = self.make(tmp_path)
+        stale = os.path.join(str(tmp_path / "s"), f"{8:012d}.k")
+        with open(stale, "wb") as f:
+            f.write(np.arange(100, 104, dtype=np.int64).tobytes())
+        for i in range(2):
+            cols, ts = batch(i * 8, 8)
+            log.append(cols, ts)
+            log.commit()
+        out, _ = log.read(0, 16)
+        assert out["k"].tolist() == list(range(16))
+        log.close()
+
     def test_group_commit_flush_barrier(self, tmp_path):
-        log = self.make(tmp_path, inline=False)
+        log = self.make(tmp_path)
         for i in range(4):
             cols, ts = batch(i * 3, 3)
             log.append(cols, ts)
         assert log.flush() == 12
         assert log.durable_offset == 12
-        assert log.stats()["groups"] >= 1
+        # everything staged since the last commit is one group
+        assert log.stats()["groups"] == 1
+        assert log.stats()["max_group_rows"] == 12
         log.close()
 
     def test_torn_tail_truncates_to_min_complete_rows(self, tmp_path):
@@ -187,10 +253,12 @@ class TestStreamLog:
     def test_injected_crash_then_recovery(self, tmp_path):
         fault = FaultInjector(300)
         log = self.make(tmp_path, fault=fault)
-        with pytest.raises(InjectedCrash):
+        with pytest.raises(StoreError, match="injected crash"):
             for i in range(100):
                 cols, ts = batch(i * 4, 4)
                 log.append(cols, ts)
+                log.flush()
+        assert isinstance(log.failed, InjectedCrash)
         # recovery sees a prefix of whole rows, nothing invented
         log2 = self.make(tmp_path)
         n = log2.next_offset
@@ -201,11 +269,13 @@ class TestStreamLog:
 
     def test_async_writer_failure_surfaces_on_append(self, tmp_path):
         fault = FaultInjector(64)
-        log = self.make(tmp_path, inline=False, fault=fault)
+        log = self.make(tmp_path, fault=fault)
         cols, ts = batch(0, 8)
         log.append(cols, ts)
-        with pytest.raises(StoreError):
-            log.flush(timeout=5)
+        log.commit()  # the failure is recorded, not raised
+        assert isinstance(log.failed, InjectedCrash)
+        with pytest.raises(StoreError, match="stream log 's' failed"):
+            log.flush()
         with pytest.raises(StoreError):
             log.append(cols, ts)
         log.close()
@@ -215,6 +285,7 @@ class TestStreamLog:
         for i in range(3):
             cols, ts = batch(i * 8, 8)
             log.append(cols, ts)
+        log.flush()
         assert log.truncate_to(10) == 14
         assert log.next_offset == 10 == log.durable_offset
         out, _ = log.read(0, 10)
@@ -229,12 +300,12 @@ class TestStreamLog:
         other = Schema.parse([("k", "INT"), ("v", "INT"),
                               ("tag", "STRING")])
         with pytest.raises(StoreError, match="columns"):
-            StreamLog(str(tmp_path / "s"), "s", other, inline=True)
+            StreamLog(str(tmp_path / "s"), "s", other)
 
     def test_reserved_arrival_column_rejected(self, tmp_path):
         bad = Schema.parse([(ARRIVAL_COLUMN, "INT")])
         with pytest.raises(StoreError, match="reserved"):
-            StreamLog(str(tmp_path / "x"), "x", bad, inline=True)
+            StreamLog(str(tmp_path / "x"), "x", bad)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +316,11 @@ class TestStreamLog:
 class TestBasketLog:
     def test_appends_mirror_to_log(self, tmp_path):
         basket = Basket("s", NUM_SCHEMA)
-        log = StreamLog(str(tmp_path / "s"), "s", NUM_SCHEMA,
-                        inline=True)
+        log = StreamLog(str(tmp_path / "s"), "s", NUM_SCHEMA)
         basket.attach_log(log)
         basket.append_rows([(1, 1.0), (2, 2.0)], now=5)
         assert log.next_offset == basket.next_oid == 2
+        log.flush()
         out, arrival = log.read(0, 2)
         assert out["k"].tolist() == [1, 2]
         assert arrival.tolist() == [5, 5]
@@ -258,8 +329,7 @@ class TestBasketLog:
     def test_attach_requires_aligned_offsets(self, tmp_path):
         basket = Basket("s", NUM_SCHEMA)
         basket.append_rows([(1, 1.0)], now=0)
-        log = StreamLog(str(tmp_path / "s"), "s", NUM_SCHEMA,
-                        inline=True)
+        log = StreamLog(str(tmp_path / "s"), "s", NUM_SCHEMA)
         with pytest.raises(StreamError, match="offset"):
             basket.attach_log(log)
         log.close()
@@ -283,33 +353,117 @@ class TestBasketLog:
         assert basket.vacuum() == 0  # nothing durable -> nothing drops
         assert basket.first_oid == 0
 
-    def test_receptor_sheds_on_log_backlog(self):
+    def test_failed_log_refuses_append_basket_unchanged(self, tmp_path):
         basket = Basket("s", NUM_SCHEMA)
+        log = StreamLog(str(tmp_path / "s"), "s", NUM_SCHEMA,
+                        fault=FaultInjector(8))
+        basket.attach_log(log)
+        basket.append_rows([(1, 1.0)], now=0)
+        log.commit()
+        assert log.failed is not None
+        with pytest.raises(StoreError, match="stream log 's' failed"):
+            basket.append_rows([(2, 2.0)], now=0)
+        # the log refused before the basket took the batch
+        assert basket.next_oid == log.next_offset == 1
+        log.close()
 
-        class DrowningLog:
-            next_offset = 0
-            durable_offset = 0
+    @pytest.mark.parametrize("policy", ["shed", "block"])
+    def test_slow_log_write_backs_producers_up(self, tmp_path, policy):
+        """A slow disk slows the step that commits the log; the one
+        admission queue then fills, and sheds or blocks producers."""
+        gate = threading.Event()
 
-            def append(self, columns, arrival):
-                lo = self.next_offset
-                self.next_offset += len(arrival)
-                return lo, self.next_offset
+        class SlowLog(StreamLog):
+            def _write_group(self, group):
+                gate.wait(10)
+                super()._write_group(group)
 
-            def backlog_batches(self):
-                return 99
+        basket = Basket("s", NUM_SCHEMA)
+        log = SlowLog(str(tmp_path / "s"), "s", NUM_SCHEMA)
+        basket.attach_log(log)
+        receptor = SocketReceptor("r", basket, max_pending=1,
+                                  policy=policy, block_timeout_s=10)
+        scheduler = PetriNetScheduler(SimulatedClock())
+        scheduler.add_basket(basket)
+        scheduler.add_receptor(receptor)
+        assert receptor.offer([(1, 1.0)]) == 1
+        step = threading.Thread(target=scheduler.step)
+        step.start()
+        deadline = time.monotonic() + 5
+        while receptor.pending_batches() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        # the step pumped (1) and now sits in the slow commit
+        assert receptor.offer([(2, 2.0)]) == 1  # fills the queue
+        offered = []
+        producer = threading.Thread(
+            target=lambda: offered.append(receptor.offer([(3, 3.0)])))
+        producer.start()
+        producer.join(0.2)
+        if policy == "shed":
+            assert offered == [0] and receptor.total_shed == 1
+        else:
+            assert producer.is_alive() and receptor.total_blocked == 1
+        gate.set()
+        step.join(5)
+        assert not step.is_alive()
+        scheduler.step()  # pumps (2), which frees the slot for (3)
+        producer.join(5)
+        assert not producer.is_alive()
+        scheduler.step()
+        assert log.durable_offset == log.next_offset
+        want = [1, 2] if policy == "shed" else [1, 2, 3]
+        assert log.read(0, log.next_offset)[0]["k"].tolist() == want
+        log.close()
 
-        basket.attach_log(DrowningLog())
-        receptor = SocketReceptor("r", basket, policy="shed",
-                                  log_backlog_limit=4)
-        assert receptor.offer([(1, 1.0)]) == 0
-        assert receptor.total_shed == 1
+    def test_concurrent_appends_and_commits_lose_nothing(self, tmp_path):
+        """Feeding threads stage while another thread commits: the log
+        holds every row, in the basket's oid order."""
+        basket = Basket("s", NUM_SCHEMA)
+        log = StreamLog(str(tmp_path / "s"), "s", NUM_SCHEMA,
+                        segment_rows=64)
+        basket.attach_log(log)
+        stop = threading.Event()
+
+        def feed(t):
+            for i in range(200):
+                basket.append_rows([(t * 1000 + i, float(i))], now=t)
+
+        def commit():
+            while not stop.is_set():
+                log.commit()
+
+        feeders = [threading.Thread(target=feed, args=(t,))
+                   for t in range(4)]
+        committer = threading.Thread(target=commit)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            committer.start()
+            for thread in feeders:
+                thread.start()
+            for thread in feeders:
+                thread.join(20)
+                assert not thread.is_alive()
+            stop.set()
+            committer.join(20)
+            assert not committer.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert log.flush() == log.next_offset == basket.next_oid == 800
+        cols, _arrival = log.read(0, 800)
+        assert cols["k"].tolist() == \
+            basket.relation(0, 800).column("k").values.tolist()
+        assert sorted(cols["k"].tolist()) == \
+            [t * 1000 + i for t in range(4) for i in range(200)]
+        assert log.stats()["groups"] > 1
+        log.close()
 
     def test_rehydrate_restores_vacuumed_prefix(self, tmp_path):
         basket = Basket("s", NUM_SCHEMA)
-        log = StreamLog(str(tmp_path / "s"), "s", NUM_SCHEMA,
-                        inline=True)
+        log = StreamLog(str(tmp_path / "s"), "s", NUM_SCHEMA)
         basket.attach_log(log)
         basket.append_rows([(i, float(i)) for i in range(10)], now=0)
+        log.flush()  # vacuum drops only what is durable
         sub = basket.subscribe("q")
         sub.read_upto = sub.released_upto = 6
         assert basket.vacuum() == 6
@@ -334,7 +488,6 @@ QUERY = ("SELECT sid, sum(temp) FROM s [RANGE 4 SLIDE 2] "
 
 def durable_engine(data_dir, **kw):
     kw.setdefault("durability", "fsync")
-    kw.setdefault("log_inline", True)
     return DataCellEngine(clock=SimulatedClock(), data_dir=str(data_dir),
                           **kw)
 
@@ -364,6 +517,52 @@ def serial_run(mode, query=QUERY, rows=ROWS):
     out = emissions(engine)
     engine.close()
     return out
+
+
+class TestStepIsTheGroupCommit:
+    """One write path: the scheduler step commits every log itself."""
+
+    @pytest.mark.parametrize("paused", [False, True])
+    def test_every_step_leaves_every_log_durable(self, tmp_path, paused):
+        engine = DataCellEngine(clock=SimulatedClock(),
+                                data_dir=str(tmp_path))
+        engine.execute("CREATE STREAM s (sid INT, temp FLOAT)")
+        engine.register_continuous(QUERY, name="q", mode="reeval",
+                                   output_stream="out")
+        engine.attach_source("s", ListSource(
+            [(10 * i, [i % 3, float(i)]) for i in range(40)]))
+        engine.scheduler.paused = paused
+        logs = [engine.stream_log("s"), engine.stream_log("out")]
+        for i in range(12):
+            engine.feed("s", [[9, float(i)]])
+            engine.step(advance_ms=10)
+            for log in logs:
+                assert log.durable_offset == log.next_offset
+                assert log.backlog_rows() == 0
+        assert logs[0].next_offset > 12  # pumped arrivals, not just feeds
+        assert (logs[1].next_offset > 0) is not paused
+        engine.close()
+
+    def test_durable_streams_run_no_extra_threads(self, tmp_path):
+        from repro.net.client import DataCellClient
+        from repro.net.server import DataCellServer
+
+        def served_threads(**kw):
+            engine = DataCellEngine(clock=WallClock(), **kw)
+            for name in ("a", "b", "c"):
+                engine.execute(f"CREATE STREAM {name} (k INT, v FLOAT)")
+            server = DataCellServer(engine)
+            server.start()
+            try:
+                with DataCellClient(port=server.port) as client:
+                    for name in ("a", "b", "c"):
+                        client.ingest(name, [[1, 1.0]])
+                    return threading.active_count()
+            finally:
+                server.stop()
+                engine.close()
+
+        assert served_threads(data_dir=str(tmp_path)) <= served_threads()
 
 
 class TestEngineRecovery:
@@ -922,14 +1121,14 @@ class TestRetention:
     def make(self, tmp_path, **kw):
         kw.setdefault("segment_rows", 8)
         kw.setdefault("durability", "fsync")
-        return StreamLog(str(tmp_path / "s"), "s", SCHEMA,
-                         inline=True, **kw)
+        return StreamLog(str(tmp_path / "s"), "s", SCHEMA, **kw)
 
     def fill(self, log, segments=3):
         # segment arrivals: 0, 80, 160, ... (batch stamps ts = 10 * lo)
         for i in range(segments):
             cols, ts = batch(i * 8, 8)
             log.append(cols, ts)
+            log.commit()
 
     def test_noop_without_knobs(self, tmp_path):
         log = self.make(tmp_path)
@@ -1014,46 +1213,38 @@ class TestRetention:
 
 
 # ---------------------------------------------------------------------------
-# close(): a wedged writer must not leave a clean manifest behind
+# close(): a failed write must not leave a clean manifest behind
 # ---------------------------------------------------------------------------
 
 
-class TestCloseWedgedWriter:
-    def test_close_timeout_records_failure_skips_manifest(
+class TestCloseAfterFailedWrite:
+    def test_close_skips_manifest_and_reopen_scans_torn_tail(
             self, tmp_path):
+        dry = StreamLog(str(tmp_path / "dry"), "dry", SCHEMA)
+        dry.append(*batch(0, 4))
+        dry.close()
+        # room for the first group and 20 bytes of the second: a torn
+        # tail on disk
+        fault = FaultInjector(dry.bytes_written + 20)
         log = StreamLog(str(tmp_path / "s"), "s", SCHEMA,
-                        inline=False, segment_rows=8,
-                        durability="fsync")
+                        segment_rows=64, durability="fsync", fault=fault)
         cols, ts = batch(0, 4)
         log.append(cols, ts)
         log.flush()
         manifest = tmp_path / "s" / "manifest.json"
         before = manifest.read_text()
-
-        class WedgedWriter:
-            def join(self, timeout=None):
-                pass
-
-            def is_alive(self):
-                return True
-
-        real = log._writer
-        log._writer = WedgedWriter()
-        log.close(timeout=0.01)
-        assert isinstance(log.failed, StoreError)
-        assert "close timeout" in str(log.failed)
-        # no clean manifest while the writer may still be appending
-        assert manifest.read_text() == before
-        # real shutdown (the loop saw _stop) for cleanup; the failure
-        # sticks, so the manifest stays dirty and the next open runs
-        # the torn-tail scan instead of trusting it
-        log._writer = real
+        cols, ts = batch(4, 4)
+        log.append(cols, ts)
+        log.commit()
+        assert isinstance(log.failed, InjectedCrash)
         log.close()
+        # no clean manifest over rows that never fully landed
         assert manifest.read_text() == before
         log2 = StreamLog(str(tmp_path / "s"), "s", SCHEMA,
-                         inline=True, segment_rows=8,
-                         durability="fsync")
+                         segment_rows=64, durability="fsync")
+        assert log2.recovered and log2.torn_rows > 0
         assert log2.next_offset == 4
+        assert log2.read(0, 4)[0]["k"].tolist() == [0, 1, 2, 3]
         log2.close()
 
 
@@ -1073,11 +1264,12 @@ def memmap_backed(values):
 
 class TestPagedWindowBinder:
     def make(self, tmp_path, segments=4, **kw):
-        log = StreamLog(str(tmp_path / "s"), "s", SCHEMA, inline=True,
+        log = StreamLog(str(tmp_path / "s"), "s", SCHEMA,
                         segment_rows=8, durability="fsync", **kw)
         for i in range(segments):
             cols, ts = batch(i * 8, 8)
             log.append(cols, ts)
+            log.commit()
         return log, PagedWindowBinder(log, SCHEMA)
 
     def test_single_segment_window_is_zero_copy(self, tmp_path):
@@ -1147,7 +1339,7 @@ class TestPagedWindowBinder:
 
 def paged_basket(tmp_path, vacuum_upto=24):
     basket = Basket("s", SCHEMA)
-    log = StreamLog(str(tmp_path / "s"), "s", SCHEMA, inline=True,
+    log = StreamLog(str(tmp_path / "s"), "s", SCHEMA,
                     segment_rows=8, durability="fsync")
     basket.attach_log(log)
     basket.attach_pager(PagedWindowBinder(log, SCHEMA))
@@ -1155,6 +1347,7 @@ def paged_basket(tmp_path, vacuum_upto=24):
             for i in range(32)]
     for i in range(4):
         basket.append_rows(rows[i * 8:(i + 1) * 8], now=80 * i)
+        log.commit()
     if vacuum_upto:
         sub = basket.subscribe("gc")
         sub.read_upto = sub.released_upto = vacuum_upto
@@ -1331,12 +1524,11 @@ class TestNetRetention:
         from repro.net.client import DataCellClient
         from repro.net.server import DataCellServer
 
-        # inline log: appends persist synchronously, so each 10-row
-        # ingest batch seals its own segment (group commit would fold
-        # the whole backlog into one unprotectable segment)
+        # every step commits what it pumped, so each 10-row ingest
+        # batch (or the few one step pumps) seals its own segment
         engine = DataCellEngine(clock=WallClock(),
                                 data_dir=str(tmp_path),
-                                durability="async", log_inline=True,
+                                durability="async",
                                 segment_rows=8, retain_bytes=0,
                                 checkpoint_interval_s=10 ** 6)
         engine.execute("CREATE STREAM s (k INT, v FLOAT)")
@@ -1354,7 +1546,7 @@ class TestNetRetention:
                 while time.monotonic() < deadline \
                         and engine.basket("s").first_oid < 48:
                     time.sleep(0.05)
-                # flush the async writer
+                # a barrier: everything ingested is durable
                 server.submit(engine.checkpoint).result(5)
                 dropped = server.submit(engine.apply_retention).result(5)
                 assert dropped.get("s", 0) > 0
@@ -1395,7 +1587,7 @@ class TestNetRetention:
         # accounted as skipped rows
         engine = DataCellEngine(clock=WallClock(),
                                 data_dir=str(tmp_path),
-                                durability="async", log_inline=True,
+                                durability="async",
                                 segment_rows=8, retain_bytes=0,
                                 checkpoint_interval_s=10 ** 6)
         engine.execute("CREATE STREAM s (k INT, v FLOAT)")

@@ -20,13 +20,15 @@ def basket():
 def fill(basket, n, start_ts=0, step_ts=0):
     for i in range(n):
         basket.append_rows([(i,)], now=start_ts + i * step_ts)
+        if basket.log is not None:
+            basket.log.commit()  # one group per row, as one step each
 
 
 def durable_basket(tmp_path):
     """A basket whose history survives vacuum in a paged stream log."""
     schema = Schema.parse([("k", "INT")])
     basket = Basket("s", schema)
-    log = StreamLog(str(tmp_path / "s"), "s", schema, inline=True,
+    log = StreamLog(str(tmp_path / "s"), "s", schema,
                     segment_rows=4, durability="fsync")
     basket.attach_log(log)
     basket.attach_pager(PagedWindowBinder(log, schema))
@@ -273,8 +275,7 @@ class TestCursorRecoveryWithPagedHistory:
         sub = basket.subscribe("q")
         tracker = BasicWindowTracker(WindowSpec("time", 1000, 500),
                                      basket, sub, anchor_time=0)
-        for i in range(10):
-            basket.append_rows([(i,)], now=i * 100)
+        fill(basket, 10, start_ts=0, step_ts=100)
         tracker.new_basic_windows(1000)  # bw0 [0,5), bw1 [5,10)
         tracker.advance()                # window 0 fired
         assert basket.vacuum() == 10     # memory fully drained
