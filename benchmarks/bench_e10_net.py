@@ -8,7 +8,8 @@ data and to deliver results". Measured here over a TCP loopback:
   framed round trip, so batching amortizes both the RTT and the codec;
 * end-to-end delivery: rows/s from producer ``ingest()`` to the last
   subscriber ``results()`` row, vs the number of subscribed clients
-  (each subscriber gets its own delivery queue + writer thread).
+  (each subscriber is a cursor into the query's one result queue,
+  pumped by its own task).
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ def _server() -> DataCellServer:
     engine = DataCellEngine(clock=WallClock())
     engine.execute("CREATE STREAM s (k INT, v FLOAT)")
     engine.register_continuous("SELECT k, v FROM s", name="q")
-    server = DataCellServer(engine).start()
-    server.submit(engine.bound_result_sinks, 64).result()
-    return server
+    return DataCellServer(engine, max_client_queue=64).start()
 
 
 def ingest_throughput(batch_size: int, nrows: int = N_ROWS) -> float:

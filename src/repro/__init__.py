@@ -17,11 +17,9 @@ Public API highlights:
 
 from repro.core.engine import ContinuousQuery, DataCellEngine
 from repro.core.clock import SimulatedClock, WallClock
-from repro.core.emitter import CallbackSink, CollectingSink, NullSink
 from repro.streams.source import ListSource, RateSource
 
 __version__ = "1.0.0"
 
 __all__ = ["DataCellEngine", "ContinuousQuery", "SimulatedClock",
-           "WallClock", "CallbackSink", "CollectingSink", "NullSink",
-           "ListSource", "RateSource", "__version__"]
+           "WallClock", "ListSource", "RateSource", "__version__"]

@@ -197,8 +197,7 @@ class DataCellShell:
             return
         name = parts[0]
         count = int(parts[1]) if len(parts) > 1 else 1
-        sink = self.engine.results(name)
-        batches = sink.batches[-count:]
+        batches = self.engine.results(name).batches[-count:]
         if not batches:
             self._print("(no results yet)")
         for now, rel in batches:

@@ -2,8 +2,7 @@
 
 from repro.core.basket import Basket, Subscription
 from repro.core.clock import Clock, SimulatedClock, WallClock
-from repro.core.emitter import (CallbackSink, CollectingSink, Emitter,
-                                NullSink, Sink)
+from repro.core.emitter import Emitter, QueueSink
 from repro.core.engine import ContinuousQuery, DataCellEngine
 from repro.core.factory import (EXECUTION_MODES, Factory,
                                 IncrementalFactory, ReevalFactory)
@@ -19,7 +18,7 @@ from repro.core.windows import BasicWindowTracker, WindowSpec, WindowState
 
 __all__ = [
     "Basket", "Subscription", "Clock", "SimulatedClock", "WallClock",
-    "CallbackSink", "CollectingSink", "Emitter", "NullSink", "Sink",
+    "Emitter", "QueueSink",
     "ContinuousQuery", "DataCellEngine", "EXECUTION_MODES", "Factory",
     "IncrementalFactory",
     "ReevalFactory", "IncrementalAnalysis", "UnsupportedIncremental",

@@ -28,7 +28,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 
 from repro.core.basket import Basket
 from repro.core.clock import Clock, SimulatedClock
-from repro.core.emitter import CallbackSink, CollectingSink, Emitter, Sink
+from repro.core.emitter import BasketSink, Emitter, QueueSink
 from repro.core.factory import (EXECUTION_MODES, Factory,
                                 IncrementalFactory, ReevalFactory)
 from repro.core.incremental import (IncrementalAnalysis,
@@ -71,7 +71,7 @@ class ContinuousQuery:
     def __init__(self, name: str, sql_text: str, plan: PlanNode,
                  program: MALProgram, continuous_program: MALProgram,
                  mode: str, factory: Factory, emitter: Emitter,
-                 sink: CollectingSink, streams: List[str],
+                 streams: List[str],
                  incremental_analysis: Optional[IncrementalAnalysis]):
         self.name = name
         self.sql_text = sql_text
@@ -81,7 +81,6 @@ class ContinuousQuery:
         self.mode = mode
         self.factory = factory
         self.emitter = emitter
-        self.sink = sink
         self.streams = streams
         self.incremental_analysis = incremental_analysis
         # name of the output-basket stream, when results are chained
@@ -170,11 +169,9 @@ class DataCellEngine:
         self._receptors: Dict[str, List[Receptor]] = {}
         self._queries: Dict[str, ContinuousQuery] = {}
         self._qcounter = 0
-        # ring bound for built-in result sinks, set by an attached
-        # server (see bound_result_sinks)
-        self._collect_bound: Optional[int] = None
         # the attached network host, when serving (its ``pg`` is the
-        # Postgres wire-protocol front end, when it speaks that too)
+        # Postgres wire-protocol front end, when it speaks that too;
+        # its ``max_client_queue`` bounds every result queue)
         self.net_edge = None
         # the serving loop's wake (core.live.ServingLoop): set by whoever
         # hands the net work from another thread, once it is visible
@@ -503,9 +500,7 @@ class DataCellEngine:
                             mode: str = "auto", min_batch: int = 1,
                             max_delay_ms: Optional[int] = None,
                             cache_enabled: bool = True,
-                            sink: Optional[Sink] = None,
                             output_stream: Optional[str] = None,
-                            collect_max_batches: Optional[int] = None,
                             from_start: bool = False,
                             from_offset: Optional[int] = None
                             ) -> ContinuousQuery:
@@ -525,10 +520,9 @@ class DataCellEngine:
         result there, and further continuous queries can consume it —
         multi-stage query networks, as in the paper's Figure 3.
 
-        ``collect_max_batches`` bounds the query's built-in
-        :class:`CollectingSink` ring (oldest batches dropped once
-        full); left unset, a served engine applies its server's bound
-        (:meth:`bound_result_sinks`).
+        Each query gets one result queue (:meth:`results`), which
+        every reader follows; a served engine bounds it at its
+        server's ``max_client_queue`` batches.
 
         ``from_start`` / ``from_offset`` start the query's stream
         cursors in the *past* instead of at the head: history still in
@@ -576,17 +570,8 @@ class DataCellEngine:
 
         analysis, resolved_mode = self._resolve_mode(plan, specs, mode)
 
-        emitter = Emitter(name)
-        collecting = CollectingSink(
-            max_batches=collect_max_batches
-            if collect_max_batches is not None else self._collect_bound)
-        emitter.add_sink(collecting)
-        if sink is not None:
-            emitter.add_sink(sink)
         out_sink = None
         if output_stream is not None:
-            from repro.core.emitter import BasketSink
-
             if self.catalog.is_stream(output_stream):
                 # reuse a pre-existing stream (recovery) when the
                 # schema matches the query's output
@@ -602,7 +587,10 @@ class DataCellEngine:
                 out_basket,
                 recycler=self.recycler
                 if self.recycler.enabled else None)
-            emitter.add_sink(out_sink)
+        emitter = Emitter(
+            QueueSink(name, max_batches=getattr(
+                self.net_edge, "max_client_queue", None)),
+            out_sink)
 
         baskets = {s: self.basket(s) for s in stream_names}
         starts: Optional[Dict[str, int]] = None
@@ -644,7 +632,7 @@ class DataCellEngine:
         if out_sink is not None:
             # chained networks: adopted emit payloads carry the
             # producer's evaluation time as their recompute cost
-            out_sink.bind_producer(factory)
+            out_sink.producer = factory
         self.scheduler.add_factory(factory)
         # census for the recycler's sharing-based admission filter:
         # instruction fingerprints carried by fewer than two registered
@@ -654,13 +642,12 @@ class DataCellEngine:
 
         query = ContinuousQuery(name, sql, plan, program,
                                 continuous_program, resolved_mode,
-                                factory, emitter, collecting,
-                                stream_names, analysis)
+                                factory, emitter, stream_names,
+                                analysis)
         query.output_stream = output_stream
         query.knobs = {"mode": mode, "min_batch": min_batch,
                        "max_delay_ms": max_delay_ms,
-                       "cache_enabled": cache_enabled,
-                       "collect_max_batches": collect_max_batches}
+                       "cache_enabled": cache_enabled}
         self._queries[name] = query
         if self.durable and not self._recovering:
             self.checkpoint()  # definitions must survive a crash
@@ -781,22 +768,18 @@ class DataCellEngine:
 
     def subscribe(self, query_name: str,
                   callback: Callable[[Relation, int], Any]) -> None:
-        """Attach a client callback to a standing query's emitter."""
-        query = self.continuous_query(query_name)
-        query.emitter.add_sink(CallbackSink(callback))
+        """Call ``callback(result, now)`` for every batch the query
+        delivers from now on: a follower of its result queue, drained
+        on delivery. A callback that raises quarantines the query."""
+        def drain() -> None:
+            while (item := follower.next()) is not None:
+                callback(item[2], item[1])
 
-    def results(self, query_name: str) -> CollectingSink:
-        return self.continuous_query(query_name).sink
+        follower = self.results(query_name).follow(drain)
 
-    def bound_result_sinks(self, max_batches: int) -> None:
-        """Bound the built-in :class:`CollectingSink` of every standing
-        query, registered already or from now on — a server calls this
-        at start so a long-running deployment does not hoard history,
-        whichever front end a query is registered through."""
-        self._check_owner()
-        self._collect_bound = max_batches
-        for query in self.queries():
-            query.sink.set_max_batches(max_batches)
+    def results(self, query_name: str) -> QueueSink:
+        """The query's result queue (``batches``, ``rows()``, ...)."""
+        return self.continuous_query(query_name).emitter.queue
 
     # ------------------------------------------------------------------
     # driving the net
@@ -1128,8 +1111,7 @@ class DataCellEngine:
                     min_batch=entry.get("min_batch", 1),
                     max_delay_ms=entry.get("max_delay_ms"),
                     cache_enabled=entry.get("cache_enabled", True),
-                    output_stream=entry.get("output_stream"),
-                    collect_max_batches=entry.get("collect_max_batches"))
+                    output_stream=entry.get("output_stream"))
                 snap = qstates.get(query.name, {})
                 if snap.get("streams"):
                     query.factory.cursor_restore(snap["streams"])

@@ -142,6 +142,8 @@ class Factory:
 
     def fire(self, now: int) -> Optional[Relation]:
         """One firing; delivers to the emitter and returns the result.
+        An error while delivering quarantines the factory, as an
+        evaluation error does.
 
         Evaluation is split in two: :meth:`_evaluate` computes the
         result and *returns* its consumption bound, then
@@ -165,7 +167,10 @@ class Factory:
         self.last_result = result
         if result is not None:
             self.rows_out += result.row_count
-            self.emitter.deliver(result, now)
+            try:
+                self.emitter.deliver(result, now)
+            except Exception as exc:  # a failed output log, a callback
+                self._quarantine(exc, " delivering its result")
         return result
 
     def _quarantine(self, exc: Exception, where: str = "") -> NoReturn:

@@ -167,7 +167,7 @@ class Monitor:
                     f"    subscriber {sub['query']} [{state}]: "
                     f"sent={sub['sent_batches']} "
                     f"rows={sub['sent_rows']} "
-                    f"queue={sub['queue_depth']}")
+                    f"lag={sub['lag']}")
             if not conn["receptors"] and not conn["subscriptions"]:
                 lines.append("    (idle)")
         if not stats["connections"]:

@@ -9,8 +9,8 @@ engine. This package is that boundary as real sockets:
   (JSON or msgpack codecs);
 * :mod:`repro.net.server` — :class:`~repro.net.server.DataCellServer`,
   the one host of a served engine: its scheduler thread, a socket
-  receptor per connected producer, a queued emitter per subscribed
-  client and, optionally, the Postgres listener;
+  receptor per connected producer, a cursor into a query's result
+  queue per subscribed client and, optionally, the Postgres listener;
 * :mod:`repro.net.client` — :class:`~repro.net.client.DataCellClient`,
   the blocking producer/subscriber client;
 * :mod:`repro.net.cli` — the ``repro serve`` / ``send`` / ``tail``

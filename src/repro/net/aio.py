@@ -12,13 +12,13 @@ idle cost is a heap entry, not a thread.
 
 The engine side is untouched: the scheduler still runs on its own
 thread, admission queues are still offered from "the network" and
-drained by the scheduler, and delivery queues are still filled by the
+drained by the scheduler, and result queues are still filled by the
 scheduler — the loop merely replaces *who blocks on the sockets*.
 Cross-thread wakeups go through :meth:`IOLoop.call_soon` (a
-``call_soon_threadsafe`` wrapper): the scheduler thread delivers a
-batch into a subscriber's :class:`~repro.core.emitter.QueueSink`, the
-sink's waker sets an ``asyncio.Event`` on the loop, and the
-subscriber's writer task wakes — zero polling, so an idle subscriber
+``call_soon_threadsafe`` wrapper): the scheduler thread appends a
+batch to a query's :class:`~repro.core.emitter.QueueSink`, each
+follower's wake sets an ``asyncio.Event`` on the loop, and the
+subscriber's pump task wakes — zero polling, so an idle subscriber
 costs nothing per unit time.
 
 The host owns its loop outright: it calls :meth:`IOLoop.start` when it

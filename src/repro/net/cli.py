@@ -58,7 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--pending", type=int, default=64,
                        help="admission queue bound (batches/producer)")
     serve.add_argument("--client-queue", type=int, default=256,
-                       help="delivery queue bound (batches/subscriber)")
+                       help="batches each standing query keeps, and "
+                            "how far a subscriber may lag before it is "
+                            "evicted")
     serve.add_argument("--duration", type=float, default=None,
                        help="serve for N seconds, then exit "
                             "(default: until interrupted)")

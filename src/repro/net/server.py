@@ -7,17 +7,16 @@ wall clock, a scheduler thread running the serving loop
 (:class:`repro.core.live.ServingLoop`: asleep until a producer's offer
 or a submitted command wakes it, or a window timer falls due), one
 :class:`~repro.core.receptor.SocketReceptor` per connected stream
-producer, and one :class:`~repro.core.emitter.QueueSink` + writer task
-per subscribed client. Given a ``pg_port`` it also listens for
-PostgreSQL clients (:class:`~repro.pg.server.PGFrontEnd`) on the same
-loop and engine.
+producer, and one cursor + pump task per subscription. Given a
+``pg_port`` it also listens for PostgreSQL clients
+(:class:`~repro.pg.server.PGFrontEnd`) on the same loop and engine.
 
 One thread mutates the engine: the serving loop. Everything a front end
 asks of the engine — a pg statement, registering a producer, ``STATS``
 — goes through :meth:`DataCellServer.submit` and runs there between
 steps. I/O runs on one asyncio core (:class:`~repro.net.aio.IOLoop`):
 one event loop thread accepts connections on both listeners and runs a
-coroutine per connection plus a writer/pump task per subscription, so
+coroutine per connection plus a pump task per subscription, so
 an idle subscriber costs a heap entry instead of a thread. Both
 directions are woken across the thread boundary (``engine.wake``
 inbound, ``call_soon_threadsafe`` wakers outbound), never polled.
@@ -29,10 +28,11 @@ Backpressure is explicit at both edges:
   "block"``, backpressure rides the TCP connection) or gets a shed
   ERROR frame (``admission="shed"``), with shed/blocked counts in
   :meth:`net_stats` and the shell's ``.net`` pane;
-* **egress** — each subscriber has a bounded delivery queue drained in
-  order by its writer task; a slow consumer is *evicted* (ERROR
-  frame, subscription torn down) rather than allowed to buffer the
-  engine into the ground.
+* **egress** — each standing query has one result queue, bounded at
+  ``max_client_queue`` batches, and every subscriber of either
+  protocol is a cursor into it; a consumer that falls further behind
+  is *evicted* (ERROR frame / SQLSTATE 55000, subscription torn down)
+  rather than allowed to buffer the engine into the ground.
 
 Typical use::
 
@@ -54,8 +54,6 @@ from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.clock import WallClock
-from repro.core.emitter import (SERVED_MAX_BATCHES, QueueSink,
-                                SubscriberCursor)
 from repro.core.engine import DataCellEngine
 from repro.core.live import ServingLoop
 from repro.core.receptor import SocketReceptor
@@ -69,219 +67,156 @@ _TOTAL_KEYS = ("offered", "ingested", "shed", "blocked",
                "delivered_batches", "delivered_rows", "evicted")
 
 
-class _Subscription:
-    """One subscribed client: a queued sink plus its writer task.
-
-    The sink is filled by the scheduler thread; its waker sets an
-    ``asyncio.Event`` on the I/O loop, and the writer task drains the
-    queue into RESULT frames. Idle = parked on the event, zero cost.
-    """
-
-    def __init__(self, conn: "_Connection", query_name: str,
-                 sink: QueueSink, emitter, io: IOLoop):
-        self.conn = conn
-        self.query = query_name
-        self.sink = sink
-        self.emitter = emitter
-        self.sent_batches = 0
-        self.sent_rows = 0
-        self.dead = False
-        self._io = io
-        self._stopping = False
-        self._event = asyncio.Event()
-        self._task: Optional[asyncio.Task] = None
-        sink.set_waker(lambda: io.call_soon(self._event.set))
-
-    def start(self) -> None:
-        self._task = asyncio.get_running_loop().create_task(
-            self._run())
-
-    async def _run(self) -> None:
-        try:
-            while True:
-                self._event.clear()
-                while True:
-                    item = self.sink.get_nowait()
-                    if item is None:
-                        break
-                    seq, now, rel = item
-                    frame = protocol.result(
-                        self.query, seq, now, rel.names, rel.to_rows())
-                    try:
-                        await self.conn.send(frame)
-                    except NetError:
-                        self._detach()
-                        return
-                    self.sent_batches += 1
-                    self.sent_rows += rel.row_count
-                if self.sink.evicted and self.sink.drained():
-                    await self._evict()
-                    return
-                if self._stopping:
-                    return
-                await self._event.wait()
-        except asyncio.CancelledError:
-            self._detach()
-            raise
-
-    async def _evict(self) -> None:
-        try:
-            await self.conn.send(protocol.error(
-                "evicted",
-                f"subscriber too slow for query {self.query!r}; "
-                f"delivery queue overflowed", query=self.query))
-        except NetError:
-            pass
-        self._detach()
-
-    def _detach(self) -> None:
-        self.dead = True
-        self.sink.set_waker(None)
-        self.emitter.remove_sink(self.sink)
-
-    async def shutdown(self) -> None:
-        """Join the writer task (loop thread): stop, wake, await."""
-        self._stopping = True
-        self._detach()
-        task = self._task
-        if task is not None and task is not asyncio.current_task():
-            self._event.set()
-            done, _pending = await asyncio.wait({task}, timeout=2.0)
-            if not done:
-                task.cancel()
-                await asyncio.wait({task}, timeout=1.0)
-        self._task = None
-
-    def stats(self) -> Dict[str, Any]:
-        out = self.sink.stats()
-        out.update({"query": self.query,
-                    "sent_batches": self.sent_batches,
-                    "sent_rows": self.sent_rows,
-                    "dead": self.dead})
-        return out
-
-
 class _StreamSubscription:
-    """One replay-capable raw-stream subscriber: a cursor pump task.
+    """One subscriber of a connection: a cursor and the pump task that
+    follows it, parked on an ``asyncio.Event`` while there is nothing
+    to send (the scheduler thread's wake only hops onto the loop).
 
-    Where :class:`_Subscription` buffers emitter deliveries in a
-    bounded queue (and evicts slow consumers), a stream subscriber
-    owns a :class:`~repro.core.emitter.SubscriberCursor` into the
-    stream's oid/offset space. Its pump task reads
+    A *query* subscriber is a :class:`~repro.core.emitter.Follower` of
+    the query's one result queue, read on the loop: one RESULT frame
+    per firing, ``seq`` = the batch's queue offset. One that falls
+    more than ``max_client_queue`` batches behind is evicted: it
+    flushes what it had not read, then an ``evicted`` ERROR frame.
+
+    A *stream* subscriber owns a cursor into the stream's oid/offset
+    space (``acked`` trails it by what the client has not confirmed;
+    a reconnect resumes from its last delivered offset). The pump reads
     ``[cursor, head)`` through
     :meth:`~repro.core.engine.DataCellEngine.read_stream_range` — the
-    durable log below the basket's retained prefix, live basket memory
-    above — so historical replay flows through the same delivery path
-    as live tuples and splices into them without a gap or duplicate.
-    A slow consumer simply lags and later resumes; it is never
-    evicted. A basket tap wakes the pump on every append (via the I/O
-    loop's threadsafe trampoline — the tap itself runs under the
-    basket lock on the scheduler thread and must stay tiny).
-
-    Retention contract: a ``from`` offset below the log's retention
-    floor is not an error — the read path skips the discarded prefix,
-    the first delivered batch starts at the floor, and the rows passed
-    over are counted in ``skipped_rows`` (the ``.net`` pane). The
-    connection stays up; only genuinely dropped streams detach it.
+    durable log below the basket's retained prefix, memory above — so
+    replay and live tuples splice without a gap or duplicate. A slow
+    stream subscriber lags and later resumes; it is never evicted. A
+    ``from`` offset below the log's retention floor lags to the floor:
+    the rows passed over are counted in ``skipped_rows``.
     """
 
     def __init__(self, conn: "_Connection", engine: DataCellEngine,
-                 stream: str, start_offset: int, io: IOLoop,
+                 io: IOLoop, *, query: Optional[str] = None,
+                 stream: Optional[str] = None, start_offset: int = 0,
                  chunk_rows: int = 2048):
         self.conn = conn
         self.engine = engine
+        self.query = query
         self.stream = stream
+        self.sent_batches = 0
+        self.sent_rows = 0
+        self.dead = False
+        self._stopping = False
+        self._event = asyncio.Event()
+        self._task: Optional[asyncio.Task] = None
+        # one bound callable: the basket removes taps by identity
+        self._wake = lambda *_: io.call_soon(self._event.set)
+        if query is not None:
+            # attached now, before the OK reply: nothing delivered
+            # after the subscribe is missed
+            self.follower = engine.results(query).follow(self._wake)
+            self._read = self._read_query
+            return
+        self._read = self._read_stream
         self.basket = engine.basket(stream)
-        self.cursor = SubscriberCursor(
-            f"c{conn.cid}:{stream}", start_offset)
+        self.cursor = self.acked = int(start_offset)
+        self.replay_rows = 0  # rows sent from history
+        self.resumes = 0      # catch-ups after falling behind
         self.chunk_rows = max(int(chunk_rows), 1)
         # tuples below this existed before we subscribed: replay
         self.replay_upto = self.basket.next_oid
         # rows requested but already discarded by retention: the
         # subscriber lagged to the floor instead of erroring out
         self.skipped_rows = 0
-        self.dead = False
-        self._io = io
-        self._seq = 0
-        self._stopping = False
         self._behind = False
-        self._event = asyncio.Event()
-        self._task: Optional[asyncio.Task] = None
-        # captured once: each `self._tap` access builds a fresh bound
-        # method, and the basket removes taps by identity
-        self._tap_cb = self._tap
 
     def start(self) -> None:
-        self.basket.add_tap(self._tap_cb)
+        if self.stream is not None:
+            self.basket.add_tap(self._wake)
         self._task = asyncio.get_running_loop().create_task(
             self._run())
 
-    def _tap(self, lo: int, hi: int, now: int) -> None:
-        # called under the basket lock on every append: tiny, lock-free
-        self._io.call_soon(self._event.set)
-
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         try:
             while not self._stopping:
-                head = self.basket.next_oid
-                if self.cursor.cursor >= head:
-                    self._event.clear()
-                    if self.basket.next_oid > self.cursor.cursor:
-                        continue  # append raced the clear
-                    await self._event.wait()
-                    continue
-                if self.cursor.lag(head) > self.chunk_rows:
-                    self._behind = True
-                lo = self.cursor.cursor
-                hi = min(head, lo + self.chunk_rows)
-                try:
-                    # log reads can touch disk; keep the loop live
-                    parts = await loop.run_in_executor(
-                        None, self.engine.read_stream_range,
-                        self.stream, lo, hi)
-                except DataCellError:
-                    self._detach()  # stream dropped under us
+                # cleared before the read: a delivery after it sets it
+                self._event.clear()
+                frames = await self._read()
+                if frames is None:
                     return
-                if parts and parts[0][0] > lo:
-                    self.skipped_rows += parts[0][0] - lo
-                for plo, phi, rel in parts:
-                    frame = protocol.result(
-                        "", self._seq, self.engine.now(), rel.names,
-                        rel.to_rows(), stream=self.stream, offset=plo,
-                        end=phi, replay=phi <= self.replay_upto)
-                    # advance BEFORE send: the client may ack the batch
-                    # before this task runs again, and a cursor behind
-                    # the delivery would clamp that ack away
-                    self._seq += 1
-                    self.cursor.advance(phi, phi - plo,
-                                        phi <= self.replay_upto)
-                    try:
-                        await self.conn.send(frame)
-                    except NetError:
-                        self._detach()
-                        return
-                if not parts:
-                    # everything in [lo, hi) predates what the log
-                    # retains; skip forward rather than spin
-                    self.skipped_rows += hi - lo
-                    self.cursor.advance(hi, 0, True)
-                if self._behind and self.cursor.cursor >= \
-                        self.basket.next_oid:
-                    self._behind = False
-                    self.cursor.resumes += 1
-        except asyncio.CancelledError:
-            self._detach()
-            raise
+                if not frames:
+                    await self._event.wait()
+                for frame in frames:
+                    await self.conn.send(frame)
+        except NetError:
+            return  # the peer is gone
         finally:
             self._detach()
 
+    async def _read_query(self) -> Optional[List[Dict[str, Any]]]:
+        """The next firing's RESULT frame; once evicted and flushed,
+        the ERROR frame that ends the subscription."""
+        follower = self.follower
+        item = follower.next()
+        if item is not None:
+            offset, now, rel = item
+            self.sent_batches += 1
+            self.sent_rows += rel.row_count
+            return [protocol.result(self.query, offset, now, rel.names,
+                                    rel.to_rows())]
+        if not follower.evicted:
+            return []
+        self._stopping = True
+        return [protocol.error(
+            "evicted", f"subscriber too slow for query {self.query!r}; "
+            f"fell more than {follower.queue.max_batches} batches "
+            f"behind", query=self.query)]
+
+    async def _read_stream(self) -> Optional[List[Dict[str, Any]]]:
+        """RESULT frames for the next chunk of ``[cursor, head)`` that
+        the log still holds (``[]`` at the head); ``None`` when the
+        stream was dropped under us."""
+        frames: List[Dict[str, Any]] = []
+        while not frames and self.cursor < self.basket.next_oid:
+            lo, head = self.cursor, self.basket.next_oid
+            if head - lo > self.chunk_rows:
+                self._behind = True
+            hi = min(head, lo + self.chunk_rows)
+            try:
+                # log reads can touch disk; keep the loop live
+                parts = await asyncio.get_running_loop().run_in_executor(
+                    None, self.engine.read_stream_range, self.stream,
+                    lo, hi)
+            except DataCellError:
+                return None
+            # rows below the first part predate what the log retains
+            skipped_to = parts[0][0] if parts else hi
+            self.skipped_rows += skipped_to - lo
+            self.cursor = skipped_to
+            for plo, phi, rel in parts:
+                replay = phi <= self.replay_upto
+                frames.append(protocol.result(
+                    "", self.sent_batches, self.engine.now(), rel.names,
+                    rel.to_rows(), stream=self.stream, offset=plo,
+                    end=phi, replay=replay))
+                # advance BEFORE send: the client may ack the batch
+                # before this task runs again, and a cursor behind the
+                # delivery would clamp that ack away
+                self.cursor = phi
+                self.sent_batches += 1
+                self.sent_rows += phi - plo
+                self.replay_rows += (phi - plo) if replay else 0
+        if self._behind and self.cursor >= self.basket.next_oid:
+            self._behind = False
+            self.resumes += 1
+        return frames
+
     def ack(self, offset: int) -> None:
-        self.cursor.ack(offset)
+        """Record the client's confirmation, clamped to what was sent
+        (a client cannot ack the future)."""
+        self.acked = max(self.acked, min(int(offset), self.cursor))
 
     def _detach(self) -> None:
         self.dead = True
-        self.basket.remove_tap(self._tap_cb)
+        if self.query is not None:
+            self.follower.close()
+        else:
+            self.basket.remove_tap(self._wake)
 
     async def shutdown(self) -> None:
         """Join the pump task (loop thread): stop, wake, await."""
@@ -297,11 +232,17 @@ class _StreamSubscription:
         self._task = None
 
     def stats(self) -> Dict[str, Any]:
-        out = self.cursor.stats()
-        out.update({"stream": self.stream,
-                    "lag": self.cursor.lag(self.basket.next_oid),
-                    "skipped_rows": self.skipped_rows,
-                    "dead": self.dead})
+        out = {"sent_batches": self.sent_batches,
+               "sent_rows": self.sent_rows, "dead": self.dead}
+        if self.query is not None:
+            out.update(query=self.query, lag=self.follower.lag(),
+                       evicted=self.follower.evicted)
+        else:
+            out.update(stream=self.stream, cursor=self.cursor,
+                       acked=self.acked, replay_rows=self.replay_rows,
+                       resumes=self.resumes,
+                       lag=max(0, self.basket.next_oid - self.cursor),
+                       skipped_rows=self.skipped_rows)
         return out
 
 
@@ -318,7 +259,7 @@ class _Connection:
             else str(peer)
         self.codec = protocol.JSONCodec
         self.receptors: Dict[str, SocketReceptor] = {}
-        self.subscriptions: List[_Subscription] = []
+        self.subscriptions: List[_StreamSubscription] = []  # queries
         self.stream_subs: Dict[str, _StreamSubscription] = {}
         self.closed = False
         # one frame at a time per socket: replies and subscription
@@ -379,8 +320,10 @@ class DataCellServer:
         ephemeral, read :attr:`pg_port`; 5433 stays clear of a real
         Postgres) on ``pg_host``, by default ``host``.
         ``admission``/``max_pending_batches`` shape the per-producer
-        admission queues; ``max_client_queue`` bounds each subscriber's
-        and each pg ``TAIL``'s delivery queue. ``replay_chunk_rows``
+        admission queues. ``max_client_queue`` bounds every standing
+        query's result queue: how many batches ``engine.results``
+        keeps, and how far a subscriber or pg ``TAIL`` may lag before
+        it is evicted. ``replay_chunk_rows``
         bounds how many tuples one stream-replay RESULT frame carries
         while a subscriber catches up.
         """
@@ -418,9 +361,10 @@ class DataCellServer:
     def start(self) -> "DataCellServer":
         if self.running:
             raise StreamError("server already started")
-        # one bound for every standing query's built-in CollectingSink,
-        # registered before or after start, over either protocol
-        self.engine.bound_result_sinks(SERVED_MAX_BATCHES)
+        # one bound for every standing query's result queue; queries
+        # registered later read it off net_edge
+        for query in self.engine.queries():
+            query.emitter.queue.set_max_batches(self.max_client_queue)
         self.engine.net_edge = self
         self.io.start()
         self._loop = ServingLoop(self.engine, "datacell-server-scheduler",
@@ -482,8 +426,8 @@ class DataCellServer:
 
     def stop(self, timeout_s: float = 5.0) -> None:
         """Orderly shutdown: stop accepting, drain ingested tuples
-        through the net, flush subscriber queues, then close
-        connections of both protocols (idempotent)."""
+        through the net, let every query reader of both protocols reach
+        its queue's head, then close connections (idempotent)."""
         if not self.running:
             return
         self.running = False
@@ -493,14 +437,12 @@ class DataCellServer:
         # 2. let the scheduler thread drain admission queues + the net,
         # 3. stop it (one final bounded drain); queued commands fail
         self._loop.stop(timeout_s, self._quiesced)
-        # 4. flush subscriber delivery queues (writer tasks running)
-        while time.monotonic() < deadline:
-            if all(sub.sink.drained() or sub.dead
-                   for conn in self._snapshot_conns()
-                   for sub in conn.subscriptions):
-                break
+        # 4. let every query reader of both protocols reach its
+        # queue's head (pump and tail tasks still running)
+        while not self._readers_caught_up() \
+                and time.monotonic() < deadline:
             time.sleep(0.01)
-        # 5. tear down connections (joins writer/pump/session tasks)
+        # 5. tear down connections (joins pump/session tasks)
         for conn in self._snapshot_conns():
             try:
                 self.io.call(self._close_conn(conn), timeout_s)
@@ -517,6 +459,13 @@ class DataCellServer:
         self.io.stop(timeout_s)
         if self.engine.net_edge is self:
             self.engine.net_edge = None
+
+    def _readers_caught_up(self) -> bool:
+        tails = [session.follower for session in self.pg.sessions()
+                 if session.follower is not None] if self.pg else []
+        followers = [sub.follower for conn in self._snapshot_conns()
+                     for sub in conn.subscriptions if not sub.dead]
+        return all(f.lag() == 0 for f in followers + tails)
 
     def _quiesced(self) -> bool:
         backlog = any(r.pending_batches()
@@ -694,12 +643,9 @@ class DataCellServer:
                 "duplicate", f"already subscribed to {query_name!r}",
                 query=query_name))
             return
-        sink = QueueSink(f"c{conn.cid}:{query_name}",
-                         max_batches=self.max_client_queue)
-        subscription = _Subscription(conn, query_name, sink,
-                                     query.emitter, self.io)
+        subscription = _StreamSubscription(conn, self.engine, self.io,
+                                           query=query_name)
         conn.subscriptions.append(subscription)
-        query.emitter.add_sink(sink)
         await conn.send(protocol.ok(query=query_name,
                                     columns=query.plan.schema.names))
         subscription.start()
@@ -724,8 +670,8 @@ class DataCellServer:
         raw_from = message.get("from")
         start = head if raw_from is None \
             else max(0, min(int(raw_from), head))
-        sub = _StreamSubscription(conn, self.engine, stream_name,
-                                  start, self.io,
+        sub = _StreamSubscription(conn, self.engine, self.io,
+                                  stream=stream_name, start_offset=start,
                                   chunk_rows=self.replay_chunk_rows)
         conn.stream_subs[stream_name] = sub
         await conn.send(protocol.ok(
@@ -745,8 +691,8 @@ class DataCellServer:
                 pass
 
     async def _close_conn(self, conn: _Connection) -> None:
-        """Tear one connection down on the loop: join its writer and
-        pump tasks, fold every counter, release taps/sinks/receptors.
+        """Tear one connection down on the loop: join its pump tasks,
+        fold every counter, release taps/followers/receptors.
         Runs on *every* departure path — orderly stop, client EOF, or
         a mid-replay drop — so nothing leaks (idempotent)."""
         with self._lock:
@@ -757,19 +703,9 @@ class DataCellServer:
             for receptor in conn.receptors.values():
                 receptor.close()
                 self._orphan_receptors.append(receptor)
-        for subscription in conn.subscriptions:
-            await subscription.shutdown()
-            self._totals["delivered_batches"] += \
-                subscription.sent_batches
-            self._totals["delivered_rows"] += subscription.sent_rows
-            if subscription.sink.evicted:
-                self._totals["evicted"] += 1
-        for stream_sub in conn.stream_subs.values():
-            await stream_sub.shutdown()
-            self._totals["delivered_batches"] += \
-                stream_sub.cursor.sent_batches
-            self._totals["delivered_rows"] += \
-                stream_sub.cursor.sent_rows
+        for sub in [*conn.subscriptions, *conn.stream_subs.values()]:
+            await sub.shutdown()
+            _fold_subscription(self._totals, sub.stats())
         try:
             conn.writer.close()
         except Exception:
@@ -798,28 +734,23 @@ class DataCellServer:
         totals = dict(self._totals)
         for conn in conns:
             receptors = dict(conn.receptors)
-            subscriptions = list(conn.subscriptions)
-            stream_subs = list(conn.stream_subs.values())
-            entries.append({"id": conn.cid, "peer": conn.peer,
-                            "receptors": {s: r.stats()
-                                          for s, r in receptors.items()},
-                            "subscriptions": [
-                                s.stats() for s in subscriptions],
-                            "stream_subscriptions": [
-                                s.stats() for s in stream_subs]})
+            entry = {"id": conn.cid, "peer": conn.peer,
+                     "receptors": {s: r.stats()
+                                   for s, r in receptors.items()},
+                     "subscriptions": [
+                         s.stats() for s in list(conn.subscriptions)],
+                     "stream_subscriptions": [
+                         s.stats()
+                         for s in list(conn.stream_subs.values())]}
+            entries.append(entry)
             for r in receptors.values():
                 totals["offered"] += r.total_offered
                 totals["ingested"] += r.total_ingested
                 totals["shed"] += r.total_shed
                 totals["blocked"] += r.total_blocked
-            for s in subscriptions:
-                totals["delivered_batches"] += s.sent_batches
-                totals["delivered_rows"] += s.sent_rows
-                if s.sink.evicted:
-                    totals["evicted"] += 1
-            for s in stream_subs:
-                totals["delivered_batches"] += s.cursor.sent_batches
-                totals["delivered_rows"] += s.cursor.sent_rows
+            for sub in entry["subscriptions"] \
+                    + entry["stream_subscriptions"]:
+                _fold_subscription(totals, sub)
         with self._lock:
             for receptor in self._orphan_receptors:
                 totals["offered"] += receptor.total_offered
@@ -839,6 +770,13 @@ class DataCellServer:
         state = "running" if self.running else "stopped"
         return (f"DataCellServer({self.host}:{self.port}, {state}, "
                 f"conns={len(self._conns)})")
+
+
+def _fold_subscription(totals: Dict[str, int],
+                       stats: Dict[str, Any]) -> None:
+    totals["delivered_batches"] += stats["sent_batches"]
+    totals["delivered_rows"] += stats["sent_rows"]
+    totals["evicted"] += int(stats.get("evicted", False))
 
 
 async def _close_listener(server: asyncio.AbstractServer) -> None:

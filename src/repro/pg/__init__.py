@@ -3,8 +3,8 @@
 Any PostgreSQL v3 client — ``psql``, ``pg8000``, a JDBC driver — can
 speak to the DataCell engine: plain SELECTs run one-shot, ``CREATE
 STREAM`` / ``INSERT`` feed receptors, and the ``TAIL`` extension turns
-the connection into a live result feed from a standing query's
-delivery queue. The protocol is mounted on the one host,
+the connection into a live result feed: a cursor into a standing
+query's result queue. The protocol is mounted on the one host,
 :class:`~repro.net.server.DataCellServer`, as a second listener on its
 I/O loop; to serve Postgres, run ``repro serve --pg-port 5433``.
 

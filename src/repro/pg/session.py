@@ -25,14 +25,14 @@ dialect (intercepted before the parser):
                                                drivers' preambles work)
 =============================================  =======================
 
-``TAIL`` is what turns a connection live: a bounded
-:class:`~repro.core.emitter.QueueSink` is attached to the standing
-query's emitter — the *same* delivery path a framed-protocol
-subscriber uses — and its waker parks the coroutine on an
-``asyncio.Event``, so an idle tail costs no CPU. A tail ends at its
+``TAIL`` is what turns a connection live: the session follows the
+standing query's one result queue with a
+:class:`~repro.core.emitter.Follower` — the *same* cursor a
+framed-protocol subscriber pumps — and its wake parks the coroutine on
+an ``asyncio.Event``, so an idle tail costs no CPU. A tail ends at its
 BATCHES/ROWS/TIMEOUT bound (then ``CommandComplete``), on cancel
-(``57014``), or by eviction when the client cannot keep up
-(``55000``).
+(``57014``), or by eviction when the client falls more than the
+server's ``max_client_queue`` batches behind (``55000``).
 
 Every engine call — statements, registration, ``SHOW``, the plan
 lookup behind ``Describe`` — is handed to the host's serving loop
@@ -48,7 +48,7 @@ import asyncio
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.emitter import QueueSink
+from repro.core.emitter import Follower
 from repro.core.factory import EXECUTION_MODES
 from repro.errors import (BindError, CatalogError, DataCellError,
                           LexerError, NetError, ParseError, ReplayGap,
@@ -245,6 +245,7 @@ class PGSession:
         self.tails = 0
         self.errors = 0
         self.tailing: Optional[str] = None  # live-tail query name
+        self.follower: Optional[Follower] = None  # its result cursor
         self.task: Optional[asyncio.Task] = None  # the run() task
         self._cancel = asyncio.Event()
         self._stmts: Dict[str, _Prepared] = {}
@@ -561,14 +562,12 @@ class PGSession:
         engine = self.server.engine
         query = engine.continuous_query(command.name)  # StreamError ↦ 55000
         schema = query.plan.schema
-        sink = QueueSink(f"pg{self.cid}:{command.name}",
-                         max_batches=self.server.max_client_queue)
         event = asyncio.Event()
-        sink.set_waker(
+        follower = query.emitter.queue.follow(
             lambda: self.server.io.call_soon(event.set))
-        query.emitter.add_sink(sink)
         self.tails += 1
         self.tailing = command.name
+        self.follower = follower
         deadline = None if command.timeout_ms is None \
             else time.monotonic() + command.timeout_ms / 1000.0
         batches = 0
@@ -577,14 +576,12 @@ class PGSession:
             self._w(msg.row_description(
                 list(zip(schema.names, schema.types))))
         try:
-            while True:
+            while not self._bounded(command, batches, rows):
+                # cleared before the read: a delivery after it sets it
                 event.clear()
-                while True:
-                    item = sink.get_nowait()
-                    if item is None:
-                        break
-                    _seq, _now, rel = item
-                    for row in rel.to_rows():
+                item = follower.next()
+                if item is not None:
+                    for row in item[2].to_rows():
                         self._w(msg.data_row(row))
                         rows += 1
                         if command.rows is not None \
@@ -592,32 +589,26 @@ class PGSession:
                             break
                     batches += 1
                     await self._flush()
-                    if self._bounded(command, batches, rows):
-                        break
-                if self._bounded(command, batches, rows):
-                    break
+                    continue
                 if self._cancel.is_set():
                     raise PGError(
                         "57014",
                         "canceling statement due to user request")
-                if sink.evicted and sink.drained():
+                if follower.evicted:
                     raise PGError(
                         "55000",
-                        f"tail of {command.name!r} fell behind; "
-                        f"delivery queue overflowed "
-                        f"({sink.dropped_batches} batches dropped)")
+                        f"tail of {command.name!r} fell behind; more "
+                        f"than {follower.queue.max_batches} batches "
+                        f"undelivered")
                 if self.reader.at_eof():
                     raise NetError("client went away mid-tail",
                                    code="io")
-                timeout = None
-                if deadline is not None:
-                    timeout = deadline - time.monotonic()
-                    if timeout <= 0:
-                        break
                 # cap the park so disconnects and cancels are noticed
                 # even on a silent queue
-                wait_s = 0.25 if timeout is None \
-                    else min(timeout, 0.25)
+                wait_s = 0.25 if deadline is None \
+                    else min(deadline - time.monotonic(), 0.25)
+                if wait_s <= 0:
+                    break
                 try:
                     await asyncio.wait_for(event.wait(), wait_s)
                 except asyncio.TimeoutError:
@@ -626,8 +617,8 @@ class PGSession:
             self._w(msg.command_complete(f"TAIL {rows}"))
         finally:
             self.tailing = None
-            sink.set_waker(None)
-            query.emitter.remove_sink(sink)
+            self.follower = None
+            follower.close()
 
     @staticmethod
     def _bounded(command: Command, batches: int, rows: int) -> bool:

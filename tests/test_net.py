@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.core.clock import WallClock
-from repro.core.emitter import SERVED_MAX_BATCHES, QueueSink
+from repro.core.emitter import QueueSink
 from repro.core.engine import DataCellEngine
 from repro.core.receptor import SocketReceptor
 from repro.errors import NetError, StoreError, StreamError
@@ -228,30 +228,95 @@ def _rel(values):
 
 
 class TestQueueSink:
+    """A query's one result queue, read through follower cursors."""
+
     def test_in_order_delivery(self):
-        sink = QueueSink("c1", max_batches=8)
-        sink.deliver(_rel([1]), now=5)
-        sink.deliver(_rel([2, 3]), now=9)
-        seq0, t0, rel0 = sink.get(timeout=0.1)
-        seq1, t1, rel1 = sink.get(timeout=0.1)
+        queue = QueueSink("q", max_batches=8)
+        follower = queue.follow(lambda: None)
+        queue.deliver(_rel([1]), now=5)
+        queue.deliver(_rel([2, 3]), now=9)
+        seq0, t0, rel0 = follower.next()
+        seq1, t1, rel1 = follower.next()
         assert (seq0, t0, rel0.to_rows()) == (0, 5, [(1,)])
         assert (seq1, t1, rel1.to_rows()) == (1, 9, [(2,), (3,)])
-        assert sink.get(timeout=0.01) is None
-        assert sink.delivered_rows == 3
+        assert follower.next() is None
+        assert queue.delivered_rows == 3
 
     def test_slow_consumer_evicted(self):
-        sink = QueueSink("c1", max_batches=2)
-        sink.deliver(_rel([1]), 0)
-        sink.deliver(_rel([2]), 0)
-        assert not sink.evicted
-        sink.deliver(_rel([3]), 0)  # overflow -> evicted, batch dropped
-        assert sink.evicted
-        assert sink.dropped_batches == 1
-        sink.deliver(_rel([4]), 0)  # further deliveries just count
-        assert sink.dropped_batches == 2
-        assert sink.stats()["evicted"] is True
-        # queued batches remain readable so the writer can flush + close
-        assert sink.get(timeout=0.1)[2].to_rows() == [(1,)]
+        queue = QueueSink("q", max_batches=2)
+        slow = queue.follow(lambda: None)
+        fast = queue.follow(lambda: None)
+        queue.deliver(_rel([1]), 0)
+        queue.deliver(_rel([2]), 0)
+        assert queue.depth() == 2 and not slow.evicted
+        assert [fast.next()[0], fast.next()[0]] == [0, 1]
+        queue.deliver(_rel([3]), 0)  # trims offset 0 past `slow`
+        assert slow.evicted and not fast.evicted
+        assert queue.depth() == 1  # evicted readers no longer count
+        queue.deliver(_rel([4]), 0)
+        # the evicted reader still flushes the max_batches batches it
+        # had not read, then stops
+        assert [slow.next()[2].to_rows() for _ in range(2)] \
+            == [[(1,)], [(2,)]]
+        assert slow.next() is None and slow.lag() == 0
+        assert [fast.next()[0], fast.next()[0]] == [2, 3]
+
+    def test_offsets_survive_trimming_and_clear(self):
+        queue = QueueSink("q", max_batches=2)
+        follower = queue.follow(lambda: None)
+        for i in range(3):
+            queue.deliver(_rel([i]), now=i)
+        assert follower.evicted  # offset 0 was trimmed under it
+        assert (queue.first, queue.delivered_batches) == (1, 3)
+        assert queue.get_nowait(0) is None  # below the floor
+        assert queue.get_nowait(2)[0] == 2
+        late = queue.follow(lambda: None)
+        queue.clear()
+        assert len(queue) == 0 and queue.first == 3
+        assert not late.evicted  # it was at the head
+        queue.deliver(_rel([9]), now=9)
+        assert late.next()[0] == 3  # numbering carries on
+
+    def test_concurrent_readers_see_each_offset_once_in_order(self):
+        """A delivering thread and more readers than cores: every
+        reader sees a gap-free, duplicate-free run of offsets from 0,
+        each with its own batch — to the head, or until it is evicted
+        and has flushed its backlog."""
+        import sys
+
+        n = 3000
+        queue = QueueSink("q", max_batches=8)
+        readers = [queue.follow(lambda: None) for _ in range(4)]
+        seen = [[] for _ in readers]
+        delivered = threading.Event()
+
+        def read(follower, out):
+            while True:
+                item = follower.next()
+                if item is not None:
+                    out.append((item[0], item[2].to_rows()))
+                elif follower.evicted or (delivered.is_set()
+                                          and follower.lag() == 0):
+                    return
+
+        threads = [threading.Thread(target=read, args=(f, out))
+                   for f, out in zip(readers, seen)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for k in range(n):
+                queue.deliver(_rel([k]), now=k)
+            delivered.set()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for follower, out in zip(readers, seen):
+            assert out == [(k, [(k,)]) for k in range(len(out))]
+            assert follower.evicted or len(out) == n
 
 
 # ---------------------------------------------------------------------
@@ -337,18 +402,28 @@ class TestServer:
                 client.subscribe("q")
             assert exc.value.code == "duplicate"
 
-    def test_loopback_equivalence_three_clients(self, server):
+    def test_loopback_equivalence_three_clients(self):
         """Acceptance: the same source through a SocketReceptor, with 3
-        subscribed clients, is row-identical per client to the
-        in-process CollectingSink run."""
+        subscribed framed clients and a pg ``TAIL`` following one
+        query's result queue, is row-identical per reader to the
+        in-process run."""
+        from repro.pg import messages as msg
+        from tests.test_pg import MiniPG, _typed, _wait_until, data_rows
+
         expected_q, expected_w = _expected_inprocess()
         total = len(expected_q) + len(expected_w)
+        engine = _server_engine()
+        server = DataCellServer(engine, pg_port=0).start()
         subscribers = [DataCellClient(port=server.port)
                        for _ in range(3)]
+        tail = MiniPG(server.pg_host, server.pg_port)
         try:
             for sub in subscribers:
                 assert sub.subscribe("q") == ["k", "v"]
                 sub.subscribe("w")
+            tail.send(_typed(b"Q", f"TAIL q ROWS {len(expected_q)} "
+                                   f"TIMEOUT 15000\x00".encode()))
+            assert _wait_until(lambda: server.pg.pg_stats()["tails"] == 1)
             with DataCellClient(port=server.port) as producer:
                 for i in range(0, len(ROWS), 7):  # uneven batches
                     producer.ingest("s", ROWS[i:i + 7], seq=i)
@@ -357,9 +432,15 @@ class TestServer:
                     sub.results(max_rows=total, timeout=15.0))
                 assert got.get("q", []) == expected_q
                 assert got.get("w", []) == expected_w
+            assert data_rows(tail.read_until(b"Z"), raw=True) == [
+                tuple(msg.text_of(v) for v in row) for row in expected_q]
+            assert len(engine.results("q")) <= server.max_client_queue
         finally:
             for sub in subscribers:
                 sub.close()
+            tail.close()
+            server.stop()
+            engine.close()
 
     def test_two_streams_two_clients_smoke(self, server):
         """CI smoke: two producers on two streams, two subscribers."""
@@ -481,15 +562,16 @@ class TestServer:
             DataCellServer(DataCellEngine())  # simulated clock
 
     def test_server_bounds_collecting_sinks(self):
+        """Every result queue keeps max_client_queue batches: queries
+        registered before start and after it."""
         engine = _server_engine()
-        server = DataCellServer(engine)
+        server = DataCellServer(engine, max_client_queue=5)
         server.start()
         try:
-            assert all(q.sink.max_batches == SERVED_MAX_BATCHES
-                       for q in engine.queries())
-            server.submit(engine.bound_result_sinks, 5).result(5)
-            assert all(q.sink.max_batches == 5
-                       for q in engine.queries())
+            server.submit(engine.register_continuous, "SELECT k FROM s",
+                          "late").result(5)
+            assert [engine.results(q.name).max_batches
+                    for q in engine.queries()] == [5, 5, 5, 5]
         finally:
             server.stop()
             engine.close()
@@ -589,13 +671,13 @@ class TestNetCLI:
 class TestTeardownLeaks:
     def test_abrupt_subscriber_drop_detaches_and_folds(self, server):
         """A query subscriber whose socket vanishes without an
-        UNSUBSCRIBE must have its writer task joined, its QueueSink
-        detached from the emitter and its delivery counters folded
-        into the server totals."""
-        emitter = server.engine.continuous_query("q").emitter
+        UNSUBSCRIBE must have its pump task joined, its follower
+        detached from the query's result queue and its delivery
+        counters folded into the server totals."""
+        queue = server.engine.results("q")
         client = DataCellClient(port=server.port)
         client.subscribe("q")
-        assert any(isinstance(s, QueueSink) for s in emitter.sinks)
+        assert len(queue._followers) == 1
         with DataCellClient(port=server.port) as producer:
             producer.ingest("s", [list(r) for r in ROWS])
         batches = client.results(max_batches=1, timeout=5.0)
@@ -607,8 +689,7 @@ class TestTeardownLeaks:
                 and server._snapshot_conns():
             time.sleep(0.02)
         assert server._snapshot_conns() == []
-        assert not any(isinstance(s, QueueSink)
-                       for s in emitter.sinks)
+        assert queue._followers == ()
         totals = server.net_stats()["totals"]
         assert totals["delivered_batches"] >= len(batches)
         assert totals["delivered_rows"] >= \
@@ -676,5 +757,120 @@ class TestFailedLogWrite:
             finally:
                 pg.close()
         finally:
+            server.stop()
+            engine.close()
+
+
+    def test_delivery_failure_does_not_kill_the_serving_loop(
+            self, tmp_path):
+        engine = DataCellEngine(clock=WallClock(), data_dir=str(tmp_path))
+        engine.execute("CREATE STREAM s (k INT, v FLOAT)")
+        engine.register_continuous("SELECT k, v FROM s WHERE v > 0",
+                                   name="up", output_stream="hot")
+        engine.basket("hot").log.failed = OSError("injected")
+        server = DataCellServer(engine).start()
+        try:
+            with DataCellClient(port=server.port) as client:
+                client.ingest("s", [[1, 1.0]])
+                factory = engine.continuous_query("up").factory
+                deadline = time.monotonic() + 5.0
+                while factory.state != "failed" \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                stats = client.stats()  # the loop still answers
+                assert stats["factories"]["up"]["state"] == "failed"
+                assert any("stream log 'hot' failed" in e
+                           for e in stats["failed"])
+        finally:
+            server.stop()
+            engine.close()
+
+
+# ---------------------------------------------------------------------
+# slow consumers over real sockets
+# ---------------------------------------------------------------------
+
+PAD = "x" * 1000
+SLOW_BATCHES = 150
+SLOW_BATCH_ROWS = 32
+
+
+def _wide_engine():
+    engine = DataCellEngine(clock=WallClock())
+    engine.execute("CREATE STREAM s (k INT, pad STRING)")
+    engine.register_continuous("SELECT k, pad FROM s", name="wide")
+    return engine
+
+
+def _stalled_socket(port):
+    """A connected socket whose receive buffer is tiny, so a peer that
+    stops reading it backs the server up within a few frames."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(10.0)
+    sock.connect(("127.0.0.1", port))
+    return sock
+
+
+def _ingest_one_fire_each(server, producer, query):
+    """SLOW_BATCHES wide batches, each its own firing (one result batch
+    per ingest); returns the rows sent."""
+    factory = server.engine.continuous_query(query).factory
+    sent = []
+    for b in range(SLOW_BATCHES):
+        rows = [[b * SLOW_BATCH_ROWS + i, PAD]
+                for i in range(SLOW_BATCH_ROWS)]
+        fires = factory.fires
+        producer.ingest("s", rows)
+        deadline = time.monotonic() + 5.0
+        while factory.fires == fires and time.monotonic() < deadline:
+            time.sleep(0.001)
+        sent.extend(tuple(r) for r in rows)
+    return sent
+
+
+class TestSlowConsumer:
+    def test_subscriber_that_stops_reading_is_evicted_after_its_backlog(
+            self):
+        engine = _wide_engine()
+        server = DataCellServer(engine, max_client_queue=4).start()
+        stalled = protocol.FrameStream(_stalled_socket(server.port))
+        reader = DataCellClient(port=server.port)
+        try:
+            stalled.send(protocol.hello(client="stalled"))
+            assert stalled.recv()["type"] == protocol.OK
+            stalled.send(protocol.subscribe("wide"))
+            assert stalled.recv()["type"] == protocol.OK
+            reader.subscribe("wide")
+            got = []
+            reading = threading.Thread(target=lambda: got.extend(
+                r for b in reader.results(
+                    max_rows=SLOW_BATCHES * SLOW_BATCH_ROWS,
+                    timeout=60.0) for r in b.rows))
+            reading.start()
+            with DataCellClient(port=server.port) as producer:
+                sent = _ingest_one_fire_each(server, producer, "wide")
+                reading.join(60.0)
+                assert got == sent  # the reading subscriber lost nothing
+                assert producer.stats()["net"]["totals"]["evicted"] == 1
+            # the stalled one gets its backlog first, then the verdict
+            frames = []
+            while True:
+                message = stalled.recv()
+                assert message is not None, "closed without an ERROR"
+                frames.append(message)
+                if message["type"] == protocol.ERROR:
+                    break
+            *results, error = frames
+            assert error["code"] == "evicted"
+            assert error["query"] == "wide"
+            assert results and all(m["type"] == protocol.RESULT
+                                   and m["query"] == "wide"
+                                   for m in results)
+            rows = [tuple(r) for m in results for r in m["rows"]]
+            assert rows == sent[:len(rows)] and len(rows) < len(sent)
+        finally:
+            stalled.close()
+            reader.close()
             server.stop()
             engine.close()

@@ -46,9 +46,13 @@ class MiniPG:
     Parse/Bind/Describe/Execute/Sync, CancelRequest."""
 
     def __init__(self, host, port, user="tester", database="datacell",
-                 timeout=10.0):
-        self.sock = socket.create_connection((host, port),
-                                             timeout=timeout)
+                 timeout=10.0, rcvbuf=None):
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        if rcvbuf is not None:  # set before connect to bound the window
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF,
+                                 rcvbuf)
+        self.sock.settimeout(timeout)
+        self.sock.connect((host, port))
         body = I32.pack(msg.PROTOCOL_3_0)
         for k, v in (("user", user), ("database", database)):
             body += k.encode() + b"\x00" + v.encode() + b"\x00"
@@ -452,11 +456,11 @@ class TestDialect:
 
     def test_query_registered_on_running_server_is_bounded(self):
         """A query registered over pg after start gets the server's
-        CollectingSink bound, like the ones registered before it."""
+        result-queue bound, like the ones registered before it."""
         engine = _pg_engine()
-        server = DataCellServer(engine, pg_port=0).start()
+        server = DataCellServer(engine, pg_port=0,
+                                max_client_queue=3).start()
         try:
-            server.submit(engine.bound_result_sinks, 3).result(5)
             client = MiniPG(server.pg_host, server.pg_port)
             client.query("REGISTER CONTINUOUS late AS "
                          "SELECT k FROM s WHERE k >= 0")
@@ -473,14 +477,13 @@ class TestDialect:
             engine.close()
 
     def test_pg_server_alone_bounds_result_sinks(self, pg_server):
-        from repro.core.emitter import SERVED_MAX_BATCHES
-
         client = MiniPG(pg_server.pg_host, pg_server.pg_port)
         client.query("REGISTER CONTINUOUS late AS SELECT k FROM s")
         client.close()
         engine = pg_server.engine
-        assert engine.results("q").max_batches == SERVED_MAX_BATCHES
-        assert engine.results("late").max_batches == SERVED_MAX_BATCHES
+        bound = pg_server.max_client_queue
+        assert engine.results("q").max_batches == bound == 256
+        assert engine.results("late").max_batches == bound
 
     def test_noops_keep_drivers_happy(self, pg_server):
         client = MiniPG(pg_server.pg_host, pg_server.pg_port)
@@ -556,6 +559,70 @@ class TestDialect:
             assert len(result["raw"]) == 3
             sub.close()
         finally:
+            server.stop()
+            engine.close()
+
+
+# ---------------------------------------------------------------------
+# slow consumers and shutdown
+# ---------------------------------------------------------------------
+
+
+class TestTailDelivery:
+    def test_tail_that_stops_reading_ends_with_55000(self):
+        from tests.test_net import (SLOW_BATCH_ROWS, SLOW_BATCHES,
+                                    _ingest_one_fire_each, _wide_engine)
+
+        engine = _wide_engine()
+        server = DataCellServer(engine, pg_port=0,
+                                max_client_queue=4).start()
+        try:
+            client = MiniPG(server.pg_host, server.pg_port, rcvbuf=4096)
+            client.send(_typed(b"Q", b"TAIL wide\x00"))
+            assert _wait_until(lambda: server.pg.pg_stats()["tails"] == 1)
+            with DataCellClient(port=server.port) as producer:
+                sent = _ingest_one_fire_each(server, producer, "wide")
+            msgs = client.read_until(b"Z")
+            (state, message), = errors_of(msgs)
+            assert state == "55000"
+            assert "fell behind" in message
+            rows = [(int(k), pad) for k, pad in data_rows(msgs)]
+            assert rows == sent[:len(rows)]
+            assert 0 < len(rows) < SLOW_BATCHES * SLOW_BATCH_ROWS
+            client.close()
+        finally:
+            server.stop()
+            engine.close()
+
+    def test_stop_flushes_tails_and_subscribers(self):
+        """Already-admitted tuples reach every query reader of both
+        protocols before stop() closes their sockets."""
+        n = 400
+        engine = _pg_engine()
+        server = DataCellServer(engine, pg_port=0).start()
+        framed = DataCellClient(port=server.port)
+        tail = MiniPG(server.pg_host, server.pg_port)
+        try:
+            framed.subscribe("q")
+            tail.send(_typed(b"Q", b"TAIL q\x00"))
+            assert _wait_until(lambda: server.pg.pg_stats()["tails"] == 1)
+            with DataCellClient(port=server.port) as producer:
+                for i in range(0, n, 8):
+                    producer.ingest("s", [[k, 1.0, "x", True]
+                                          for k in range(i, i + 8)])
+            server.stop()
+            msgs = []
+            try:
+                while True:
+                    msgs.append(tail.read_message())
+            except (EOFError, OSError):
+                pass
+            assert len(data_rows(msgs)) == n
+            assert sum(b.row_count for b in framed.results(
+                max_rows=n, timeout=5.0)) == n
+        finally:
+            framed.close()
+            tail.close()
             server.stop()
             engine.close()
 

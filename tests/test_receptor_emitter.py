@@ -1,10 +1,9 @@
-"""Unit tests for receptors, emitters, sinks and stream sources."""
+"""Unit tests for receptors, emitters, result queues and stream sources."""
 
 import pytest
 
 from repro.core.basket import Basket
-from repro.core.emitter import (CallbackSink, CollectingSink, Emitter,
-                                NullSink)
+from repro.core.emitter import Emitter, QueueSink
 from repro.core.receptor import Receptor
 from repro.errors import StreamError
 from repro.mal.relation import Relation
@@ -99,84 +98,86 @@ def _rel(rows):
 
 class TestEmitter:
     def test_collecting_sink(self):
-        emitter = Emitter("q")
-        sink = CollectingSink()
-        emitter.add_sink(sink)
+        emitter = Emitter(QueueSink("q"))
         emitter.deliver(_rel([1, 2]), now=5)
         emitter.deliver(_rel([3]), now=9)
-        assert sink.rows() == [(1,), (2,), (3,)]
-        assert sink.latest().to_rows() == [(3,)]
-        assert len(sink) == 2
+        queue = emitter.queue
+        assert queue.rows() == [(1,), (2,), (3,)]
+        assert queue.latest().to_rows() == [(3,)]
+        assert len(queue) == 2
         assert emitter.total_batches == 2
         assert emitter.total_rows == 3
         assert emitter.last_delivery_time == 9
 
     def test_callback_sink(self):
         seen = []
-        emitter = Emitter("q")
-        emitter.add_sink(CallbackSink(lambda rel, now: seen.append(
-            (now, rel.row_count))))
+        emitter = Emitter(QueueSink("q"))
+
+        def drain():
+            while (item := follower.next()) is not None:
+                seen.append((item[1], item[2].row_count))
+
+        follower = emitter.queue.follow(drain)
         emitter.deliver(_rel([1]), now=4)
         assert seen == [(4, 1)]
 
-    def test_null_sink(self):
-        emitter = Emitter("q")
-        emitter.add_sink(NullSink())
-        emitter.deliver(_rel([1]), now=0)  # no exception, nothing kept
-
     def test_multiple_sinks_all_notified(self):
-        emitter = Emitter("q")
-        a, b = CollectingSink(), CollectingSink()
-        emitter.add_sink(a)
-        emitter.add_sink(b)
+        emitter = Emitter(QueueSink("q"))
+        woken = []
+        a = emitter.queue.follow(lambda: woken.append("a"))
+        b = emitter.queue.follow(lambda: woken.append("b"))
         emitter.deliver(_rel([1]), now=0)
-        assert len(a) == 1 and len(b) == 1
+        assert woken == ["a", "b"]
+        assert a.next()[0] == b.next()[0] == 0
 
     def test_clear(self):
-        sink = CollectingSink()
-        sink.deliver(_rel([1]), 0)
-        sink.clear()
-        assert sink.latest() is None
+        queue = QueueSink("q")
+        queue.deliver(_rel([1]), 0)
+        queue.clear()
+        assert queue.latest() is None
 
     def test_remove_sink(self):
-        emitter = Emitter("q")
-        sink = CollectingSink()
-        emitter.add_sink(sink)
-        emitter.remove_sink(sink)
-        emitter.deliver(_rel([1]), now=0)
-        assert len(sink) == 0
-        emitter.remove_sink(sink)  # removing twice is a no-op
+        queue = QueueSink("q")
+        woken = []
+        follower = queue.follow(lambda: woken.append(1))
+        follower.close()
+        queue.deliver(_rel([1]), now=0)
+        assert woken == [] and queue.depth() == 0
+        follower.close()  # detaching twice is a no-op
 
 
 class TestCollectingSinkRing:
+    """The in-process view of a query's result queue: a ring of
+    ``(now, relation)`` batches."""
+
     def test_unbounded_by_default(self):
-        sink = CollectingSink()
+        queue = QueueSink("q")
         for i in range(5):
-            sink.deliver(_rel([i]), now=i)
-        assert len(sink) == 5 and sink.dropped_batches == 0
+            queue.deliver(_rel([i]), now=i)
+        assert len(queue) == 5 and queue.dropped_batches == 0
 
     def test_ring_drops_oldest(self):
-        sink = CollectingSink(max_batches=2)
+        queue = QueueSink("q", max_batches=2)
         for i in range(5):
-            sink.deliver(_rel([i]), now=i)
-        assert len(sink) == 2
-        assert sink.dropped_batches == 3
-        assert sink.rows() == [(3,), (4,)]  # oldest evicted first
-        assert sink.latest().to_rows() == [(4,)]
+            queue.deliver(_rel([i]), now=i)
+        assert len(queue) == 2
+        assert queue.dropped_batches == 3
+        assert queue.rows() == [(3,), (4,)]  # oldest evicted first
+        assert queue.latest().to_rows() == [(4,)]
 
     def test_set_max_batches_trims_retroactively(self):
-        sink = CollectingSink()
+        queue = QueueSink("q")
         for i in range(4):
-            sink.deliver(_rel([i]), now=i)
-        sink.set_max_batches(2)
-        assert sink.rows() == [(2,), (3,)]
-        sink.set_max_batches(None)  # unbound again
-        sink.deliver(_rel([9]), now=9)
-        assert len(sink) == 3
+            queue.deliver(_rel([i]), now=i)
+        queue.set_max_batches(2)
+        assert queue.rows() == [(2,), (3,)]
+        queue.set_max_batches(None)  # unbound again
+        queue.deliver(_rel([9]), now=9)
+        assert len(queue) == 3
 
     def test_bad_bound_rejected(self):
         with pytest.raises(ValueError):
-            CollectingSink(max_batches=0)
+            QueueSink("q", max_batches=0)
 
 
 class TestReceptorPauseResume:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.basket import Basket
 from repro.core.clock import SimulatedClock, WallClock
-from repro.core.emitter import Emitter
+from repro.core.emitter import Emitter, QueueSink
 from repro.core.factory import FAILED, Factory
 from repro.core.receptor import Receptor
 from repro.core.scheduler import PetriNetScheduler
@@ -17,7 +17,8 @@ class StubFactory(Factory):
     """Fires whenever its basket has unread tuples; consumes them all."""
 
     def __init__(self, name, basket, fail_after=None):
-        super().__init__(name, {basket.name: basket}, Emitter(name))
+        super().__init__(name, {basket.name: basket},
+                         Emitter(QueueSink(name)))
         self.basket = basket
         self.sub = basket.subscribe(name)
         self.fail_after = fail_after

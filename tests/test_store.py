@@ -732,7 +732,7 @@ class TestEngineRecovery:
         engine.execute("CREATE STREAM idle (k INT, tag STRING)")
         engine.register_continuous(
             "SELECT sid, temp FROM s WHERE temp > 5", name="alerts",
-            min_batch=2, max_delay_ms=100, collect_max_batches=7)
+            min_batch=2, max_delay_ms=100)
         drive(engine, ROWS[:4])
         engine.feed("idle", [[9, "kept"], [10, None]])
         engine.checkpoint()
@@ -744,11 +744,31 @@ class TestEngineRecovery:
         alerts = recovered.continuous_query("alerts")
         assert alerts.factory.min_batch == 2
         assert alerts.factory.max_delay_ms == 100
-        assert alerts.sink.max_batches == 7
         basket = recovered.basket("s")
         assert (basket.first_oid, basket.total_in) == (first, total)
         assert recovered.query("SELECT k, tag FROM idle").to_rows() \
             == [(9, "kept"), (10, None)]
+        recovered.close()
+
+    def test_checkpoint_with_collect_bound_still_recovers(
+            self, tmp_path):
+        """Definitions written when registration still took a result
+        ring bound carry ``collect_max_batches``; recovery ignores it."""
+        import json
+
+        engine = durable_engine(tmp_path)
+        engine.execute("CREATE STREAM s (sid INT, temp FLOAT)")
+        engine.register_continuous("SELECT sid FROM s", name="q")
+        engine.close()
+        path = tmp_path / "queries.json"
+        defs = json.loads(path.read_text())
+        defs["queries"][0]["collect_max_batches"] = 7
+        path.write_text(json.dumps(defs))
+        recovered = durable_engine(tmp_path)
+        assert recovered.results("q").max_batches is None
+        drive(recovered, ROWS[:2])
+        assert recovered.results("q").rows() == [(r[0],) for b in ROWS[:2]
+                                                  for r in b]
         recovered.close()
 
     def test_parent_format_checkpoint_with_stamps_recovers(
@@ -1217,6 +1237,45 @@ class TestRetention:
 # ---------------------------------------------------------------------------
 
 
+class TestDeliveryFailure:
+    def test_failed_output_log_quarantines_the_producer(self, tmp_path):
+        """An error while delivering a result (here: appending to an
+        output stream whose log has failed) quarantines the producing
+        factory like an evaluation error; the step returns."""
+        engine = durable_engine(tmp_path)
+        engine.execute("CREATE STREAM s (k INT, v FLOAT)")
+        engine.register_continuous("SELECT k, v FROM s WHERE v > 0",
+                                   name="up", output_stream="hot")
+        engine.register_continuous("SELECT k FROM s", name="other")
+        engine.basket("hot").log.failed = OSError("injected")
+        engine.feed("s", [[1, 1.0], [2, -1.0]])
+        engine.step(advance_ms=10)  # must not raise
+        up = engine.continuous_query("up").factory
+        assert up.state == "failed"
+        (error,), = [list(engine.scheduler.failed)]
+        assert "'up'" in str(error)
+        assert "stream log 'hot' failed: injected" in str(error)
+        # the rest of the net keeps firing
+        engine.feed("s", [[3, 2.0]])
+        engine.step(advance_ms=10)
+        assert engine.results("other").rows() == [(1,), (2,), (3,)]
+        engine.close()
+
+    def test_raising_subscriber_callback_quarantines_the_producer(self):
+        engine = DataCellEngine(clock=SimulatedClock())
+        engine.execute("CREATE STREAM s (k INT, v FLOAT)")
+        engine.register_continuous("SELECT k FROM s", name="q")
+
+        def callback(rel, now):
+            raise RuntimeError("client exploded")
+
+        engine.subscribe("q", callback)
+        engine.feed("s", [[1, 1.0]])
+        engine.step(advance_ms=10)
+        assert engine.continuous_query("q").factory.state == "failed"
+        assert "client exploded" in str(engine.scheduler.failed[-1])
+
+
 class TestCloseAfterFailedWrite:
     def test_close_skips_manifest_and_reopen_scans_torn_tail(
             self, tmp_path):
@@ -1594,7 +1653,9 @@ class TestNetRetention:
         engine.register_continuous(
             "SELECT k, v FROM s [RANGE 8 SLIDE 8]", name="w",
             mode="reeval")
-        server = DataCellServer(engine)
+        # eight replay chunks, all discarded: the pump must skip them
+        # all without waiting for an append in between
+        server = DataCellServer(engine, replay_chunk_rows=8)
         server.start()
         try:
             with DataCellClient(port=server.port) as producer:
