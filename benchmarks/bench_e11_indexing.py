@@ -7,10 +7,14 @@ persistent dimension table. Without an index, every firing rebuilds a
 hash table over the dimension; with a hash index on the join column,
 firings only probe. Expected shape: the per-fire win grows with the
 dimension-table size (the rebuild is O(|table|), the probe is
-O(|slice|)).
+O(|slice|)). The probe is a MAL instruction (``algebra.indexjoin``), so
+it serves both execution modes: re-evaluation joins the whole window,
+incremental mode each basic window once.
 """
 
 from __future__ import annotations
+
+from typing import List
 
 import pytest
 
@@ -22,13 +26,15 @@ from repro.streams.source import RateSource
 N_ROWS = 20_000
 WINDOW, SLIDE = 4000, 500
 TABLE_SIZES = [100, 1_000, 10_000, 50_000]
+MODES = ["reeval", "incremental"]
 
 QUERY = ("SELECT d.label, count(*) n "
          f"FROM sensors [RANGE {WINDOW} SLIDE {SLIDE}] s, dim d "
          "WHERE s.sensor_id = d.key GROUP BY d.label ORDER BY d.label")
 
 
-def run_hybrid(table_rows: int, indexed: bool, sensors: int = 16):
+def run_hybrid(table_rows: int, indexed: bool, mode: str,
+               sensors: int = 16):
     engine = DataCellEngine()
     engine.execute("CREATE STREAM sensors (sensor_id INT, room INT, "
                    "temperature FLOAT, humidity FLOAT)")
@@ -39,8 +45,7 @@ def run_hybrid(table_rows: int, indexed: bool, sensors: int = 16):
         [(k, f"label{k % 7}") for k in range(table_rows)])
     if indexed:
         engine.execute("CREATE INDEX ON dim (key)")
-    query = engine.register_continuous(QUERY, mode="incremental",
-                                       name="q")
+    query = engine.register_continuous(QUERY, mode=mode, name="q")
     engine.attach_source(
         "sensors", RateSource(sensor_rows(N_ROWS, sensors=sensors),
                               rate=1_000_000))
@@ -55,21 +60,27 @@ def run_hybrid(table_rows: int, indexed: bool, sensors: int = 16):
     }
 
 
-def run_experiment() -> ResultTable:
+def mode_table(mode: str) -> ResultTable:
     table = ResultTable(
-        "E11: hash index on the dimension side of a hybrid join",
+        f"E11: hash index on the dimension side of a hybrid join "
+        f"({mode})",
         ["dim_rows", "noindex_ms_per_fire", "indexed_ms_per_fire",
          "speedup"])
     for size in TABLE_SIZES:
-        plain = run_hybrid(size, indexed=False)
-        fast = run_hybrid(size, indexed=True)
+        plain = run_hybrid(size, indexed=False, mode=mode)
+        fast = run_hybrid(size, indexed=True, mode=mode)
         table.add(size, plain["ms_per_fire"], fast["ms_per_fire"],
                   speedup(plain["ms_per_fire"], fast["ms_per_fire"]))
     return table
 
 
-def test_e11_report():
-    table = run_experiment()
+def run_experiment() -> List[ResultTable]:
+    return [mode_table(mode) for mode in MODES]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_e11_report(mode):
+    table = mode_table(mode)
     table.show()
     rows = table.as_dicts()
     # without the index, cost grows with the dimension size ...
@@ -81,13 +92,15 @@ def test_e11_report():
     assert rows[-1]["speedup"] > rows[0]["speedup"]
 
 
-def test_e11_results_identical():
-    plain = run_hybrid(2000, indexed=False)
-    fast = run_hybrid(2000, indexed=True)
+@pytest.mark.parametrize("mode", MODES)
+def test_e11_results_identical(mode):
+    plain = run_hybrid(2000, indexed=False, mode=mode)
+    fast = run_hybrid(2000, indexed=True, mode=mode)
     assert plain["rows"] == fast["rows"]
 
 
 @pytest.mark.parametrize("indexed", [False, True],
                          ids=["noindex", "indexed"])
 def test_e11_hybrid_join(benchmark, indexed):
-    benchmark(lambda: run_hybrid(10_000, indexed=indexed))
+    benchmark(lambda: run_hybrid(10_000, indexed=indexed,
+                                 mode="incremental"))

@@ -715,7 +715,8 @@ class DataCellEngine:
         if mode == "incremental":
             return IncrementalFactory(name, analysis, cursors, baskets,
                                       self.catalog, emitter,
-                                      cache_enabled)
+                                      cache_enabled,
+                                      compiled=self.compile_plans)
         return ReevalFactory(name, continuous_program, plan,
                              cursors, baskets, self.catalog,
                              emitter, min_batch, max_delay_ms,
@@ -844,9 +845,9 @@ class DataCellEngine:
         interpreted = 0
         profile: Dict[str, List[float]] = {}
         for factory in self.scheduler.factories:
-            if getattr(factory, "compiled", None) is not None:
+            if factory.compiled is not None:
                 compiled += 1
-            elif isinstance(factory, ReevalFactory):
+            else:
                 interpreted += 1
             for opcode, (calls, ms) in getattr(
                     factory, "opcode_profile", {}).items():

@@ -37,13 +37,12 @@ from repro.core.basket import Basket
 from repro.core.emitter import Emitter
 from repro.core.incremental import IncrementalAnalysis, IncrementalExecutor
 from repro.core.windows import BasicWindowTracker, WindowState
-from repro.errors import FactoryError, MALError
-from repro.mal.compiler import compile_program, record_compile_fallback
+from repro.errors import FactoryError
+from repro.mal.compiler import compile_or_interpret
 from repro.mal.fingerprint import cached_fingerprints
 from repro.mal.interpreter import MALContext, MALInterpreter
 from repro.mal.program import MALProgram
 from repro.mal.relation import Relation
-from repro.sql.executor import ExecutionContext
 from repro.sql.plan import PlanNode
 from repro.storage.catalog import Catalog
 
@@ -96,6 +95,8 @@ class Factory:
         self.tuples_in = 0
         self.rows_out = 0
         self.busy_seconds = 0.0
+        # the slot-compiled plan; None when it runs on the interpreter
+        self.compiled = None
         self.last_error: Optional[Exception] = None
         self.last_result: Optional[Relation] = None
         # recyclable instruction fingerprints (reeval factories fill
@@ -255,15 +256,7 @@ class ReevalFactory(Factory):
         self.min_batch = max(int(min_batch), 1)
         self.max_delay_ms = max_delay_ms
         self.recycler = recycler
-        # slot-compile once at registration; a compile failure (open
-        # opcode table, externally injected bindings) falls back to
-        # the interpreter rather than rejecting the query
-        self.compiled = None
-        if compiled:
-            try:
-                self.compiled = compile_program(program)
-            except MALError:
-                record_compile_fallback()
+        self.compiled = compile_or_interpret(program, compiled)
         # recyclable fingerprints for the recycler's sharing census
         # (only the compiled loop recycles), plus the cached whole-plan
         # admission decision
@@ -371,15 +364,20 @@ class ReevalFactory(Factory):
 
 
 class IncrementalFactory(Factory):
-    """Mode 2: per-basic-window processing with cached intermediates."""
+    """Mode 2: per-basic-window processing with cached intermediates.
+
+    Its plan fragments are MAL programs, slot-compiled (or interpreted)
+    like a re-evaluation plan and run without the recycler."""
 
     def __init__(self, name: str, analysis: IncrementalAnalysis,
                  cursors: Dict[str, BasicWindowTracker],
                  baskets: Dict[str, Basket], catalog: Catalog,
-                 emitter: Emitter, cache_enabled: bool = True):
+                 emitter: Emitter, cache_enabled: bool = True,
+                 compiled: bool = True):
         super().__init__(name, baskets, emitter, cursors)
-        self.executor = IncrementalExecutor(
-            analysis, ExecutionContext(catalog), cache_enabled)
+        self.executor = IncrementalExecutor(analysis, catalog,
+                                            cache_enabled, compiled)
+        self.compiled = self.executor.compiled
 
     def poll(self, now: int) -> None:
         """Process every newly completed basic window exactly once."""

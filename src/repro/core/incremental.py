@@ -16,6 +16,11 @@ intermediates from the active slides."*
 * the **post-merge tail** (HAVING, ORDER BY, final projection, DISTINCT,
   LIMIT) that runs on the merged window result.
 
+Each fragment is a MAL program, compiled from the plan with the
+fragment below it replaced by a named input (the basic-window slice,
+the two cached sides of a join pair, the merged relation), so the
+incremental mode runs on the same executor as re-evaluation.
+
 Two pipeline shapes are supported: a single windowed stream (optionally
 joined with tables) and an equi-join of two windowed streams (per-pair
 join caching). Everything else raises :class:`UnsupportedIncremental`
@@ -28,18 +33,20 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import StreamError
+from repro.errors import MALError, StreamError
 from repro.mal import kernel
 from repro.mal.bat import BAT
+from repro.mal.compiler import (CompiledProgram, compile_or_interpret,
+                                compile_plan)
+from repro.mal.interpreter import MALContext, MALInterpreter
+from repro.mal.program import MALProgram
 from repro.mal.relation import Relation
-from repro.sql.executor import (ExecutionContext, PlanExecutor,
-                                apply_predicate, join_relations,
-                                project_relation, sort_relation)
 from repro.sql.expressions import BoundAgg
 from repro.sql.plan import (AggregateNode, DistinctNode, FilterNode,
                             JoinNode, LimitNode, PlanNode, ProjectNode,
                             SortNode, StreamScanNode, UnionNode,
                             walk_plan)
+from repro.storage.catalog import Catalog
 
 
 class UnsupportedIncremental(StreamError):
@@ -48,6 +55,19 @@ class UnsupportedIncremental(StreamError):
 
 _MERGEABLE = frozenset(["count", "sum", "avg", "min", "max",
                         "stddev", "variance"])
+
+# names the fragment programs bind their inputs under (no stream or
+# table can be called this)
+LEFT, RIGHT, MERGED = "%left", "%right", "%merged"
+_ROLES = {"slice": "per-slice pipeline, once per basic window",
+          "left": "per-slice pipeline of the left stream",
+          "right": "per-slice pipeline of the right stream",
+          "pair": "join, once per pair of basic windows",
+          "tail": "post-merge tail"}
+
+
+def _result_names(program: MALProgram) -> List[str]:
+    return list(program.instructions[-1].args[0].value)
 
 
 class IncrementalAnalysis:
@@ -81,20 +101,48 @@ class IncrementalAnalysis:
                     "stream-stream join needs one stream per side")
             self.left_stream = lscans[0].stream_name
             self.right_stream = rscans[0].stream_name
+        self.programs = self._compile()
+
+    def _compile(self) -> Dict[str, MALProgram]:
+        """One MAL program per fragment: ``slice`` (or ``left`` and
+        ``right`` plus the ``pair`` join for two streams) runs per basic
+        window, ``tail`` on the merged window."""
+        if self.kind == "single":
+            programs = {"slice": compile_plan(
+                self.pipeline, "incr.slice", all_columns=True)}
+            below, keys = self.pipeline, _result_names(programs["slice"])
+        else:
+            programs = {side: compile_plan(node, f"incr.{side}",
+                                           all_columns=True)
+                        for side, node in (("left", self.left_pipeline),
+                                           ("right", self.right_pipeline))}
+            programs["pair"] = compile_plan(
+                self.join_node, "incr.pair", all_columns=True, inputs={
+                    id(self.left_pipeline):
+                        (LEFT, _result_names(programs["left"])),
+                    id(self.right_pipeline):
+                        (RIGHT, _result_names(programs["right"]))})
+            below, keys = self.join_node, _result_names(programs["pair"])
+        # what the concat merge hands the tail when no slice is live
+        self.empty_pieces = Relation.empty(below.schema).select_columns(keys)
+        if self.agg is not None:
+            below, keys = self.agg, self.agg.schema.names
+        programs["tail"] = compile_plan(
+            self.plan, "incr.tail", inputs={id(below): (MERGED, keys)},
+            all_columns=not self.upper)
+        return programs
 
     def describe(self) -> str:
-        """Textual split description (the demo's plan-shape view)."""
+        """Textual split description (the demo's plan-shape view): the
+        MAL programs the split runs."""
         lines = ["incremental split:"]
-        lines.append("  per-slice pipeline:")
-        lines.extend("    " + ln
-                     for ln in self.pipeline.pretty().splitlines())
-        if self.agg is not None:
-            lines.append(f"  blocking merge: {self.agg.label()}")
-        else:
-            lines.append("  blocking merge: concat of live slices")
-        if self.upper:
-            chain = " <- ".join(n.label() for n in self.upper)
-            lines.append(f"  post-merge tail: {chain}")
+        for role, program in self.programs.items():
+            if role == "tail":
+                merge = "concat of live slices" if self.agg is None \
+                    else self.agg.label()
+                lines.append(f"  blocking merge: {merge}")
+            lines.append(f"  {_ROLES[role]}:")
+            lines.extend("    " + ln for ln in program.pretty().splitlines())
         return "\n".join(lines)
 
 
@@ -157,7 +205,12 @@ def analyze_incremental(plan: PlanNode) -> IncrementalAnalysis:
         if scan.window is None:
             raise UnsupportedIncremental(
                 f"stream {scan.stream_name!r} has no window clause")
-    return IncrementalAnalysis(plan, upper, agg, pipeline, stream_scans)
+    try:
+        return IncrementalAnalysis(plan, upper, agg, pipeline,
+                                   stream_scans)
+    except MALError as exc:
+        raise UnsupportedIncremental(
+            f"plan fragment does not compile: {exc}") from exc
 
 
 # ---------------------------------------------------------------------
@@ -320,17 +373,24 @@ class IncrementalExecutor:
 
     Cached payloads per (stream, bw index):
 
-    * no aggregate — the per-slice pipeline output relation;
+    * no aggregate — the per-slice program's output relation;
     * aggregate — the partial state dict (raw slice output dropped);
-    * two-stream join — per-side pipeline outputs plus per (left bw,
+    * two-stream join — per-side program outputs plus per (left bw,
       right bw) pair join results.
+
+    The analysis's programs are slot-compiled here once (or, with
+    *compiled* off or on a compile failure, all interpreted).
     """
 
-    def __init__(self, analysis: IncrementalAnalysis,
-                 ctx: ExecutionContext, cache_enabled: bool = True):
+    def __init__(self, analysis: IncrementalAnalysis, catalog: Catalog,
+                 cache_enabled: bool = True, compiled: bool = True):
         self.analysis = analysis
-        self.ctx = ctx
+        self.catalog = catalog
         self.cache_enabled = cache_enabled
+        programs = {role: compile_or_interpret(program, compiled)
+                    for role, program in analysis.programs.items()}
+        self.compiled: Optional[Dict[str, CompiledProgram]] = \
+            None if None in programs.values() else programs
         self.aggregator = PartialAggregator(analysis.agg) \
             if analysis.agg is not None else None
         self._slices: Dict[Tuple[str, int], Relation] = {}
@@ -342,37 +402,30 @@ class IncrementalExecutor:
         self.pairs_computed = 0
         self.pairs_reused = 0
 
+    def _run(self, role: str, inputs: Dict[str, Relation]) -> Relation:
+        """Run one fragment program with *inputs* bound by name."""
+        ctx = MALContext(self.catalog, stream_reader=inputs.__getitem__)
+        if self.compiled is None:
+            return MALInterpreter(ctx).run(self.analysis.programs[role])
+        return self.compiled[role].run(ctx)
+
     # -- per-basic-window processing -----------------------------------
 
     def process_basic_window(self, stream: str, bw_index: int,
                              slice_rel: Relation) -> None:
-        """Run the per-slice pipeline over one basic window and cache."""
+        """Run the per-slice program over one basic window and cache."""
         key = (stream, bw_index)
-        if self.analysis.kind == "single":
-            out = self._run_pipeline(self.analysis.pipeline, stream,
-                                     slice_rel)
+        a = self.analysis
+        if a.kind == "single":
+            out = self._run("slice", {stream: slice_rel})
             if self.aggregator is not None:
                 self._partials[key] = self.aggregator.partial(out)
             else:
                 self._slices[key] = out
         else:
-            side = self.analysis.left_pipeline \
-                if stream == self.analysis.left_stream \
-                else self.analysis.right_pipeline
-            self._slices[key] = self._run_pipeline(side, stream, slice_rel)
+            side = "left" if stream == a.left_stream else "right"
+            self._slices[key] = self._run(side, {stream: slice_rel})
         self.slices_computed += 1
-
-    def _run_pipeline(self, pipeline: PlanNode, stream: str,
-                      slice_rel: Relation) -> Relation:
-        """Run a per-slice pipeline with *slice_rel* bound as *stream*."""
-        def reader(name: str) -> Relation:
-            if name == stream:
-                return slice_rel
-            raise StreamError(
-                f"pipeline for {stream!r} asked for stream {name!r}")
-
-        ctx = ExecutionContext(self.ctx.catalog, reader)
-        return PlanExecutor(ctx).execute(pipeline)
 
     # -- firing a full window -----------------------------------------------
 
@@ -381,7 +434,7 @@ class IncrementalExecutor:
             rel = self._fire_single(compositions)
         else:
             rel = self._fire_join2(compositions)
-        return self._apply_upper(rel)
+        return self._run("tail", {MERGED: rel})
 
     def _fire_single(self, compositions: Dict[str, List[int]]) -> Relation:
         stream = self.analysis.stream_scans[0].stream_name
@@ -394,7 +447,7 @@ class IncrementalExecutor:
         pieces = [self._slices[(stream, j)] for j in bws
                   if (stream, j) in self._slices]
         self.slices_reused += max(len(pieces) - 1, 0)
-        return self._concat(pieces, self.analysis.pipeline)
+        return self._concat(pieces)
 
     def _fire_join2(self, compositions: Dict[str, List[int]]) -> Relation:
         a = self.analysis
@@ -408,7 +461,7 @@ class IncrementalExecutor:
             # pieces are per-pair partial aggregate states: the full
             # join output is never re-materialized on a slide
             return self.aggregator.finalize(self.aggregator.merge(pieces))
-        return self._concat(pieces, a.join_node)
+        return self._concat(pieces)
 
     def _pair_payload(self, pair: Tuple[int, int]):
         """Join result for one (left bw, right bw) pair — as a cached
@@ -423,10 +476,7 @@ class IncrementalExecutor:
         right = self._slices.get((a.right_stream, pair[1]))
         if left is None or right is None:
             return None
-        joined = join_relations(left, right, a.join_node.left_key,
-                                a.join_node.right_key)
-        if a.join_node.residual is not None:
-            joined = apply_predicate(joined, a.join_node.residual)
+        joined = self._run("pair", {LEFT: left, RIGHT: right})
         payload = joined if self.aggregator is None \
             else self.aggregator.partial(joined)
         if self.cache_enabled:
@@ -434,37 +484,13 @@ class IncrementalExecutor:
         self.pairs_computed += 1
         return payload
 
-    @staticmethod
-    def _concat(pieces: List[Relation], schema_node: PlanNode) -> Relation:
+    def _concat(self, pieces: List[Relation]) -> Relation:
         if not pieces:
-            return Relation.empty(schema_node.schema)
+            return self.analysis.empty_pieces
         out = pieces[0]
         for piece in pieces[1:]:
             out = out.concat(piece)
         return out
-
-    def _apply_upper(self, rel: Relation) -> Relation:
-        """Apply the post-merge tail (root-first list) to a window
-        result."""
-        for node in reversed(self.analysis.upper):
-            if isinstance(node, FilterNode):
-                rel = apply_predicate(rel, node.predicate)
-            elif isinstance(node, SortNode):
-                rel = sort_relation(rel, node.keys)
-            elif isinstance(node, ProjectNode):
-                rel = project_relation(rel, node.exprs, node.names)
-            elif isinstance(node, LimitNode):
-                stop = None if node.limit is None \
-                    else node.offset + node.limit
-                rel = rel.slice_rows(node.offset, stop)
-            elif isinstance(node, DistinctNode):
-                bats = [b for _n, b in rel.columns()]
-                if bats and rel.row_count:
-                    rel = rel.take(kernel.distinct(bats))
-            else:
-                raise UnsupportedIncremental(
-                    f"unexpected post-merge node {node.label()}")
-        return rel
 
     # -- cache maintenance ------------------------------------------------------
 

@@ -10,7 +10,7 @@ with candidate lists, late reconstruction is explicit
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MALError
 from repro.mal.program import Const, MALProgram, Var
@@ -57,11 +57,25 @@ class MALCompiler:
 
     def __init__(self):
         self.program: Optional[MALProgram] = None
+        self.inputs: Dict[int, Tuple[str, Sequence[str]]] = {}
 
-    def compile(self, plan: PlanNode, name: str = "user.s0") -> MALProgram:
+    def compile(self, plan: PlanNode, name: str = "user.s0",
+                inputs: Optional[Dict[int, Tuple[str, Sequence[str]]]]
+                = None, all_columns: bool = False) -> MALProgram:
+        """Compile *plan*; the result set holds ``plan.schema.names``.
+
+        *inputs* maps ``id(node)`` of chosen subtrees to ``(source,
+        column keys)``: such a subtree is not compiled, its columns are
+        bound by ``sql.bind(source, key)`` from the context's
+        ``stream_reader`` — how incremental mode feeds a plan fragment
+        its cached pieces. With *all_columns* the result set holds every
+        column the root produces instead (a pruned scan produces fewer
+        than its schema names).
+        """
         self.program = MALProgram(name, kind="query")
+        self.inputs = inputs or {}
         cols = self._node(plan)
-        names = plan.schema.names
+        names = list(cols.mapping) if all_columns else plan.schema.names
         args: List = [Const(tuple(names))]
         args.extend(cols.var(n) for n in names)
         self.program.emit("sql.resultSet", *args, results=0,
@@ -71,6 +85,12 @@ class MALCompiler:
     # -- plan dispatch ---------------------------------------------------
 
     def _node(self, node: PlanNode) -> _Cols:
+        bound = self.inputs.get(id(node))
+        if bound is not None:
+            source, keys = bound
+            return _Cols({key: self.program.emit(
+                "sql.bind", Const(source), Const(key),
+                comment=f"{key} from {source}") for key in keys})
         if isinstance(node, ScanNode):
             return self._scan(node, "sql.bind", node.table_name)
         if isinstance(node, StreamScanNode):
@@ -128,16 +148,23 @@ class MALCompiler:
         cand = None
         rest: List[BoundExpr] = []
         for conj in split_conjuncts(node.predicate):
-            simple = self._simple_theta(conj, cols)
+            simple = self._simple_theta(conj)
             if simple is not None:
-                col_var, op, value = simple
-                args = [col_var]
+                key, op, value = simple
+                args = [cols.var(key)]
                 if cand is not None:
                     args.append(cand)
                 args.extend([Const(value), Const(op)])
-                cand = self.program.emit(
-                    "algebra.thetaselect", *args,
-                    comment=f"select {conj.sql()}")
+                column = self._table_column(node.child, key)
+                if column is None:
+                    cand = self.program.emit(
+                        "algebra.thetaselect", *args,
+                        comment=f"select {conj.sql()}")
+                else:
+                    cand = self.program.emit(
+                        "algebra.indexselect", *map(Const, column),
+                        *args, comment=f"select {conj.sql()} "
+                                       f"(index probe when indexed)")
             else:
                 rest.append(conj)
         if rest:
@@ -161,22 +188,32 @@ class MALCompiler:
         return self._reconstruct(cols, cand)
 
     @staticmethod
-    def _simple_theta(conj: BoundExpr, cols: _Cols
-                      ) -> Optional[Tuple[Var, str, object]]:
+    def _simple_theta(conj: BoundExpr
+                      ) -> Optional[Tuple[str, str, object]]:
         if (isinstance(conj, BoundCompare)
                 and isinstance(conj.left, BoundColumn)
                 and isinstance(conj.right, BoundLiteral)
                 and conj.right.value is not None):
-            return (cols.var(conj.left.key), conj.op, conj.right.value)
+            return (conj.left.key, conj.op, conj.right.value)
         if (isinstance(conj, BoundCompare)
                 and isinstance(conj.right, BoundColumn)
                 and isinstance(conj.left, BoundLiteral)
                 and conj.left.value is not None):
             flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=",
                     "==": "==", "!=": "!="}
-            return (cols.var(conj.right.key), flip[conj.op],
-                    conj.left.value)
+            return (conj.right.key, flip[conj.op], conj.left.value)
         return None
+
+    def _table_column(self, node: PlanNode, key: str
+                      ) -> Optional[Tuple[str, str]]:
+        """``(table, column)`` when column *key* comes straight from a
+        table scan — a bare stored column an index may serve."""
+        if not isinstance(node, ScanNode) or id(node) in self.inputs:
+            return None
+        prefix = node.alias + "."
+        if not key.startswith(prefix):
+            return None
+        return node.table_name, key[len(prefix):]
 
     def _reconstruct(self, cols: _Cols, cand: Var) -> _Cols:
         """Late tuple reconstruction of every live column."""
@@ -217,11 +254,22 @@ class MALCompiler:
         else:
             lkey = self._expr(node.left_key, left)
             rkey = self._expr(node.right_key, right)
-            opcode = "algebra.leftjoin" if outer else "algebra.join"
-            lcand, rcand = self.program.emit(
-                opcode, lkey, rkey, results=2,
-                comment=f"{'left outer' if outer else 'hash'} join on "
-                        f"{node.left_key.sql()} = {node.right_key.sql()}")
+            on = f"{node.left_key.sql()} = {node.right_key.sql()}"
+            column = None
+            if node.join_type == "inner" \
+                    and isinstance(node.right_key, BoundColumn):
+                column = self._table_column(node.right, node.right_key.key)
+            if column is not None:
+                lcand, rcand = self.program.emit(
+                    "algebra.indexjoin", lkey, rkey, *map(Const, column),
+                    results=2, comment=f"join on {on} (index probe when "
+                                       f"indexed)")
+            else:
+                opcode = "algebra.leftjoin" if outer else "algebra.join"
+                lcand, rcand = self.program.emit(
+                    opcode, lkey, rkey, results=2,
+                    comment=f"{'left outer' if outer else 'hash'} join "
+                            f"on {on}")
         mapping = {}
         for key, var in left.items():
             mapping[key] = self.program.emit(
@@ -394,9 +442,10 @@ class MALCompiler:
         raise MALError(f"cannot compile expression {expr!r}")
 
 
-def compile_plan(plan: PlanNode, name: str = "user.s0") -> MALProgram:
-    """Convenience wrapper around :class:`MALCompiler`."""
-    return MALCompiler().compile(plan, name)
+def compile_plan(plan: PlanNode, name: str = "user.s0",
+                 **options) -> MALProgram:
+    """Convenience wrapper around :meth:`MALCompiler.compile`."""
+    return MALCompiler().compile(plan, name, **options)
 
 
 # ---------------------------------------------------------------------
@@ -781,10 +830,19 @@ _COMPILE_STATS = {"compiles": 0, "cache_hits": 0, "fallbacks": 0,
                   "const_folds": 0}
 
 
-def record_compile_fallback() -> None:
-    """Count a factory falling back to the interpreter (compile
-    failure on an open-opcode-table program)."""
-    _COMPILE_STATS["fallbacks"] += 1
+def compile_or_interpret(program: MALProgram,
+                         compiled: bool = True) -> Optional[CompiledProgram]:
+    """Slot-compile *program* once, at registration; ``None`` means it
+    runs on the interpreter. A compile failure (open opcode table,
+    externally injected bindings) falls back to the interpreter rather
+    than rejecting the query, and is counted."""
+    if not compiled:
+        return None
+    try:
+        return compile_program(program)
+    except MALError:
+        _COMPILE_STATS["fallbacks"] += 1
+        return None
 
 
 def compile_stats() -> Dict[str, int]:

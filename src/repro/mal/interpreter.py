@@ -1,9 +1,10 @@
 """MAL program interpreter.
 
 Executes :class:`~repro.mal.program.MALProgram` instructions against the
-bulk kernel. The interpreter is the execution engine of the
-*re-evaluation* mode: a continuous-query factory holds a rewritten MAL
-program and the scheduler runs it here once per firing.
+bulk kernel. Every plan runs as MAL: one-time queries here, standing
+queries of both modes on their slot-compiled form
+(:mod:`repro.mal.compiler`) — or here, when compilation is off or
+fails.
 
 The opcode table is open: the DataCell runtime registers the ``basket.*``
 opcodes that bind, lock and drain stream baskets.
@@ -182,6 +183,22 @@ def _thetaselect(ctx: MALContext, bat: BAT, *rest) -> np.ndarray:
     return kernel.theta_select(bat, op, value, cand)
 
 
+@opcode("algebra.indexselect")
+def _indexselect(ctx: MALContext, table: str, column: str, bat: BAT,
+                 *rest) -> np.ndarray:
+    """``algebra.thetaselect`` over a table column: probes the column's
+    index when the table has one that serves the comparison at run
+    time (an index may be created after the plan compiled), else
+    scans."""
+    value, op = rest[-2:]
+    positions = ctx.catalog.table(table).index_select(column, op, value)
+    if positions is None:
+        return _thetaselect(ctx, bat, *rest)
+    if len(rest) == 3:
+        return kernel.cand_intersect(rest[0], positions)
+    return positions
+
+
 @opcode("algebra.select")
 def _select(ctx: MALContext, bat: BAT, low, high, li: bool, hi: bool,
             anti: bool) -> np.ndarray:
@@ -202,6 +219,16 @@ def _projection(ctx: MALContext, cand: np.ndarray, bat: BAT) -> BAT:
 @opcode("algebra.join")
 def _join(ctx: MALContext, left: BAT, right: BAT):
     return kernel.hashjoin(left, right)
+
+
+@opcode("algebra.indexjoin")
+def _indexjoin(ctx: MALContext, left: BAT, right: BAT, table: str,
+               column: str):
+    """``algebra.join`` against a bare table column: probes the column's
+    hash index when one exists at run time instead of building a hash
+    table per execution, else hash-joins."""
+    pairs = ctx.catalog.table(table).index_join(column, left)
+    return kernel.hashjoin(left, right) if pairs is None else pairs
 
 
 @opcode("algebra.leftjoin")
@@ -274,11 +301,7 @@ def _subcountcol(ctx: MALContext, bat: BAT, gids: np.ndarray,
 @opcode("aggr.subdistinct")
 def _subdistinct(ctx: MALContext, op: str, bat: BAT, gids: np.ndarray,
                  ngroups: int) -> BAT:
-    from repro.sql.executor import _distinct_aggregate
-    from repro.sql.expressions import BoundAgg, BoundColumn
-
-    probe = BoundAgg(op, BoundColumn("x", bat.dtype), distinct=True)
-    return _distinct_aggregate(probe, bat, gids, ngroups)
+    return kernel.distinct_aggregate(op, bat, gids, ngroups)
 
 
 @opcode("aggr.count_rows")

@@ -577,6 +577,34 @@ def scalar_agg(op: str, bat: Optional[BAT],
     raise KernelError(f"unknown scalar aggregate {op!r}")
 
 
+def distinct_aggregate(op: str, arg: BAT, gids: np.ndarray,
+                       ngroups: int) -> BAT:
+    """Grouped aggregate over the distinct non-nil values of each group
+    (COUNT/SUM/AVG/MIN/MAX DISTINCT)."""
+    seen = set()
+    keep: List[int] = []
+    values = arg.values
+    for i in np.nonzero(~arg.nil_mask())[0]:
+        key = (int(gids[i]), values[i])
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    sel = np.asarray(keep, dtype=np.int64)
+    sub_gids = gids[sel]
+    sub = arg.take(sel)
+    if op == "count":
+        return agg_count(sub_gids, ngroups, sub, None)
+    if op == "sum":
+        return agg_sum(sub, sub_gids, ngroups)
+    if op == "avg":
+        return agg_avg(sub, sub_gids, ngroups)
+    if op == "min":
+        return agg_min(sub, sub_gids, ngroups)
+    if op == "max":
+        return agg_max(sub, sub_gids, ngroups)
+    raise KernelError(f"unknown aggregate {op!r}")
+
+
 # ---------------------------------------------------------------------
 # sorting, slicing, distinct
 # ---------------------------------------------------------------------

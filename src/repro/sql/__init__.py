@@ -1,4 +1,7 @@
-"""SQL front-end: lexer, parser, binder, planner, optimizer, executor."""
+"""SQL front-end: lexer, parser, binder, planner, optimizer.
+
+Plans execute as MAL (:mod:`repro.mal.compiler`); there is no plan
+executor here."""
 
 from __future__ import annotations
 

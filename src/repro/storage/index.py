@@ -8,20 +8,25 @@ window slide is sub-linear in the table size.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.mal import kernel
 from repro.mal.bat import BAT
 from repro.storage import types as dt
 
 
 class HashIndex:
-    """Equality index: value -> positions. Nil values are not indexed."""
+    """Equality index: value -> positions. Nil values are not indexed.
+
+    ``probes`` counts the lookups and joins served, as the ``sorted``
+    index does."""
 
     def __init__(self, bat: BAT):
         self._bat = bat
         self._table: Dict = {}
+        self.probes = 0
         self.rebuild()
 
     def rebuild(self) -> None:
@@ -40,7 +45,15 @@ class HashIndex:
             self._table.setdefault(value, []).append(start + offset)
 
     def lookup(self, value) -> np.ndarray:
+        self.probes += 1
         return np.asarray(self._table.get(value, []), dtype=np.int64)
+
+    def join(self, probe: BAT) -> Tuple[np.ndarray, np.ndarray]:
+        """Equi-join *probe* against the indexed column without building
+        a hash table: (probe, indexed) positions, ordered as
+        :func:`~repro.mal.kernel.hashjoin` orders them."""
+        self.probes += 1
+        return kernel.probe_hash_table(self._table, probe)
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._table.values())
@@ -58,6 +71,7 @@ class SortedIndex:
         self._order: Optional[np.ndarray] = None
         self._keys: Optional[np.ndarray] = None
         self._built_rows = -1
+        self.probes = 0
         self.rebuild()
 
     def rebuild(self) -> None:
@@ -84,6 +98,7 @@ class SortedIndex:
 
     def lookup(self, value) -> np.ndarray:
         self._fresh()
+        self.probes += 1
         lo = np.searchsorted(self._keys, value, side="left")
         hi = np.searchsorted(self._keys, value, side="right")
         return np.sort(self._order[lo:hi])
@@ -91,6 +106,7 @@ class SortedIndex:
     def range(self, low, high, low_inclusive: bool = True,
               high_inclusive: bool = True) -> np.ndarray:
         self._fresh()
+        self.probes += 1
         lo = 0
         hi = len(self._keys)
         if low is not None:

@@ -6,12 +6,20 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import CatalogError, KernelError
+from repro.errors import CatalogError, KernelError, TypeMismatchError
 from repro.mal.bat import BAT
 from repro.mal.relation import Relation
 from repro.storage import types as dt
 from repro.storage.index import HashIndex, SortedIndex
 from repro.storage.schema import Schema
+
+# comparison -> (low, high, low_inclusive, high_inclusive) of a range probe
+_RANGE_BOUNDS = {
+    "<": lambda v: (None, v, True, False),
+    "<=": lambda v: (None, v, True, True),
+    ">": lambda v: (v, None, False, True),
+    ">=": lambda v: (v, None, True, True),
+}
 
 
 class Table:
@@ -181,6 +189,31 @@ class Table:
         if index is None or not isinstance(index, SortedIndex):
             return None
         return index.range(low, high, low_inclusive, high_inclusive)
+
+    def index_select(self, column: str, op: str, value
+                     ) -> Optional[np.ndarray]:
+        """Positions where ``column op value`` holds, probed through an
+        index on *column*; None when no index serves *op* (or *value*
+        does not fit the column), so the caller scans instead."""
+        if op == "==":
+            try:
+                return self.index_lookup(column, value)
+            except TypeMismatchError:
+                return None
+        bounds = _RANGE_BOUNDS.get(op)
+        if bounds is None:
+            return None
+        low, high, low_inclusive, high_inclusive = bounds(value)
+        return self.index_range(column, low, high, low_inclusive,
+                                high_inclusive)
+
+    def index_join(self, column: str, probe: BAT):
+        """(probe, table) positions of the equi-join of *probe* with
+        *column* through a hash index on it; None without one."""
+        index = self._indexes.get(column.lower())
+        if not isinstance(index, HashIndex):
+            return None
+        return index.join(probe)
 
     def __repr__(self) -> str:
         return f"Table({self.name}, {self.schema!r}, rows={len(self)})"

@@ -67,9 +67,21 @@ def engine() -> DataCellEngine:
 
 
 def run_select(catalog: Catalog, sql: str):
-    """Compile + run a one-time SELECT over a catalog; returns rows."""
+    """Compile + run a one-time SELECT over a catalog on the reference
+    tree executor; returns rows."""
     from repro.sql import compile_select
-    from repro.sql.executor import ExecutionContext, PlanExecutor
+    from tests.tree_executor import ExecutionContext, PlanExecutor
 
     plan = compile_select(sql, catalog)
     return PlanExecutor(ExecutionContext(catalog)).execute(plan).to_rows()
+
+
+def run_mal(catalog: Catalog, sql: str):
+    """Compile + run a one-time SELECT over a catalog the way the engine
+    does, as a MAL program; returns rows."""
+    from repro.mal.compiler import compile_plan
+    from repro.mal.interpreter import MALContext, execute
+    from repro.sql import compile_select
+
+    program = compile_plan(compile_select(sql, catalog))
+    return execute(program, MALContext(catalog)).to_rows()

@@ -157,12 +157,12 @@ class TestCompileErrors:
         assert impl is lookup_opcode("calc.abs")
 
     def test_factory_falls_back_to_interpreter(self, monkeypatch):
-        import repro.core.factory as factory_mod
+        import repro.mal.compiler as compiler_mod
 
         def boom(program):
             raise MALError("no compile today")
 
-        monkeypatch.setattr(factory_mod, "compile_program", boom)
+        monkeypatch.setattr(compiler_mod, "compile_program", boom)
         before = compile_stats()["compile_fallbacks"]
         _m, batches, engine = run_query(
             ROWS, "SELECT k, sum(v) FROM s [RANGE 8 SLIDE 4] "
@@ -174,7 +174,7 @@ class TestCompileErrors:
     def test_fallback_fires_on_the_bare_interpreter(self, monkeypatch):
         """A plan that failed to compile runs on the oracle itself:
         recycler on, two sharers — and not one instruction lookup."""
-        import repro.core.factory as factory_mod
+        import repro.mal.compiler as compiler_mod
 
         query = ("SELECT k, sum(v) FROM s [RANGE 8 SLIDE 4] GROUP BY k "
                  "ORDER BY k")
@@ -184,7 +184,7 @@ class TestCompileErrors:
         def boom(program):
             raise MALError("no compile today")
 
-        monkeypatch.setattr(factory_mod, "compile_program", boom)
+        monkeypatch.setattr(compiler_mod, "compile_program", boom)
         engine = DataCellEngine(recycler_enabled=True)
         engine.execute("CREATE STREAM s (k INT, v FLOAT)")
         for name in ("q", "twin"):

@@ -1,9 +1,10 @@
 """Integration tests: one-time SQL through the plan executor."""
 
 
-from repro.sql import compile_select
-from repro.sql.executor import ExecutionContext, PlanExecutor
-from tests.conftest import run_select
+import pytest
+
+from repro.core.engine import DataCellEngine
+from tests.conftest import run_mal, run_select
 
 
 class TestProjection:
@@ -191,31 +192,53 @@ class TestOrderingLimiting:
 
 
 class TestIndexedFilterPath:
+    """Index probes are MAL (``algebra.indexselect``): the rows match the
+    reference executor's scan, and the index counts the probe."""
+
     def test_index_probe_used_and_correct(self, emp_catalog):
+        sql = "SELECT id, dept FROM emp WHERE id >= 4"
         emp_catalog.table("emp").create_index("id", "sorted")
-        plan = compile_select("SELECT id, dept FROM emp WHERE id >= 4",
-                              emp_catalog)
-        ctx = ExecutionContext(emp_catalog)
-        rows = PlanExecutor(ctx).execute(plan).to_rows()
-        assert rows == [(4, None), (5, "b")]
-        assert ctx.stats.get("index_probes", 0) == 1
+        index = emp_catalog.table("emp").index_on("id")
+        rows = run_mal(emp_catalog, sql)
+        assert rows == run_select(emp_catalog, sql) == [(4, None),
+                                                         (5, "b")]
+        assert index.probes == 1
 
     def test_hash_index_equality(self, emp_catalog):
+        sql = "SELECT id FROM emp WHERE dept = 'b'"
         emp_catalog.table("emp").create_index("dept", "hash")
-        plan = compile_select("SELECT id FROM emp WHERE dept = 'b'",
-                              emp_catalog)
-        ctx = ExecutionContext(emp_catalog)
-        rows = PlanExecutor(ctx).execute(plan).to_rows()
-        assert rows == [(3,), (5,)]
-        assert ctx.stats.get("index_probes", 0) == 1
+        index = emp_catalog.table("emp").index_on("dept")
+        rows = run_mal(emp_catalog, sql)
+        assert rows == run_select(emp_catalog, sql) == [(3,), (5,)]
+        assert index.probes == 1
 
     def test_index_with_extra_conjunct(self, emp_catalog):
+        sql = "SELECT id FROM emp WHERE dept = 'b' AND salary > 100"
         emp_catalog.table("emp").create_index("dept", "hash")
-        plan = compile_select(
-            "SELECT id FROM emp WHERE dept = 'b' AND salary > 100",
-            emp_catalog)
-        ctx = ExecutionContext(emp_catalog)
-        assert PlanExecutor(ctx).execute(plan).to_rows() == [(5,)]
+        assert run_mal(emp_catalog, sql) == [(5,)]
+        assert emp_catalog.table("emp").index_on("dept").probes == 1
+
+
+    @pytest.mark.parametrize("kind,where", [
+        ("hash", "key = 1234"),
+        ("sorted", "key = 1234"),
+        ("sorted", "key >= 1990"),
+        # probed after a scanned conjunct: the probe meets its candidates
+        ("sorted", "label = 'label3' AND key >= 1990"),
+    ])
+    def test_one_time_query_probes(self, kind, where):
+        """One-time SELECTs run as MAL on the engine: an index created
+        on the table is probed, with the rows a scan returns."""
+        engine = DataCellEngine()
+        engine.execute("CREATE TABLE dim (key INT, label VARCHAR(16))")
+        engine.catalog.table("dim").insert_rows(
+            [(k, f"label{k % 7}") for k in range(2000)])
+        sql = f"SELECT label FROM dim WHERE {where}"
+        scanned = engine.query(sql).to_rows()
+        engine.execute(f"CREATE INDEX ON dim (key) USING {kind}")
+        assert engine.query(sql).to_rows() == scanned
+        assert scanned
+        assert engine.catalog.table("dim").index_on("key").probes == 1
 
 
 class TestFunctionsInQueries:

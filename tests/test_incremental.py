@@ -8,7 +8,6 @@ from repro.core.incremental import (IncrementalExecutor, PartialAggregator,
                                     analyze_incremental)
 from repro.mal.relation import Relation
 from repro.sql import compile_select
-from repro.sql.executor import ExecutionContext
 from repro.sql.plan import AggregateNode, JoinNode, StreamScanNode
 from repro.storage import Schema
 
@@ -65,6 +64,7 @@ class TestAnalysis:
                     "s2 [RANGE 4 SLIDE 2] b WHERE a.k = b.k")
         assert a.kind == "join2"
         assert a.left_stream == "s" and a.right_stream == "s2"
+        assert list(a.programs) == ["left", "right", "pair", "tail"]
 
     def test_describe_mentions_split(self, catalog):
         a = analyze(catalog,
@@ -72,6 +72,8 @@ class TestAnalysis:
         text = a.describe()
         assert "per-slice pipeline" in text
         assert "blocking merge" in text
+        assert "function incr.slice()" in text
+        assert "function incr.tail()" in text
 
 
 class TestAnalysisRejections:
@@ -159,8 +161,7 @@ class TestPartialAggregator:
 class TestExecutorCaches:
     def make_executor(self, catalog, sql, cache=True):
         analysis = analyze(catalog, sql)
-        return IncrementalExecutor(analysis, ExecutionContext(catalog),
-                                   cache)
+        return IncrementalExecutor(analysis, catalog, cache)
 
     def test_single_stream_cache_and_fire(self, catalog):
         ex = self.make_executor(

@@ -7,7 +7,8 @@ from repro.mal.compiler import compile_plan
 from repro.mal.interpreter import MALContext, execute
 from repro.mal.program import Const, Instruction, MALProgram, Var
 from repro.sql import compile_select
-from repro.sql.executor import ExecutionContext, PlanExecutor
+from repro.storage import Schema
+from tests.tree_executor import ExecutionContext, PlanExecutor
 
 QUERY_CORPUS = [
     "SELECT id FROM emp",
@@ -108,12 +109,16 @@ class TestProgramModel:
 
 class TestCompilerOutput:
     def test_select_compiles_to_thetaselect(self, emp_catalog):
-        plan = compile_select("SELECT id FROM emp WHERE salary > 60",
-                              emp_catalog)
+        emp_catalog.create_stream("s", Schema.parse([("k", "INT")]))
+        plan = compile_select("SELECT k FROM s WHERE k > 60", emp_catalog)
         prog = compile_plan(plan)
         assert "algebra.thetaselect" in prog.opcodes()
         assert "algebra.projection" in prog.opcodes()
         assert prog.opcodes()[-1] == "sql.resultSet"
+        # over a stored column the select probes an index when one exists
+        plan = compile_select("SELECT id FROM emp WHERE salary > 60",
+                              emp_catalog)
+        assert "algebra.indexselect" in compile_plan(plan).opcodes()
 
     def test_complex_predicate_uses_mask(self, emp_catalog):
         plan = compile_select(
@@ -123,10 +128,15 @@ class TestCompilerOutput:
 
     def test_join_opcode(self, emp_catalog):
         plan = compile_select(
-            "SELECT e.id FROM emp e, dept d WHERE e.dept = d.name",
-            emp_catalog)
+            "SELECT e.id FROM emp e, dept d WHERE e.dept = d.name "
+            "AND d.budget > 300", emp_catalog)
         prog = compile_plan(plan)
         assert "algebra.join" in prog.opcodes()
+        # a bare stored column on the build side may be index-probed
+        plan = compile_select(
+            "SELECT e.id FROM emp e, dept d WHERE e.dept = d.name",
+            emp_catalog)
+        assert "algebra.indexjoin" in compile_plan(plan).opcodes()
 
     def test_group_aggregate_opcodes(self, emp_catalog):
         plan = compile_select(

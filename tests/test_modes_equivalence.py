@@ -190,44 +190,66 @@ class TestBasicWindowRace:
         assert len(emitted["reeval"]) == 3
 
 
+# (query, index dim on k): each runs in reeval, incremental and the oracle
+JOIN_CASES = [
+    ("SELECT d.label, count(*) FROM s [RANGE 12 SLIDE 4], dim d "
+     "WHERE s.k = d.k GROUP BY d.label ORDER BY d.label", False),
+    ("SELECT d.label, s.v FROM s [RANGE 8 SLIDE 4], dim d "
+     "WHERE s.k = d.k AND s.v > 8", False),
+    ("SELECT a.k, count(*) FROM s [RANGE 10 SLIDE 5] a, "
+     "s2 [RANGE 10 SLIDE 5] b WHERE a.k = b.k GROUP BY a.k "
+     "ORDER BY a.k", False),
+    ("SELECT a.v, b.w FROM s [RANGE 6 SLIDE 3] a, "
+     "s2 [RANGE 6 SLIDE 3] b WHERE a.k = b.k AND a.v > 10", False),
+    # the join probes dim's hash index (algebra.indexjoin) in every mode
+    ("SELECT d.label, sum(s.v) FROM s [RANGE 12 SLIDE 4], dim d "
+     "WHERE s.k = d.k GROUP BY d.label ORDER BY d.label", True),
+    # outer join per basic window: the stream is the preserved side
+    ("SELECT b.k, b.w, d.label FROM s2 [RANGE 10 SLIDE 5] b "
+     "LEFT JOIN dim d ON b.k = d.k", False),
+    # single-stream tails that run on the merged window
+    ("SELECT DISTINCT k FROM s [RANGE 8 SLIDE 4]", False),
+    ("SELECT k, v FROM s [RANGE 8 SLIDE 4] ORDER BY v DESC, k "
+     "LIMIT 2 OFFSET 1", False),
+]
+
+
 class TestHybridAndJoins:
-    def make_engine(self, **engine_kwargs):
+    def make_engine(self, indexed=False, **engine_kwargs):
         engine = DataCellEngine(**engine_kwargs)
         engine.execute("CREATE STREAM s (k INT, v FLOAT)")
         engine.execute("CREATE STREAM s2 (k INT, w INT)")
         engine.execute("CREATE TABLE dim (k INT, label VARCHAR(8))")
         engine.execute("INSERT INTO dim VALUES (0,'a'), (1,'b'), "
                        "(2,'c'), (3,'d')")
+        if indexed:
+            engine.execute("CREATE INDEX ON dim (k)")
         return engine
 
-    def run(self, query, mode, **engine_kwargs):
-        engine = self.make_engine(**engine_kwargs)
+    def run(self, query, mode, indexed=False, **engine_kwargs):
+        engine = self.make_engine(indexed, **engine_kwargs)
         q = engine.register_continuous(query, mode=mode, name="q")
         engine.attach_source("s", RateSource(ROWS, rate=100000))
         engine.attach_source(
             "s2", RateSource([(i % 5, i) for i in range(60)],
                              rate=100000))
         engine.run_until_drained()
+        assert not engine.scheduler.failed, engine.scheduler.failed
+        if indexed:
+            assert engine.catalog.table("dim").index_on("k").probes
         return q.mode, [r.to_rows() for _t, r in
                         engine.results("q").batches]
 
-    @pytest.mark.parametrize("query", [
-        "SELECT d.label, count(*) FROM s [RANGE 12 SLIDE 4], dim d "
-        "WHERE s.k = d.k GROUP BY d.label ORDER BY d.label",
-        "SELECT d.label, s.v FROM s [RANGE 8 SLIDE 4], dim d "
-        "WHERE s.k = d.k AND s.v > 8",
-        "SELECT a.k, count(*) FROM s [RANGE 10 SLIDE 5] a, "
-        "s2 [RANGE 10 SLIDE 5] b WHERE a.k = b.k GROUP BY a.k "
-        "ORDER BY a.k",
-        "SELECT a.v, b.w FROM s [RANGE 6 SLIDE 3] a, "
-        "s2 [RANGE 6 SLIDE 3] b WHERE a.k = b.k AND a.v > 10",
-    ])
-    def test_join_modes_agree(self, query):
-        m1, r1 = self.run(query, "reeval")
-        m2, r2 = self.run(query, "incremental")
+    @pytest.mark.parametrize(
+        "query,indexed", JOIN_CASES,
+        ids=[f"indexed {q}" if i else q for q, i in JOIN_CASES])
+    def test_join_modes_agree(self, query, indexed):
+        m1, r1 = self.run(query, "reeval", indexed)
+        m2, r2 = self.run(query, "incremental", indexed)
         m3, r3 = self.run(query, "reeval", **ORACLE)
         assert m2 == "incremental" and m3 == "reeval"
         assert len(r1) == len(r2) == len(r3)
+        assert any(r1)
         for a, b, c in zip(r1, r2, r3):
             key = sorted(map(repr, a))
             assert key == sorted(map(repr, b))

@@ -60,6 +60,11 @@ class TestPlansPane:
     def test_incremental_split_shown(self, busy_engine):
         text = busy_engine.monitor.plans("winq")
         assert "incremental split" in text
+        # the split is shown as the MAL programs it runs
+        split = text[text.index("incremental split"):]
+        assert "function incr.slice()" in split
+        assert "function incr.tail()" in split
+        assert 'sql.bind("%merged"' in split
 
 
 class TestSampling:

@@ -158,7 +158,7 @@ class TestPipeline:
         assert opt.applied == ["fold_constants"]
 
     def test_optimized_plan_still_executes(self, catalog):
-        from repro.sql.executor import ExecutionContext, PlanExecutor
+        from tests.tree_executor import ExecutionContext, PlanExecutor
 
         plan = Optimizer().optimize(raw_plan(
             catalog, "SELECT e.id FROM emp e, dept d "

@@ -8,7 +8,8 @@ Any rule that changes results fails here.
 import pytest
 
 from repro.sql import compile_select
-from repro.sql.executor import ExecutionContext, PlanExecutor
+from tests.conftest import run_mal
+from tests.tree_executor import ExecutionContext, PlanExecutor
 from tests.test_mal import QUERY_CORPUS
 
 EXTRA = [
@@ -57,11 +58,12 @@ def test_indexes_do_not_change_results(emp_catalog):
         "WHERE e.dept = d.name ORDER BY e.id",
         "SELECT id FROM emp WHERE dept = 'b' AND salary > 60",
     ]
-    plain = [PlanExecutor(ExecutionContext(emp_catalog)).execute(
-        compile_select(q, emp_catalog)).to_rows() for q in queries]
+    plain = [run_mal(emp_catalog, q) for q in queries]
     emp_catalog.table("emp").create_index("id", "sorted")
     emp_catalog.table("emp").create_index("dept", "hash")
     emp_catalog.table("dept").create_index("name", "hash")
-    indexed = [PlanExecutor(ExecutionContext(emp_catalog)).execute(
-        compile_select(q, emp_catalog)).to_rows() for q in queries]
+    indexed = [run_mal(emp_catalog, q) for q in queries]
     assert plain == indexed
+    assert all(emp_catalog.table(t).index_on(c).probes
+               for t, c in (("emp", "id"), ("emp", "dept"),
+                            ("dept", "name")))

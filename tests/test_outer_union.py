@@ -6,7 +6,7 @@ from repro.errors import BindError
 from repro.mal.compiler import compile_plan
 from repro.mal.interpreter import MALContext, execute
 from repro.sql import ast, compile_select
-from repro.sql.executor import ExecutionContext, PlanExecutor
+from tests.tree_executor import ExecutionContext, PlanExecutor
 from repro.sql.parser import parse
 from repro.sql.plan import FilterNode, JoinNode, UnionNode, walk_plan
 from tests.conftest import run_select

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.mal.compiler import compile_plan
 from repro.mal.interpreter import MALContext, execute
 from repro.sql import compile_select
-from repro.sql.executor import ExecutionContext, PlanExecutor
+from tests.tree_executor import ExecutionContext, PlanExecutor
 from repro.storage import Schema
 from repro.storage.catalog import Catalog
 

@@ -10,7 +10,7 @@ from repro.errors import BindError
 from repro.mal.compiler import compile_plan
 from repro.mal.interpreter import MALContext, execute
 from repro.sql import compile_select
-from repro.sql.executor import ExecutionContext, PlanExecutor
+from tests.tree_executor import ExecutionContext, PlanExecutor
 from repro.sql.plan import JoinNode, walk_plan
 from repro.streams.source import RateSource
 from tests.conftest import run_select

@@ -1,15 +1,15 @@
-"""Vectorized tree executor for logical plans.
+"""Reference tree executor for logical plans — the tests' oracle.
 
 Every operator consumes and produces whole :class:`Relation` values,
-calling the bulk kernel — the column-at-a-time execution model of the
-paper. Stream scans are resolved through the :class:`ExecutionContext`,
-which the DataCell runtime points at the current basket (or window
-slice) before each firing.
+calling the bulk kernel directly, one plan node at a time. The product
+runs every plan as MAL (:mod:`repro.mal.compiler`); this walker is the
+independent algorithm the MAL path is checked against, so it runs the
+plain operators only — no index probes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,32 +17,25 @@ from repro.errors import KernelError, StreamError
 from repro.mal import kernel
 from repro.mal.bat import BAT
 from repro.mal.relation import Relation
-from repro.sql.expressions import (BoundAgg, BoundColumn, BoundCompare,
-                                   BoundExpr, BoundLiteral)
+from repro.sql.expressions import BoundAgg, BoundExpr
 from repro.sql.plan import (AggregateNode, DistinctNode, FilterNode,
                             JoinNode, LimitNode, PlanNode, ProjectNode,
                             ScanNode, SortNode, StreamScanNode,
                             UnionNode)
-from repro.sql.planner import split_conjuncts, join_conjuncts
 from repro.storage.catalog import Catalog
 
 
 class ExecutionContext:
-    """Resolves scans to relations and collects runtime statistics.
+    """Resolves scans to relations.
 
     ``stream_reader`` maps a stream name to the relation holding the
-    tuples the current execution should see; one-time queries default to
-    "everything currently in the basket" via the engine.
+    tuples the execution should see.
     """
 
     def __init__(self, catalog: Catalog,
                  stream_reader: Optional[Callable[[str], Relation]] = None):
         self.catalog = catalog
         self.stream_reader = stream_reader
-        self.stats: Dict[str, int] = {}
-
-    def count(self, key: str, n: int = 1) -> None:
-        self.stats[key] = self.stats.get(key, 0) + n
 
     def table_relation(self, name: str) -> Relation:
         return self.catalog.table(name).scan()
@@ -98,7 +91,6 @@ class PlanExecutor:
         rel = rel.renamed([f"{node.alias}.{n}" for n in rel.names])
         if node.needed is not None:
             rel = rel.select_columns(node.needed)
-        self.ctx.count("rows_scanned", rel.row_count)
         return rel
 
     def _stream_scan(self, node: StreamScanNode) -> Relation:
@@ -106,68 +98,10 @@ class PlanExecutor:
         rel = rel.renamed([f"{node.alias}.{n}" for n in rel.names])
         if node.needed is not None:
             rel = rel.select_columns(node.needed)
-        self.ctx.count("stream_rows_read", rel.row_count)
         return rel
 
-    # -- filters (with opportunistic index use) ------------------------------
-
     def _filter(self, node: FilterNode) -> Relation:
-        child = node.child
-        if isinstance(child, ScanNode):
-            out = self._indexed_filter(child, node.predicate)
-            if out is not None:
-                return out
-        rel = self.execute(child)
-        return apply_predicate(rel, node.predicate)
-
-    def _indexed_filter(self, scan: ScanNode,
-                        predicate: BoundExpr) -> Optional[Relation]:
-        """Probe a secondary index for one sargable conjunct, if any."""
-        table = self.ctx.catalog.table(scan.table_name)
-        conjuncts = split_conjuncts(predicate)
-        for i, conj in enumerate(conjuncts):
-            probe = self._sargable(scan, conj)
-            if probe is None:
-                continue
-            column, op, value = probe
-            positions = self._index_probe(table, column, op, value)
-            if positions is None:
-                continue
-            self.ctx.count("index_probes")
-            rel = self._scan(scan).take(positions)
-            rest = join_conjuncts(conjuncts[:i] + conjuncts[i + 1:])
-            if rest is not None:
-                rel = apply_predicate(rel, rest)
-            return rel
-        return None
-
-    @staticmethod
-    def _sargable(scan: ScanNode, conj: BoundExpr
-                  ) -> Optional[Tuple[str, str, object]]:
-        if not (isinstance(conj, BoundCompare)
-                and isinstance(conj.left, BoundColumn)
-                and isinstance(conj.right, BoundLiteral)
-                and conj.right.value is not None):
-            return None
-        key = conj.left.key
-        prefix = scan.alias + "."
-        if not key.startswith(prefix):
-            return None
-        return key[len(prefix):], conj.op, conj.right.value
-
-    @staticmethod
-    def _index_probe(table, column: str, op: str,
-                     value) -> Optional[np.ndarray]:
-        if op == "==":
-            return table.index_lookup(column, value)
-        bounds = {"<": (None, value, True, False),
-                  "<=": (None, value, True, True),
-                  ">": (value, None, False, True),
-                  ">=": (value, None, True, True)}.get(op)
-        if bounds is None:
-            return None
-        low, high, li, hi = bounds
-        return table.index_range(column, low, high, li, hi)
+        return apply_predicate(self.execute(node.child), node.predicate)
 
     # -- projections ----------------------------------------------------------
 
@@ -178,60 +112,11 @@ class PlanExecutor:
     # -- joins ------------------------------------------------------------------
 
     def _join(self, node: JoinNode) -> Relation:
-        left = self.execute(node.left)
-        out = self._indexed_join(node, left)
-        if out is None:
-            right = self.execute(node.right)
-            out = join_relations(left, right, node.left_key,
-                                 node.right_key,
-                                 join_type=node.join_type)
-        self.ctx.count("join_output_rows", out.row_count)
+        out = join_relations(self.execute(node.left),
+                             self.execute(node.right), node.left_key,
+                             node.right_key, join_type=node.join_type)
         if node.residual is not None:
             out = apply_predicate(out, node.residual)
-        return out
-
-    def _indexed_join(self, node: JoinNode,
-                      left: Relation) -> Optional[Relation]:
-        """Probe a hash index on the build (table) side instead of
-        rebuilding a hash table per execution — the payoff in a
-        streaming setting: a standing query joining every window slice
-        against a large dimension table probes, never rebuilds.
-        """
-        if node.join_type != "inner" or node.left_key is None:
-            return None
-        if not isinstance(node.right, ScanNode):
-            return None
-        if not isinstance(node.right_key, BoundColumn):
-            return None
-        table = self.ctx.catalog.table(node.right.table_name)
-        prefix = node.right.alias + "."
-        if not node.right_key.key.startswith(prefix):
-            return None
-        column = node.right_key.key[len(prefix):]
-        index = table.index_on(column)
-        from repro.storage.index import HashIndex
-
-        if not isinstance(index, HashIndex):
-            return None
-        self.ctx.count("index_join_probes")
-        lkey = node.left_key.evaluate(left)
-        valid = ~lkey.nil_mask()
-        lpos_list = []
-        rpos_list = []
-        values = lkey.values
-        for i in np.nonzero(valid)[0]:
-            matches = index.lookup(values[i])
-            if len(matches):
-                lpos_list.extend([int(i)] * len(matches))
-                rpos_list.extend(matches.tolist())
-        lpos = np.asarray(lpos_list, dtype=np.int64)
-        rpos = np.asarray(rpos_list, dtype=np.int64)
-        right = self._scan(node.right)
-        out = Relation()
-        for name, bat in left.columns():
-            out.add(name, bat.take(lpos))
-        for name, bat in right.columns():
-            out.add(name, bat.take(rpos))
         return out
 
     # -- aggregation --------------------------------------------------------------
@@ -260,7 +145,7 @@ class PlanExecutor:
 
 
 # ---------------------------------------------------------------------
-# reusable operator bodies (shared with the incremental engine)
+# operator bodies
 # ---------------------------------------------------------------------
 
 def apply_predicate(rel: Relation, predicate: BoundExpr) -> Relation:
@@ -340,7 +225,7 @@ def compute_aggregate(rel: Relation, agg: BoundAgg, gids: np.ndarray,
         return kernel.agg_count(gids, ngroups)
     arg = agg.arg.evaluate(rel)
     if agg.distinct:
-        return _distinct_aggregate(agg, arg, gids, ngroups)
+        return kernel.distinct_aggregate(agg.op, arg, gids, ngroups)
     if agg.op == "count":
         return kernel.agg_count(gids, ngroups, arg, None)
     if agg.op == "sum":
@@ -355,35 +240,6 @@ def compute_aggregate(rel: Relation, agg: BoundAgg, gids: np.ndarray,
         return kernel.agg_stddev(arg, gids, ngroups)
     if agg.op == "variance":
         return kernel.agg_variance(arg, gids, ngroups)
-    raise KernelError(f"unknown aggregate {agg.op!r}")
-
-
-def _distinct_aggregate(agg: BoundAgg, arg: BAT, gids: np.ndarray,
-                        ngroups: int) -> BAT:
-    """Aggregate over distinct values per group (COUNT/SUM/AVG DISTINCT)."""
-    nil = arg.nil_mask()
-    keep = ~nil
-    pair_seen: Dict[Tuple[int, object], bool] = {}
-    sel: List[int] = []
-    values = arg.values
-    for i in np.nonzero(keep)[0]:
-        key = (int(gids[i]), values[i])
-        if key not in pair_seen:
-            pair_seen[key] = True
-            sel.append(i)
-    sel_arr = np.asarray(sel, dtype=np.int64)
-    sub_gids = gids[sel_arr]
-    sub_bat = arg.take(sel_arr)
-    if agg.op == "count":
-        return kernel.agg_count(sub_gids, ngroups, sub_bat, None)
-    if agg.op == "sum":
-        return kernel.agg_sum(sub_bat, sub_gids, ngroups)
-    if agg.op == "avg":
-        return kernel.agg_avg(sub_bat, sub_gids, ngroups)
-    if agg.op == "min":
-        return kernel.agg_min(sub_bat, sub_gids, ngroups)
-    if agg.op == "max":
-        return kernel.agg_max(sub_bat, sub_gids, ngroups)
     raise KernelError(f"unknown aggregate {agg.op!r}")
 
 
