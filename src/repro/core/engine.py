@@ -357,11 +357,14 @@ class DataCellEngine:
             rel = self._one_time_select(stmt.select)
             rows = rel.to_rows()
         else:
-            # a literal cell is its value; only expressions are bound
+            # a literal row or cell is its value; only expressions are
+            # bound
             binder = Binder(Scope())
             rows = [[dt.literal_value(expr.value)
                      if type(expr) is ast.Literal
                      else binder.bind(expr).const_value() for expr in row]
+                    if isinstance(row[0], ast.Expr)
+                    else list(map(dt.literal_value, row))
                     for row in stmt.rows]
         if list(columns) != schema.names:
             index = {c: i for i, c in enumerate(columns)}

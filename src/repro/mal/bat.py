@@ -297,16 +297,13 @@ class BAT:
 
     def slice(self, start: int, stop: Optional[int] = None) -> "BAT":
         """New BAT holding positions ``[start, stop)`` (values copied)."""
-        view = self._heap.view()[start:stop]
-        out = BAT(self.dtype, hseqbase=self.hseqbase + start)
-        out._heap.extend(view.copy())
-        return out
+        return BAT.adopt_array(self.dtype,
+                               self._heap.view()[start:stop].copy(),
+                               self.hseqbase + start)
 
     def take(self, positions: np.ndarray) -> "BAT":
         """New BAT of the values at *positions* (a candidate list)."""
-        out = BAT(self.dtype)
-        out._heap.extend(self._heap.view()[positions])
-        return out
+        return BAT.adopt_array(self.dtype, self._heap.view()[positions])
 
     def copy(self) -> "BAT":
         out = BAT(self.dtype, hseqbase=self.hseqbase)

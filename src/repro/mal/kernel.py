@@ -297,22 +297,6 @@ def semi_pairs(left: BAT, right: BAT, anti: bool = False) -> Candidates:
     return np.nonzero(keep)[0].astype(np.int64)
 
 
-def build_hash_table(bat: BAT,
-                     cand: Optional[Candidates] = None) -> Dict:
-    """Materialize the hash table side of a join for reuse.
-
-    DataCell's incremental join caches these per basic window so a new
-    slide only probes, never rebuilds.
-    """
-    pos = cand if cand is not None else all_candidates(len(bat))
-    vals = bat.values[pos]
-    valid = ~dt.nil_mask(bat.dtype, vals)
-    table: Dict = {}
-    for i in np.nonzero(valid)[0]:
-        table.setdefault(vals[i], []).append(int(pos[i]))
-    return table
-
-
 def probe_hash_table(table: Dict, bat: BAT,
                      cand: Optional[Candidates] = None
                      ) -> Tuple[Candidates, Candidates]:

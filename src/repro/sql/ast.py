@@ -316,12 +316,14 @@ class UpdateStmt(Statement):
 
 
 class InsertStmt(Statement):
+    """``rows`` holds a list of Exprs per row, or a literal row's values
+    (int/float/str/bool/None) as they are, not wrapped in Literals."""
     _fields = ("table", "columns", "rows", "select")
 
     def __init__(self, table: str, columns: Optional[Sequence[str]],
-                 rows: Optional[Sequence[Sequence[Expr]]] = None,
+                 rows: Optional[Sequence[list]] = None,
                  select: Optional[SelectStmt] = None):
         self.table = table.lower()
         self.columns = list(columns) if columns else None
-        self.rows = [list(r) for r in rows] if rows is not None else None
+        self.rows = list(rows) if rows is not None else None
         self.select = select

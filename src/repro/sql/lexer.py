@@ -10,11 +10,15 @@ A literal ``VALUES`` row — ``(`` cells ``)`` where every cell is a
 signed number, a string, ``NULL``, ``TRUE`` or ``FALSE`` — is one ``ROW``
 token whose value is the list of the cells' Python values, when it
 follows ``VALUES`` or the ``,`` after such a row. Any other row is
-tokenised cell by cell and parsed as expressions.
+tokenised cell by cell and parsed as expressions. A whole list of rows
+free of strings is first decoded by one ``json.loads`` (JSON's number
+grammar is a subset of SQL's, with the same values); text JSON rejects
+takes the row-by-row regex path.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from typing import List
 
@@ -56,6 +60,10 @@ _ROW = re.compile(
 # the cells of a matched row: strings, and runs free of separators
 _CELLS = re.compile(rf"{_STRING}|[^\s,()']+")
 _WORDS = {"null": None, "true": True, "false": False}
+# a literal list as JSON text: parentheses become brackets; brackets and
+# braces, which JSON would read as lists and objects, a character it
+# rejects
+_AS_JSON = str.maketrans("()[]{}", "[]####")
 
 _UNTERMINATED = {"'": "unterminated string literal",
                  '"': "unterminated quoted identifier",
@@ -91,9 +99,9 @@ def tokenize(text: str) -> List[Token]:
     while True:
         if row_next:
             m = _ROW.match(text, pos)
-            if m:
-                tokens.append(Token("ROW", _row_values(m.group(1)),
-                                    m.start(1)))
+            values = _row_values(m.group(1)) if m else None
+            if values is not None:
+                tokens.append(Token("ROW", values, m.start(1)))
                 pos = m.end()
                 if m.group(2):
                     tokens.append(Token("PUNCT", ",", m.start(2)))
@@ -110,7 +118,10 @@ def tokenize(text: str) -> List[Token]:
             word = raw.lower()
             if word in KEYWORDS:
                 tokens.append(Token("KEYWORD", word, start))
-                row_next = word == "values"
+                if word == "values":
+                    end = _literal_list(text, pos, tokens)
+                    row_next = end == pos
+                    pos = end
             else:
                 tokens.append(Token("IDENT", word, start))
         elif kind == "PUNCT":
@@ -139,6 +150,36 @@ def tokenize(text: str) -> List[Token]:
             raise LexerError(f"unexpected character {raw!r}", start)
 
 
+def _literal_list(text: str, pos: int, tokens: List[Token]) -> int:
+    """Append the ``ROW`` tokens, and the ``,`` between them, of the
+    literal list from *pos* to the first ``;``, decoded in one scan;
+    returns where the list ends, or *pos* (nothing appended) unless JSON
+    reads it as SQL does: a list of non-empty, flat rows of numbers,
+    ``NULL``, ``TRUE`` and ``FALSE``."""
+    stop = text.find(";", pos)
+    body = text[pos:] if stop < 0 else text[pos:stop]
+    if '"' in body:     # a JSON string is an SQL quoted identifier
+        return pos
+    try:
+        # lower-casing makes NULL/TRUE/FALSE JSON's words and the NaN
+        # and Infinity JSON would take names it rejects
+        rows = json.loads("[" + body.lower().translate(_AS_JSON) + "]")
+    except (ValueError, RecursionError):
+        return pos
+    # a row is a list with its own "(": one "(" per row, none nested
+    if not rows or body.count("(") != len(rows) \
+            or not all(type(row) is list and row for row in rows):
+        return pos
+    at = pos
+    for i, values in enumerate(rows):
+        if i:
+            at = text.find(",", text.find(")", at))
+            tokens.append(Token("PUNCT", ",", at))
+        at = text.find("(", at)
+        tokens.append(Token("ROW", values, at))
+    return pos + len(body)
+
+
 def _number(raw: str):
     return float(raw) if "." in raw or "e" in raw or "E" in raw \
         else int(raw)
@@ -149,19 +190,29 @@ def literal_row(text: str) -> list:
     ``1, 'a,b', null`` without the parentheses — by the rule of a
     ``VALUES`` row (the shell's ``.feed``, ``repro send``); raises
     :class:`LexerError` unless the whole text is such a row."""
-    m = _ROW.fullmatch(f"({text})")
-    if m is None:
+    row = f"({text})"
+    tokens: List[Token] = []
+    if _literal_list(row, 0, tokens) == len(row) and len(tokens) == 1:
+        return tokens[0].value
+    m = _ROW.fullmatch(row)
+    values = _row_values(m.group(1)) if m else None
+    if values is None:
         raise LexerError(
             f"not a row of literals: {text!r} (cells are numbers, "
             f"'strings', null, true or false; write null for a missing "
             f"value)")
-    return _row_values(m.group(1))
+    return values
 
 
-def _row_values(row: str) -> list:
-    """The Python values of a matched ``(...)`` literal row."""
+def _row_values(row: str):
+    """The Python values of a matched ``(...)`` literal row, or None if
+    a number is too long for ``int`` (the cell by cell path reports
+    it)."""
     cells = _CELLS.findall(row) if "'" in row else row[1:-1].split(",")
-    return [_cell(c) for c in cells]
+    try:
+        return [_cell(c) for c in cells]
+    except ValueError:
+        return None
 
 
 def _cell(raw: str):

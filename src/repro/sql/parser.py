@@ -204,10 +204,11 @@ class Parser:
         raise ParseError("expected VALUES or SELECT in INSERT",
                          self.current)
 
-    def _value_row(self) -> List[ast.Expr]:
+    def _value_row(self) -> list:
+        """A row of Exprs, or the values of a literal ``ROW`` token."""
         literals = self._accept("ROW")
         if literals is not None:
-            return [ast.Literal(value) for value in literals.value]
+            return literals.value
         self._expect("PUNCT", "(")
         row = [self._expr()]
         while self._accept("PUNCT", ","):

@@ -7,6 +7,7 @@ from repro.errors import KernelError
 from repro.mal import kernel as K
 from repro.mal.bat import BAT
 from repro.storage import types as dt
+from repro.storage.index import HashIndex
 
 
 class TestHashJoin:
@@ -69,14 +70,12 @@ class TestHashJoin:
 class TestHashTableReuse:
     def test_build_then_probe(self):
         build = BAT.from_values(dt.INT, [1, 2, 2, None], coerce=True)
-        table = K.build_hash_table(build)
         probe = BAT.from_values(dt.INT, [2, 3, None], coerce=True)
-        pp, bp = K.probe_hash_table(table, probe)
+        pp, bp = HashIndex(build).join(probe)
         assert list(zip(pp.tolist(), bp.tolist())) == [(0, 1), (0, 2)]
 
     def test_probe_with_candidates(self):
-        build = BAT.from_values(dt.INT, [5])
-        table = K.build_hash_table(build)
+        table = {5: [0]}    # value -> build positions, as HashIndex keeps
         probe = BAT.from_values(dt.INT, [5, 5])
         cand = np.array([1], dtype=np.int64)
         pp, bp = K.probe_hash_table(table, probe, cand)

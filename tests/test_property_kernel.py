@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.mal import kernel as K
 from repro.mal.bat import BAT
 from repro.storage import types as dt
+from repro.storage.index import HashIndex
 
 ints_with_nulls = st.lists(
     st.one_of(st.integers(-50, 50), st.none()), max_size=60)
@@ -96,8 +97,7 @@ class TestJoinLaws:
     def test_prebuilt_table_equals_join(self, lv, rv):
         l = BAT.from_values(dt.INT, lv)
         r = BAT.from_values(dt.INT, rv)
-        table = K.build_hash_table(r)
-        pp, bp = K.probe_hash_table(table, l)
+        pp, bp = HashIndex(r).join(l)
         lp, rp = K.hashjoin(l, r)
         assert sorted(zip(pp.tolist(), bp.tolist())) == \
             sorted(zip(lp.tolist(), rp.tolist()))

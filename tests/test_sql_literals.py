@@ -1,6 +1,8 @@
 """Literal SQL text: the regex lexer against the per-character scanner it
 replaced, and literal ``INSERT ... VALUES`` rows (one ``ROW`` token each,
-read without binding) against the expression path.
+read without binding) against the expression path. The samplers include
+text JSON reads differently from SQL (``NaN``, ``"a"``, ``[1]``, nested
+rows, ``\f``), since a literal list is first decoded as JSON.
 
 ``reference_tokenize`` below is the scanner the lexer used to be, with
 one fix: a NUMBER or STRING token's position is its start, as every
@@ -190,7 +192,7 @@ _NUMBER_TEXT = st.one_of(
                      "1.e5", "1e400", "9223372036854775807",
                      "-9223372036854775808", "9223372036854775808",
                      "-9223372036854775809", "99999999999999999999",
-                     "١٢"]))
+                     "١٢", "-0", "0.0E+0", "1e999", "-1E999"]))
 
 _BAD_NUMBER = st.sampled_from(["1e", "1e+", "1.5.3", "1..2", "1ee5",
                                "5.e", "1e5e5", "1_000", "1²", "12abc"])
@@ -207,30 +209,60 @@ _EXPRESSION_CELL = st.sampled_from(
      "CAST(7 AS FLOAT)", "CAST('8' AS INT)", "-(-9)", "10 / 4",
      "NULL + 1", "- 9223372036854775808"])
 
-_SPACE = st.sampled_from(["", "", " ", "  ", "\n", "\t"])
+_SPACE = st.sampled_from(["", "", " ", "  ", "\n", "\t", "\r", "\f",
+                          "\v"])
+# whitespace JSON reads too
+_JSON_SPACE = st.sampled_from(["", "", " ", "\n", "\t", "\r"])
+
+# cells JSON reads as SQL does, so that whole lists take the one-scan
+# path, and text JSON reads differently: SQL identifiers, JSON strings,
+# lists and objects, nested and empty rows, SQL-only numbers
+_JSON_CELL = st.one_of(
+    st.integers(-2 ** 64, 2 ** 64).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["NULL", "null", "TRUE", "true", "False", "-0",
+                     "0.0E+0", "1e999", "-1E-5", "9223372036854775808",
+                     "-9223372036854775808"]))
+_JSON_TRAP = st.sampled_from(
+    ["NaN", "nan", "NAN", "Infinity", "infinity", "-Infinity",
+     "-INFINITY", '"a"', "[1]", "{}", "(1)", "(2, 3)", "()", "+7", "007",
+     ".5", "5.", "1" + "0" * 5000])
+_JSON_LIST_CELL = st.integers(0, 15).flatmap(
+    lambda k: _JSON_TRAP if k == 0 else _JSON_CELL)
+_ODD_ROW = st.sampled_from(["()", "[1]", "{}", "((1))", "(1, (2))",
+                            "[1, 2]", "(NaN)", "(1 + 1)"])
 
 
 @st.composite
-def _row_text(draw, cells):
-    parts = [draw(_SPACE) + draw(cells) + draw(_SPACE)
+def _row_text(draw, cells, space=_SPACE):
+    if draw(st.integers(0, 19)) == 0:
+        return draw(_ODD_ROW)
+    parts = [draw(space) + draw(cells) + draw(space)
              for _ in range(draw(st.integers(1, 4)))]
     return "(" + ",".join(parts) + ")"
 
 
 @st.composite
 def _values_text(draw):
-    cells = st.one_of(_LITERAL_CELL, _LITERAL_CELL, _LITERAL_CELL,
-                      _EXPRESSION_CELL, _BAD_NUMBER)
-    rows = [draw(_row_text(cells))
-            for _ in range(draw(st.integers(1, 3)))]
-    tail = draw(st.sampled_from(["", "", ",", "(", "(1,", "(1,)", "()",
-                                 "-- end", "/* c */ (2)"]))
-    seps = [draw(st.sampled_from([",", ", ", " ,", " , ", ",\n",
-                                  " /* c */ ,", ", -- c\n"]))
+    space = draw(st.sampled_from([_SPACE, _JSON_SPACE]))
+    if space is _JSON_SPACE:
+        row = _row_text(_JSON_LIST_CELL, space)
+    else:
+        row = _row_text(st.one_of(_LITERAL_CELL, _LITERAL_CELL,
+                                  _LITERAL_CELL, _EXPRESSION_CELL,
+                                  _BAD_NUMBER))
+    rows = [draw(row) for _ in range(draw(st.integers(1, 3)))]
+    tail = draw(st.sampled_from(["", "", "", ",", "(", "(1,", "(1,)", "()",
+                                 "-- end", "/* c */ (2)", ";", "; (1)",
+                                 ";\nINSERT INTO t VALUES (1)", "NaN",
+                                 "[1]"]))
+    seps = [draw(st.sampled_from([",", ", ", " ,", " , ", ",\n", ",\r\n",
+                                  ",\f", " /* c */ ,", ", -- c\n"]))
             for _ in rows]
     body = "".join(row + sep for row, sep in zip(rows, seps))
-    return draw(st.sampled_from(["VALUES ", "values", "VaLuEs\n"])) + \
-        body[:-len(seps[-1])] + draw(_SPACE) + tail
+    return draw(st.sampled_from(["VALUES ", "values", "VaLuEs\n",
+                                 "VALUES\v"])) + \
+        body[:-len(seps[-1])] + draw(space) + tail
 
 
 _FRAGMENT = st.one_of(
@@ -240,6 +272,8 @@ _FRAGMENT = st.one_of(
          '"a;b"', '"', "'", "/*", "*/", "--", "-- c's\n", "/* c */",
          "/* it's ; */", "<>", "<=", ">=", "!=", "||", "=", "<", ">",
          "+", "-", "*", "/", "%", "(", ")", ",", ".", ";", "[", "]",
+         "NaN", "Infinity", "-Infinity", '"a"', "{", "}", "[1]", "\f",
+         "1" + "0" * 5000,
          "@", "#", "$", "²", "½", "\x1c", " ", "e", "E"]),
     _NUMBER_TEXT, _BAD_NUMBER, _STRING_BODY.map(_quoted), _values_text())
 
