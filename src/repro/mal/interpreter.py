@@ -224,9 +224,9 @@ def _join(ctx: MALContext, left: BAT, right: BAT):
 @opcode("algebra.indexjoin")
 def _indexjoin(ctx: MALContext, left: BAT, right: BAT, table: str,
                column: str):
-    """``algebra.join`` against a bare table column: probes the column's
-    hash index when one exists at run time instead of building a hash
-    table per execution, else hash-joins."""
+    """``algebra.join`` against a bare table column: probes the runs
+    the column's index keeps when one exists at run time (and serves
+    the probe's type) instead of sorting per execution, else joins."""
     pairs = ctx.catalog.table(table).index_join(column, left)
     return kernel.hashjoin(left, right) if pairs is None else pairs
 

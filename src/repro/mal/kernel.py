@@ -15,8 +15,10 @@ boolean column into a candidate list by keeping only true positions.
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -192,50 +194,105 @@ def const_column(dtype: dt.DataType, value: Scalar, n: int) -> BAT:
 # joins
 # ---------------------------------------------------------------------
 
+class Runs(NamedTuple):
+    """One join side sorted once: ``keys`` are its distinct values in
+    ascending order, and the rows holding ``keys[k]`` are
+    ``positions[starts[k]:starts[k] + counts[k]]`` in their input order.
+    Equi-joins and column indexes probe this with one ``searchsorted``.
+    """
+    keys: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    positions: np.ndarray
+
+
+def sort_runs(values: np.ndarray, positions: np.ndarray) -> Runs:
+    """Runs of non-nil *values*, each row labelled by its *positions*
+    entry (a stable sort, so equal keys keep their input order)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    head = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    counts = np.diff(starts, append=len(ordered))
+    return Runs(ordered[starts], starts, counts, positions[order])
+
+
+def _search(keys: np.ndarray, values: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """(run index, found) of each of *values* among the sorted *keys*."""
+    idx = np.searchsorted(keys, values)
+    if not len(keys):
+        return idx, np.zeros(len(values), dtype=bool)
+    return idx, keys[np.minimum(idx, len(keys) - 1)] == values
+
+
+def probe_runs(runs: Runs, values: np.ndarray, positions: np.ndarray
+               ) -> Tuple[Candidates, Candidates]:
+    """Equi-join non-nil *values* (labelled by *positions*) against
+    *runs*: (probe, build) positions in probe order, each probe row's
+    matches in run order."""
+    idx, found = _search(runs.keys, values)
+    idx = idx[found]
+    first = runs.starts[idx]
+    if len(runs.keys) == len(runs.positions):     # unique build keys
+        return positions[found], runs.positions[first]
+    # the k-th output row is offset k - (its probe row's first output
+    # row) into that row's run
+    counts = runs.counts[idx]
+    shift = np.repeat(first - np.cumsum(counts) + counts, counts)
+    return (np.repeat(positions[found], counts),
+            runs.positions[shift + np.arange(len(shift))])
+
+
+def _as_int64(values: np.ndarray, valid: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer storage as int64; a float keeps only the integral values
+    inside int64's range (no other float equals an integer)."""
+    if values.dtype.kind != "f":
+        return values.astype(np.int64, copy=False), valid
+    valid = valid & (np.floor(values) == values) \
+        & (values >= -2.0 ** 63) & (values < 2.0 ** 63)
+    return np.where(valid, values, 0).astype(np.int64), valid
+
+
+def _join_keys(left: BAT, lpos: Candidates, right: BAT, rpos: Candidates
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Comparable non-nil keys of both sides with their positions:
+    ``(lkeys, lpos, rkeys, rpos)``. Two different numeric storage types
+    meet in int64, so INT × FLOAT compares exactly, never through a
+    lossy float64 cast; a string never equals a number."""
+    lvals, rvals = left.values[lpos], right.values[rpos]
+    lvalid = ~dt.nil_mask(left.dtype, lvals)
+    rvalid = ~dt.nil_mask(right.dtype, rvals)
+    if left.dtype.is_string != right.dtype.is_string:
+        lvalid[:] = False
+    elif lvals.dtype != rvals.dtype:
+        lvals, lvalid = _as_int64(lvals, lvalid)
+        rvals, rvalid = _as_int64(rvals, rvalid)
+    return lvals[lvalid], lpos[lvalid], rvals[rvalid], rpos[rvalid]
+
+
 def hashjoin(left: BAT, right: BAT,
              lcand: Optional[Candidates] = None,
              rcand: Optional[Candidates] = None
              ) -> Tuple[Candidates, Candidates]:
     """Equi-join two columns; returns matching (left, right) positions.
 
-    Builds a hash table on the smaller side. Nil never matches anything
-    (including other nils), per SQL semantics. Output pairs are ordered by
-    left position (stable), matching MonetDB's join result ordering.
+    Sorts the smaller non-nil side into :class:`Runs` and probes it with
+    the other side's keys in one ``searchsorted``. Nil never matches
+    anything (including other nils), per SQL semantics. Output pairs are
+    ordered by left position, then right position, matching MonetDB's
+    join result ordering; probing with the left side yields that order
+    directly (candidate lists ascend), so only a left build side is
+    re-sorted.
     """
     lpos = lcand if lcand is not None else all_candidates(len(left))
     rpos = rcand if rcand is not None else all_candidates(len(right))
-    lvals = left.values[lpos]
-    rvals = right.values[rpos]
-    lvalid = ~dt.nil_mask(left.dtype, lvals)
-    rvalid = ~dt.nil_mask(right.dtype, rvals)
-
-    # build on the smaller valid side, probe with the other
-    build_left = lvalid.sum() <= rvalid.sum()
-    if build_left:
-        build_vals, build_pos, build_valid = lvals, lpos, lvalid
-        probe_vals, probe_pos, probe_valid = rvals, rpos, rvalid
-    else:
-        build_vals, build_pos, build_valid = rvals, rpos, rvalid
-        probe_vals, probe_pos, probe_valid = lvals, lpos, lvalid
-
-    table: Dict = {}
-    for i in np.nonzero(build_valid)[0]:
-        table.setdefault(build_vals[i], []).append(build_pos[i])
-
-    out_build: List[int] = []
-    out_probe: List[int] = []
-    for i in np.nonzero(probe_valid)[0]:
-        matches = table.get(probe_vals[i])
-        if matches:
-            out_probe.extend([probe_pos[i]] * len(matches))
-            out_build.extend(matches)
-
-    build_arr = np.asarray(out_build, dtype=np.int64)
-    probe_arr = np.asarray(out_probe, dtype=np.int64)
-    if build_left:
-        lres, rres = build_arr, probe_arr
-    else:
-        lres, rres = probe_arr, build_arr
+    lkeys, lpos, rkeys, rpos = _join_keys(left, lpos, right, rpos)
+    if len(lkeys) >= len(rkeys):
+        return probe_runs(sort_runs(rkeys, rpos), lkeys, lpos)
+    rres, lres = probe_runs(sort_runs(lkeys, lpos), rkeys, rpos)
     order = np.lexsort((rres, lres))
     return lres[order], rres[order]
 
@@ -265,12 +322,7 @@ def fetch_outer(bat: BAT, cand: Candidates) -> BAT:
         return bat.take(cand)
     safe = np.where(missing, 0, cand)
     out = bat.take(safe)
-    values = out.values
-    if bat.dtype.is_string:
-        for i in np.nonzero(missing)[0]:
-            values[i] = None
-    else:
-        values[missing] = bat.dtype.nil
+    out.values[missing] = bat.dtype.nil
     return out
 
 
@@ -283,36 +335,16 @@ def semi_pairs(left: BAT, right: BAT, anti: bool = False) -> Candidates:
       qualifies (the comparison is UNKNOWN for every row); a left nil
       never qualifies either.
     """
-    lvalid = ~dt.nil_mask(left.dtype, left.values)
-    rnil = dt.nil_mask(right.dtype, right.values)
-    if anti and rnil.any():
+    if anti and dt.nil_mask(right.dtype, right.values).any():
         return empty_candidates()
-    rvals = right.values[~rnil]
-    if left.dtype.is_string:
-        needles = set(rvals.tolist())
-        hit = np.array([v in needles for v in left.values], dtype=bool)
-    else:
-        hit = np.isin(left.values, rvals)
-    keep = (lvalid & ~hit) if anti else (lvalid & hit)
-    return np.nonzero(keep)[0].astype(np.int64)
-
-
-def probe_hash_table(table: Dict, bat: BAT,
-                     cand: Optional[Candidates] = None
-                     ) -> Tuple[Candidates, Candidates]:
-    """Probe a prebuilt hash table; returns (probe, build) positions."""
-    pos = cand if cand is not None else all_candidates(len(bat))
-    vals = bat.values[pos]
-    valid = ~dt.nil_mask(bat.dtype, vals)
-    out_probe: List[int] = []
-    out_build: List[int] = []
-    for i in np.nonzero(valid)[0]:
-        matches = table.get(vals[i])
-        if matches:
-            out_probe.extend([int(pos[i])] * len(matches))
-            out_build.extend(matches)
-    return (np.asarray(out_probe, dtype=np.int64),
-            np.asarray(out_build, dtype=np.int64))
+    lkeys, lpos, rkeys, _rpos = _join_keys(
+        left, all_candidates(len(left)), right, all_candidates(len(right)))
+    _idx, found = _search(np.unique(rkeys), lkeys)
+    if not anti:
+        return lpos[found]
+    keep = ~dt.nil_mask(left.dtype, left.values)
+    keep[lpos[found]] = False
+    return np.flatnonzero(keep)
 
 
 # ---------------------------------------------------------------------
@@ -331,18 +363,15 @@ def factorize(bat: BAT, cand: Optional[Candidates] = None
     pos = cand if cand is not None else all_candidates(len(bat))
     values = bat.values[pos]
     if bat.dtype.is_string:
-        mapping: Dict = {}
-        reps: List[int] = []
-        gids = np.empty(len(values), dtype=np.int64)
-        for i, v in enumerate(values):
-            key = v  # None hashes fine
-            g = mapping.get(key)
-            if g is None:
-                g = len(reps)
-                mapping[key] = g
-                reps.append(int(pos[i]))
-            gids[i] = g
-        return gids, np.asarray(reps, dtype=np.int64)
+        items = values.tolist()
+        mapping = dict(zip(dict.fromkeys(items), itertools.count()))
+        gids = np.fromiter(map(mapping.__getitem__, items), dtype=np.int64,
+                           count=len(items))
+        # group ids count up by first appearance: a row opens a group
+        # when its id exceeds every id before it
+        first = np.ones(len(gids), dtype=bool)
+        first[1:] = gids[1:] > np.maximum.accumulate(gids)[:-1]
+        return gids, pos[first]
     # numeric: nils already map to one sentinel value, so unique suffices
     uniq, first_idx, inverse = np.unique(values, return_index=True,
                                          return_inverse=True)

@@ -11,7 +11,7 @@ from repro.storage.types import (BOOLEAN, FLOAT, INT, STRING, TIMESTAMP,
 __all__ = [
     "BOOLEAN", "FLOAT", "INT", "STRING", "TIMESTAMP", "DataType",
     "Catalog", "StreamDef", "ColumnDef", "Schema", "Table",
-    "HashIndex", "SortedIndex",
+    "ColumnIndex",
 ]
 
 _LAZY = {
@@ -20,8 +20,7 @@ _LAZY = {
     "ColumnDef": ("repro.storage.schema", "ColumnDef"),
     "Schema": ("repro.storage.schema", "Schema"),
     "Table": ("repro.storage.table", "Table"),
-    "HashIndex": ("repro.storage.index", "HashIndex"),
-    "SortedIndex": ("repro.storage.index", "SortedIndex"),
+    "ColumnIndex": ("repro.storage.index", "ColumnIndex"),
 }
 
 

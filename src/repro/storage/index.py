@@ -8,115 +8,85 @@ window slide is sub-linear in the table size.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.mal import kernel
-from repro.mal.bat import BAT
+from repro.mal.bat import BAT, empty_candidates
 from repro.storage import types as dt
 
 
-class HashIndex:
-    """Equality index: value -> positions. Nil values are not indexed.
-
-    ``probes`` counts the lookups and joins served, as the ``sorted``
-    index does."""
-
-    def __init__(self, bat: BAT):
-        self._bat = bat
-        self._table: Dict = {}
-        self.probes = 0
-        self.rebuild()
-
-    def rebuild(self) -> None:
-        self._table = {}
-        self.on_append(0, len(self._bat))
-
-    def on_append(self, start: int, stop: int) -> None:
-        """Index the newly appended positions ``[start, stop)``."""
-        if start == 0:
-            self._table = {}
-        values = self._bat.values[start:stop]
-        mask = dt.nil_mask(self._bat.dtype, values)
-        for offset, (value, is_nil) in enumerate(zip(values, mask)):
-            if is_nil:
-                continue
-            self._table.setdefault(value, []).append(start + offset)
-
-    def lookup(self, value) -> np.ndarray:
-        self.probes += 1
-        return np.asarray(self._table.get(value, []), dtype=np.int64)
-
-    def join(self, probe: BAT) -> Tuple[np.ndarray, np.ndarray]:
-        """Equi-join *probe* against the indexed column without building
-        a hash table: (probe, indexed) positions, ordered as
-        :func:`~repro.mal.kernel.hashjoin` orders them."""
-        self.probes += 1
-        return kernel.probe_hash_table(self._table, probe)
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._table.values())
+def _non_nil(bat: BAT) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, positions) of *bat*'s non-nil rows."""
+    values = bat.values
+    pos = np.flatnonzero(~dt.nil_mask(bat.dtype, values))
+    return values[pos], pos
 
 
-class SortedIndex:
-    """Order index: binary-searchable sorted permutation of one column.
+class ColumnIndex:
+    """The column's non-nil positions sorted into
+    :class:`~repro.mal.kernel.Runs` — the structure an equi-join builds
+    per execution, kept across them. It serves equality (``lookup``),
+    range and join probes with binary searches; nils are not indexed.
 
-    Rebuilt on append (amortized by rebuilding only when stale); supports
-    equality and range probes. Nils sort out of the index entirely.
+    ``CREATE INDEX … hash`` and ``… sorted`` both build this one
+    structure. An append makes the runs stale, and the next probe
+    re-sorts the column once (``_built_rows`` is the length they were
+    built at). ``probes`` counts the probes served.
     """
 
     def __init__(self, bat: BAT):
         self._bat = bat
-        self._order: Optional[np.ndarray] = None
-        self._keys: Optional[np.ndarray] = None
-        self._built_rows = -1
         self.probes = 0
         self.rebuild()
 
     def rebuild(self) -> None:
-        values = self._bat.values
-        mask = dt.nil_mask(self._bat.dtype, values)
-        valid = np.nonzero(~mask)[0].astype(np.int64)
-        if self._bat.dtype.is_string:
-            order = sorted(valid, key=lambda p: values[p])
-            self._order = np.asarray(order, dtype=np.int64)
-            self._keys = values[self._order]
-        else:
-            vv = values[valid]
-            perm = np.argsort(vv, kind="stable")
-            self._order = valid[perm]
-            self._keys = vv[perm]
+        """Sort the column into runs (again after an in-place change)."""
+        self._runs = kernel.sort_runs(*_non_nil(self._bat))
         self._built_rows = len(self._bat)
 
-    def on_append(self, start: int, stop: int) -> None:
-        self._built_rows = -1  # stale; rebuilt lazily on next probe
-
-    def _fresh(self) -> None:
-        if self._built_rows != len(self._bat):
+    def _fresh(self) -> kernel.Runs:
+        if self._built_rows != len(self._bat):     # appended since
             self.rebuild()
+        return self._runs
 
     def lookup(self, value) -> np.ndarray:
-        self._fresh()
+        runs = self._fresh()
         self.probes += 1
-        lo = np.searchsorted(self._keys, value, side="left")
-        hi = np.searchsorted(self._keys, value, side="right")
-        return np.sort(self._order[lo:hi])
+        if value is None:      # a nil probe: nils are not indexed
+            return empty_candidates()
+        run = int(np.searchsorted(runs.keys, value))
+        if run == len(runs.keys) or runs.keys[run] != value:
+            return empty_candidates()
+        start = runs.starts[run]
+        return runs.positions[start:start + runs.counts[run]].copy()
 
     def range(self, low, high, low_inclusive: bool = True,
               high_inclusive: bool = True) -> np.ndarray:
-        self._fresh()
+        runs = self._fresh()
         self.probes += 1
-        lo = 0
-        hi = len(self._keys)
+        lo, hi = 0, len(runs.keys)
         if low is not None:
-            lo = np.searchsorted(self._keys, low,
+            lo = np.searchsorted(runs.keys, low,
                                  side="left" if low_inclusive else "right")
         if high is not None:
-            hi = np.searchsorted(self._keys, high,
+            hi = np.searchsorted(runs.keys, high,
                                  side="right" if high_inclusive else "left")
-        return np.sort(self._order[lo:hi])
+        bounds = np.append(runs.starts, len(runs.positions))
+        return np.sort(runs.positions[bounds[lo]:bounds[hi]])
+
+    def join(self, probe: BAT) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Equi-join *probe* against the indexed column without sorting
+        it: (probe, indexed) positions, ordered as
+        :func:`~repro.mal.kernel.hashjoin` orders them. None when the
+        probe's storage type differs (the caller joins instead, which
+        compares mixed types exactly)."""
+        if probe.values.dtype != self._bat.values.dtype:
+            return None
+        runs = self._fresh()
+        self.probes += 1
+        return kernel.probe_runs(runs, *_non_nil(probe))
 
     def __len__(self) -> int:
-        self._fresh()
-        return len(self._keys)
+        return len(self._fresh().positions)

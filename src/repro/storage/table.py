@@ -10,7 +10,7 @@ from repro.errors import CatalogError, KernelError, TypeMismatchError
 from repro.mal.bat import BAT
 from repro.mal.relation import Relation
 from repro.storage import types as dt
-from repro.storage.index import HashIndex, SortedIndex
+from repro.storage.index import ColumnIndex
 from repro.storage.schema import Schema
 
 # comparison -> (low, high, low_inclusive, high_inclusive) of a range probe
@@ -66,21 +66,17 @@ class Table:
                 raise CatalogError(
                     f"insert into {self.name}: expected {width} values, "
                     f"got {len(row)}")
-        start = len(self)
         # same batch staging as Basket.append_rows: one vectorized
         # conversion per column, not a Python loop per row
         staged = [dt.coerce_column(coldef.dtype, [row[i] for row in rows])
                   for i, coldef in enumerate(self.schema.columns)]
         for coldef, column in zip(self.schema.columns, staged):
             self._bats[coldef.name].extend(column)
-        for index in self._indexes.values():
-            index.on_append(start, len(self))
 
     def insert_relation(self, rel: Relation) -> None:
         """Append a compatible relation (used by INSERT ... SELECT)."""
         if rel.names != self.schema.names:
             rel = rel.renamed(self.schema.names)
-        start = len(self)
         for coldef in self.schema.columns:
             src = rel.column(coldef.name)
             if src.dtype != coldef.dtype:
@@ -88,8 +84,6 @@ class Table:
                     f"insert into {self.name}.{coldef.name}: type "
                     f"{src.dtype} does not match {coldef.dtype}")
             self._bats[coldef.name].append_bat(src)
-        for index in self._indexes.values():
-            index.on_append(start, len(self))
 
     def delete_positions(self, positions: np.ndarray) -> int:
         """Delete rows at *positions*; returns number deleted."""
@@ -136,10 +130,8 @@ class Table:
 
     def _reindex(self) -> None:
         """Rebuild indexes against the (replaced) column BATs."""
-        for column, index in list(self._indexes.items()):
-            kind = "hash" if isinstance(index, HashIndex) else "sorted"
-            cls = HashIndex if kind == "hash" else SortedIndex
-            self._indexes[column] = cls(self.column(column))
+        for column in self._indexes:
+            self._indexes[column] = ColumnIndex(self.column(column))
 
     # -- reading -------------------------------------------------------
 
@@ -154,18 +146,16 @@ class Table:
     # -- indexing ------------------------------------------------------
 
     def create_index(self, column: str, kind: str = "hash") -> None:
-        """Create a secondary index; ``kind`` is ``hash`` or ``sorted``."""
+        """Create a secondary index; ``kind`` is ``hash`` or ``sorted``,
+        two spellings of one :class:`ColumnIndex`."""
         column = column.lower()
         bat = self.column(column)
         if column in self._indexes:
             raise CatalogError(
                 f"index on {self.name}.{column} already exists")
-        if kind == "hash":
-            self._indexes[column] = HashIndex(bat)
-        elif kind == "sorted":
-            self._indexes[column] = SortedIndex(bat)
-        else:
+        if kind not in ("hash", "sorted"):
             raise CatalogError(f"unknown index kind {kind!r}")
+        self._indexes[column] = ColumnIndex(bat)
 
     def drop_index(self, column: str) -> None:
         self._indexes.pop(column.lower(), None)
@@ -184,9 +174,9 @@ class Table:
     def index_range(self, column: str, low, high,
                     low_inclusive: bool = True, high_inclusive: bool = True
                     ) -> Optional[np.ndarray]:
-        """Range probe via a sorted index, or None when unavailable."""
+        """Range probe via an index, or None when not indexed."""
         index = self._indexes.get(column.lower())
-        if index is None or not isinstance(index, SortedIndex):
+        if index is None:
             return None
         return index.range(low, high, low_inclusive, high_inclusive)
 
@@ -209,9 +199,10 @@ class Table:
 
     def index_join(self, column: str, probe: BAT):
         """(probe, table) positions of the equi-join of *probe* with
-        *column* through a hash index on it; None without one."""
+        *column* through an index on it; None without one (or for a
+        probe of another storage type)."""
         index = self._indexes.get(column.lower())
-        if not isinstance(index, HashIndex):
+        if index is None:
             return None
         return index.join(probe)
 

@@ -7,7 +7,7 @@ from repro.errors import KernelError
 from repro.mal import kernel as K
 from repro.mal.bat import BAT
 from repro.storage import types as dt
-from repro.storage.index import HashIndex
+from repro.storage.index import ColumnIndex
 
 
 class TestHashJoin:
@@ -71,15 +71,16 @@ class TestHashTableReuse:
     def test_build_then_probe(self):
         build = BAT.from_values(dt.INT, [1, 2, 2, None], coerce=True)
         probe = BAT.from_values(dt.INT, [2, 3, None], coerce=True)
-        pp, bp = HashIndex(build).join(probe)
+        pp, bp = ColumnIndex(build).join(probe)
         assert list(zip(pp.tolist(), bp.tolist())) == [(0, 1), (0, 2)]
 
     def test_probe_with_candidates(self):
-        table = {5: [0]}    # value -> build positions, as HashIndex keeps
+        # value 5 at build position 0, as ColumnIndex keeps its runs
+        runs = K.sort_runs(np.array([5]), np.array([0], dtype=np.int64))
         probe = BAT.from_values(dt.INT, [5, 5])
         cand = np.array([1], dtype=np.int64)
-        pp, bp = K.probe_hash_table(table, probe, cand)
-        assert pp.tolist() == [1]
+        pp, bp = K.probe_runs(runs, probe.values[cand], cand)
+        assert pp.tolist() == [1] and bp.tolist() == [0]
 
 
 class TestGrouping:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from repro.mal import kernel as K
 from repro.mal.bat import BAT
 from repro.storage import types as dt
-from repro.storage.index import HashIndex
+from repro.core.engine import DataCellEngine
+from repro.storage.index import ColumnIndex
 
 ints_with_nulls = st.lists(
     st.one_of(st.integers(-50, 50), st.none()), max_size=60)
@@ -26,6 +27,61 @@ small_strings = st.lists(
 
 def int_bat(values):
     return BAT.from_values(dt.INT, values, coerce=True)
+
+
+# small key pools per type, so both join sides hold duplicates
+KEY_POOLS = {
+    dt.INT: st.integers(-3, 3),
+    dt.FLOAT: st.sampled_from([0.0, -0.0, 1.5, 2.0, 3.0]),
+    dt.TIMESTAMP: st.integers(1_000, 1_004),
+    dt.BOOLEAN: st.booleans(),
+    dt.STRING: st.text(alphabet="ab", max_size=2),
+}
+# INT x FLOAT near 2**53, where a float64 cast of the int is lossy
+MIXED_POOLS = {
+    dt.INT: st.sampled_from([2 ** 53 + 1, 2 ** 53, 3, -1]),
+    dt.FLOAT: st.sampled_from([2.0 ** 53, 3.0, 3.5, -1.0,
+                               float("inf")]),
+}
+
+
+def _keys(pool):
+    return st.lists(st.one_of(pool, st.none()), max_size=25)
+
+
+@st.composite
+def join_sides(draw):
+    """(left type, left values, right type, right values): one key type
+    on both sides, or INT against FLOAT."""
+    if draw(st.booleans()):
+        ltype = rtype = draw(st.sampled_from(list(KEY_POOLS)))
+        return (ltype, draw(_keys(KEY_POOLS[ltype])),
+                rtype, draw(_keys(KEY_POOLS[rtype])))
+    ltype, rtype = draw(st.permutations([dt.INT, dt.FLOAT]))
+    return (ltype, draw(_keys(MIXED_POOLS[ltype])),
+            rtype, draw(_keys(MIXED_POOLS[rtype])))
+
+
+@st.composite
+def candidates(draw, n):
+    """None (every row) or an ascending subset of ``range(n)``."""
+    if draw(st.booleans()):
+        return None
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array([i for i, k in enumerate(keep) if k], dtype=np.int64)
+
+
+def _eq(a, b):
+    """SQL equality of two Python values: nil matches nothing."""
+    return a is not None and b is not None and a == b
+
+
+def nested_loop(lv, rv, lcand=None, rcand=None):
+    """(left, right) pairs in the kernel's order: by left position,
+    then right position."""
+    lc = range(len(lv)) if lcand is None else lcand.tolist()
+    rc = range(len(rv)) if rcand is None else rcand.tolist()
+    return [(i, j) for i in lc for j in rc if _eq(lv[i], rv[j])]
 
 
 class TestSelectionLaws:
@@ -97,10 +153,80 @@ class TestJoinLaws:
     def test_prebuilt_table_equals_join(self, lv, rv):
         l = BAT.from_values(dt.INT, lv)
         r = BAT.from_values(dt.INT, rv)
-        pp, bp = HashIndex(r).join(l)
+        pp, bp = ColumnIndex(r).join(l)
         lp, rp = K.hashjoin(l, r)
-        assert sorted(zip(pp.tolist(), bp.tolist())) == \
-            sorted(zip(lp.tolist(), rp.tolist()))
+        assert pp.tolist() == lp.tolist() and bp.tolist() == rp.tolist()
+
+    @given(st.data())
+    def test_hashjoin_exact_order(self, data):
+        ltype, lv, rtype, rv = data.draw(join_sides())
+        lcand = data.draw(candidates(len(lv)))
+        rcand = data.draw(candidates(len(rv)))
+        lp, rp = K.hashjoin(BAT.from_values(ltype, lv, coerce=True),
+                            BAT.from_values(rtype, rv, coerce=True),
+                            lcand, rcand)
+        assert list(zip(lp.tolist(), rp.tolist())) == \
+            nested_loop(lv, rv, lcand, rcand)
+
+    @given(join_sides())
+    def test_left_outer_exact_order(self, sides):
+        ltype, lv, rtype, rv = sides
+        lp, rp = K.left_outer_pairs(BAT.from_values(ltype, lv, coerce=True),
+                                    BAT.from_values(rtype, rv, coerce=True))
+        expected = []
+        for i, a in enumerate(lv):
+            hits = [(i, j) for j, b in enumerate(rv) if _eq(a, b)]
+            expected.extend(hits or [(i, -1)])
+        assert list(zip(lp.tolist(), rp.tolist())) == expected
+
+    @given(join_sides(), st.booleans())
+    def test_semi_in_and_not_in(self, sides, anti):
+        ltype, lv, rtype, rv = sides
+        got = K.semi_pairs(BAT.from_values(ltype, lv, coerce=True),
+                           BAT.from_values(rtype, rv, coerce=True), anti)
+        if anti:
+            # NOT IN over a right side holding a nil is UNKNOWN for all
+            expected = [] if None in rv else [
+                i for i, a in enumerate(lv)
+                if a is not None and not any(_eq(a, b) for b in rv)]
+        else:
+            expected = [i for i, a in enumerate(lv)
+                        if any(_eq(a, b) for b in rv)]
+        assert got.tolist() == expected
+
+    @given(join_sides())
+    def test_index_join_exact_order(self, sides):
+        ltype, lv, rtype, rv = sides
+        probe = BAT.from_values(ltype, lv, coerce=True)
+        pairs = ColumnIndex(BAT.from_values(rtype, rv, coerce=True)
+                            ).join(probe)
+        if ltype.np_dtype != rtype.np_dtype:
+            assert pairs is None     # the caller joins exactly instead
+            return
+        pp, bp = pairs
+        assert list(zip(pp.tolist(), bp.tolist())) == nested_loop(lv, rv)
+
+    def test_int_float_never_meet_through_float64(self):
+        """9007199254740993 rounds to 9007199254740992.0 as a float64;
+        the two keys are not equal, in the kernel or in SQL."""
+        big = BAT.from_values(dt.INT, [2 ** 53 + 1, 3])
+        near = BAT.from_values(dt.FLOAT, [2.0 ** 53, 3.0])
+        for l, r in ((big, near), (near, big)):
+            lp, rp = K.hashjoin(l, r)
+            assert list(zip(lp.tolist(), rp.tolist())) == [(1, 1)]
+            assert K.semi_pairs(l, r).tolist() == [1]
+            assert K.semi_pairs(l, r, anti=True).tolist() == [0]
+        engine = DataCellEngine()
+        engine.execute("CREATE TABLE a (x INT)")
+        engine.execute("CREATE TABLE b (y FLOAT)")
+        engine.execute("INSERT INTO a VALUES (9007199254740993), (3)")
+        engine.execute("INSERT INTO b VALUES (9007199254740992.0), (3.0)")
+        for sql in ("SELECT x, y FROM a JOIN b ON x = y",
+                    "SELECT x, y FROM a, b WHERE x + 0 = y"):
+            assert engine.execute(sql).to_rows() == [(3, 3.0)]
+        engine.execute("CREATE INDEX ON b (y)")
+        assert engine.execute(
+            "SELECT x, y FROM a JOIN b ON x = y").to_rows() == [(3, 3.0)]
 
 
 class TestGroupingLaws:

@@ -140,8 +140,12 @@ class TestTableIndexes:
         table.create_index("a", "sorted")
         assert table.index_range("a", 2, None).tolist() == [1, 2]
 
-    def test_range_needs_sorted(self, table):
+    def test_hash_index_serves_range(self, table):
+        # both kinds are one sorted-runs index
         table.create_index("a", "hash")
+        assert table.index_range("a", 1, 2).tolist() == [0, 1]
+
+    def test_range_without_index(self, table):
         assert table.index_range("a", 1, 2) is None
 
     def test_drop_index(self, table):
