@@ -7,9 +7,12 @@ Two claims behind ``repro serve --pg-port``:
   message layer adds parsing, not architecture;
 * **E17b**: because every connection is a coroutine on one event loop
   (not a thread), the server holds ≥1000 concurrent *idle* tail
-  subscribers with a flat per-connection cost: the process thread
-  count does not grow with connections, and resident memory grows by
-  a small bounded amount per connection.
+  subscribers with a flat per-connection cost: the thread count does
+  not grow with connections, and resident memory grows by a small
+  bounded amount per connection. The pg sessions live in the server's
+  edge process, so threads, RSS and fds are read for this process
+  (clients, engine, followers) and for the edge (``/proc/<pid>``),
+  and summed.
 
 Acceptance tests gate both; the archive test diffs the portable shape
 (per-connection RSS, thread delta) against the checked-in
@@ -150,16 +153,31 @@ def run_latency_table(iters: int = LATENCY_ITERS) -> ResultTable:
 # -- E17b: idle tail subscribers --------------------------------------
 
 
-def _rss_kb() -> int:
-    with open("/proc/self/status") as f:
+def _status(pid) -> dict:
+    """``VmRSS`` (kB) and ``Threads`` of ``/proc/<pid>/status``."""
+    out = {}
+    with open(f"/proc/{pid}/status") as f:
         for line in f:
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1])
-    raise OSError("VmRSS not found")
+            key, _, value = line.partition(":")
+            if key in ("VmRSS", "Threads"):
+                out[key] = int(value.split()[0])
+    if len(out) != 2:
+        raise OSError(f"VmRSS/Threads not found for {pid}")
+    return out
 
 
-def _fd_count() -> int:
-    return len(os.listdir("/proc/self/fd"))
+def _rss_kb(pids) -> int:
+    return sum(_status(pid)["VmRSS"] for pid in pids)
+
+
+def _thread_count(pids) -> int:
+    """This process's Python threads, plus every other pid's OS ones."""
+    return threading.active_count() + sum(
+        _status(pid)["Threads"] for pid in pids if pid != "self")
+
+
+def _fd_count(pids) -> int:
+    return sum(len(os.listdir(f"/proc/{pid}/fd")) for pid in pids)
 
 
 def _raise_nofile(need: int) -> bool:
@@ -186,11 +204,12 @@ def idle_subscribers(n: int) -> dict:
     engine = _engine()
     server = DataCellServer(engine, pg_port=0)
     server.start()
+    pids = ("self", server.pg.pid)   # this process and the pg edge
     clients = []
     try:
         gc.collect()
-        threads_before = threading.active_count()
-        rss_before = _rss_kb()
+        threads_before = _thread_count(pids)
+        rss_before = _rss_kb(pids)
         for _ in range(n):
             client = _MiniPG(server.pg_host, server.pg_port)
             client.send_query("TAIL q")
@@ -204,12 +223,12 @@ def idle_subscribers(n: int) -> dict:
         tails = server.pg.pg_stats()["tails"]
         time.sleep(0.5)  # settle: all tails parked on their events
         gc.collect()
-        threads_after = threading.active_count()
-        rss_after = _rss_kb()
+        threads_after = _thread_count(pids)
+        rss_after = _rss_kb(pids)
         return {"subscribers": n,
                 "tails": tails,
                 "thread_delta": threads_after - threads_before,
-                "fds": _fd_count(),
+                "fds": _fd_count(pids),
                 "rss_delta_kb": max(rss_after - rss_before, 0),
                 "rss_kb_per_conn":
                     max(rss_after - rss_before, 0) / max(n, 1)}
@@ -226,7 +245,8 @@ def idle_subscribers(n: int) -> dict:
 def run_idle_table(counts=None) -> ResultTable:
     table = ResultTable(
         "E17b: idle pg tail subscribers on one event loop "
-        "(client+server share this process; RSS includes both sides)",
+        "(RSS, threads and fds: this process, clients and engine, "
+        "plus the pg edge process)",
         ["subscribers", "tails", "thread_delta", "fds",
          "rss_delta_kb", "rss_kb_per_conn"])
     for n in (counts or IDLE_COUNTS):
@@ -273,8 +293,9 @@ def test_e17_thousand_idle_subscribers_flat_cost():
     # coroutines, not threads: the thread count must not scale with
     # connections (small slack for lazy runtime helpers)
     assert out["thread_delta"] <= 8, out
-    # flat per-connection cost — both endpoints of every socket live
-    # in this process, so the budget covers client + server state
+    # flat per-connection cost — the clients' ends, the followers and
+    # the edge's sessions are all counted, so the budget covers client
+    # + server state
     assert out["rss_kb_per_conn"] <= 1024, out
 
 

@@ -118,8 +118,6 @@ class Basket:
         rows = list(rows)
         if not rows:
             return 0
-        if self.paused:
-            raise StreamError(f"stream {self.name!r} is paused")
         width = len(self.schema)
         for row in rows:
             if len(row) != width:
@@ -130,17 +128,28 @@ class Basket:
         # batch conversion per column instead of a per-row Python loop
         staged = [dt.coerce_column(coldef.dtype, [row[i] for row in rows])
                   for i, coldef in enumerate(self.schema.columns)]
-        arrival = np.full(len(rows), now, dtype=np.int64)
+        return self.append_columns(staged, now)
+
+    def append_columns(self, columns: Sequence[np.ndarray],
+                       now: int) -> int:
+        """Append one storage array per schema column, all of one
+        length, with arrival time *now*; returns the row count."""
+        n = len(columns[0])
+        if not n:
+            return 0
+        if self.paused:
+            raise StreamError(f"stream {self.name!r} is paused")
+        arrival = np.full(n, now, dtype=np.int64)
         with self._lock:
             lo = self.next_oid
-            self._stage_on_log(lo, staged, arrival)
-            for coldef, column in zip(self.schema.columns, staged):
+            self._stage_on_log(lo, columns, arrival)
+            for coldef, column in zip(self.schema.columns, columns):
                 self._bats[coldef.name].extend(column)
             self._arrival.extend(arrival)
-            self.total_in += len(rows)
+            self.total_in += n
             self.high_water = max(self.high_water, len(self))
             self._tap(lo, now)
-        return len(rows)
+        return n
 
     def append_relation(self, rel: Relation, now: int
                         ) -> Tuple[int, int]:

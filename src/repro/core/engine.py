@@ -26,6 +26,8 @@ import time
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
+import numpy as np
+
 from repro.core.basket import Basket
 from repro.core.clock import Clock, SimulatedClock
 from repro.core.emitter import BasketSink, Emitter, QueueSink
@@ -63,6 +65,40 @@ from repro.store import (DURABILITY_MODES, FaultInjector,
                          PagedWindowBinder, StreamLog)
 from repro.store.log import MANIFEST
 from repro.streams.source import StreamSource
+
+
+_FLOAT_CELLS = {float, type(None)}
+_STRING_CELLS = {str, type(None)}
+
+
+def _literal_columns(schema: Schema, rows: Sequence[list]
+                     ) -> Optional[List[np.ndarray]]:
+    """Literal ``VALUES`` rows as one storage array per column, checked
+    a column at a time; ``None`` when a cell needs the per-cell path —
+    an expression, a bool, a NULL in an INT column, an int at or past
+    the int64 edge (the INT nil literal is NULL), an int in a FLOAT
+    column — or a row has the wrong width. A NULL in a FLOAT or STRING
+    column is its nil as it stands (NaN, None)."""
+    if set(map(len, rows)) != {len(schema)}:
+        return None
+    staged = []
+    for coldef, column in zip(schema.columns, zip(*rows)):
+        kinds = set(map(type, column))
+        dtype = coldef.dtype
+        if dtype is dt.INT or dtype is dt.TIMESTAMP:
+            if kinds != {int} or not (dt.INT_NIL < min(column)
+                                      and max(column) <= dt.INT_MAX):
+                return None
+            staged.append(np.array(column, dtype=np.int64))
+        elif dtype is dt.FLOAT and kinds <= _FLOAT_CELLS:
+            staged.append(np.array(column, dtype=np.float64))
+        elif dtype is dt.STRING and kinds <= _STRING_CELLS:
+            array = np.empty(len(column), dtype=object)
+            array[:] = column
+            staged.append(array)
+        else:
+            return None
+    return staged
 
 
 class ContinuousQuery:
@@ -353,6 +389,12 @@ class DataCellEngine:
         target_is_stream = self.catalog.is_stream(stmt.table)
         schema = self.catalog.schema_of(stmt.table)
         columns = stmt.columns or schema.names
+        if target_is_stream and stmt.select is None \
+                and list(columns) == schema.names:
+            staged = _literal_columns(schema, stmt.rows)
+            if staged is not None:
+                return self.basket(stmt.table).append_columns(
+                    staged, self.now())
         if stmt.select is not None:
             rel = self._one_time_select(stmt.select)
             rows = rel.to_rows()

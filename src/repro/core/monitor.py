@@ -183,8 +183,8 @@ class Monitor:
 
     def pg(self) -> str:
         """The Postgres front-end pane: per-session statement/row
-        counters of the attached :class:`~repro.pg.server.
-        PGFrontEnd`."""
+        counters the attached :class:`~repro.pg.server.PGEdge`'s
+        process last pushed."""
         edge = getattr(self.engine.net_edge, "pg", None)
         if edge is None:
             return "postgres front end: (not attached — start one " \

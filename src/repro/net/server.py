@@ -8,18 +8,20 @@ wall clock, a scheduler thread running the serving loop
 or a submitted command wakes it, or a window timer falls due), one
 :class:`~repro.core.receptor.SocketReceptor` per connected stream
 producer, and one cursor + pump task per subscription. Given a
-``pg_port`` it also listens for PostgreSQL clients
-(:class:`~repro.pg.server.PGFrontEnd`) on the same loop and engine.
+``pg_port`` it also serves PostgreSQL clients through a forked edge
+process (:class:`~repro.pg.server.PGEdge`), which owns the pg listener
+and sessions and reaches this engine over one channel.
 
 One thread mutates the engine: the serving loop. Everything a front end
 asks of the engine — a pg statement, registering a producer, ``STATS``
 — goes through :meth:`DataCellServer.submit` and runs there between
 steps. I/O runs on one asyncio core (:class:`~repro.net.aio.IOLoop`):
-one event loop thread accepts connections on both listeners and runs a
-coroutine per connection plus a pump task per subscription, so
-an idle subscriber costs a heap entry instead of a thread. Both
-directions are woken across the thread boundary (``engine.wake``
-inbound, ``call_soon_threadsafe`` wakers outbound), never polled.
+one event loop thread accepts framed connections, serves the pg edge's
+channel and runs a coroutine per connection plus a pump task per
+subscription, so an idle subscriber costs a heap entry instead of a
+thread. Both directions are woken across the thread boundary
+(``engine.wake`` inbound, ``call_soon_threadsafe`` wakers outbound),
+never polled.
 
 Backpressure is explicit at both edges:
 
@@ -61,7 +63,7 @@ from repro.errors import CatalogError, DataCellError, NetError, \
     StoreError, StreamError
 from repro.net import protocol
 from repro.net.aio import IOLoop
-from repro.pg.server import PGFrontEnd
+from repro.pg.server import PGEdge
 
 _TOTAL_KEYS = ("offered", "ingested", "shed", "blocked",
                "delivered_batches", "delivered_rows", "evicted")
@@ -345,7 +347,7 @@ class DataCellServer:
         self.max_client_queue = max_client_queue
         self.replay_chunk_rows = replay_chunk_rows
         self.io = IOLoop()
-        self.pg: Optional[PGFrontEnd] = None
+        self.pg: Optional[PGEdge] = None
         self._listeners: List[asyncio.AbstractServer] = []
         self._loop: Optional[ServingLoop] = None
         self._lock = threading.Lock()
@@ -361,6 +363,10 @@ class DataCellServer:
     def start(self) -> "DataCellServer":
         if self.running:
             raise StreamError("server already started")
+        if self.pg_port is not None:
+            # first: the edge is forked before this host starts a thread
+            self.pg = PGEdge(self)
+            self.pg.start()
         # one bound for every standing query's result queue; queries
         # registered later read it off net_edge
         for query in self.engine.queries():
@@ -373,10 +379,8 @@ class DataCellServer:
         try:
             self.host, self.port = self._listen(
                 self._on_connection, self.host, self.port)
-            if self.pg_port is not None:
-                self.pg = PGFrontEnd(self)
-                self.pg_host, self.pg_port = self._listen(
-                    self.pg.on_connection, self.pg_host, self.pg_port)
+            if self.pg is not None:
+                self.pg.attach()
         except Exception:
             self.stop()
             raise
@@ -433,6 +437,8 @@ class DataCellServer:
         self.running = False
         # 1. no new connections
         self._close_listeners(timeout_s)
+        if self.pg is not None:
+            self.pg.quiesce()
         deadline = time.monotonic() + timeout_s
         # 2. let the scheduler thread drain admission queues + the net,
         # 3. stop it (one final bounded drain); queued commands fail
@@ -442,27 +448,21 @@ class DataCellServer:
         while not self._readers_caught_up() \
                 and time.monotonic() < deadline:
             time.sleep(0.01)
-        # 5. tear down connections (joins pump/session tasks)
+        # 5. tear down connections (joins pump tasks) and the pg edge
         for conn in self._snapshot_conns():
             try:
                 self.io.call(self._close_conn(conn), timeout_s)
             except Exception:
                 pass
         if self.pg is not None:
-            for session in self.pg.sessions():
-                try:
-                    self.io.call(self.pg.close_session(session),
-                                 timeout_s)
-                except Exception:
-                    pass
+            self.pg.stop(timeout_s)
         self._reap_receptors(force=True)
         self.io.stop(timeout_s)
         if self.engine.net_edge is self:
             self.engine.net_edge = None
 
     def _readers_caught_up(self) -> bool:
-        tails = [session.follower for session in self.pg.sessions()
-                 if session.follower is not None] if self.pg else []
+        tails = self.pg.tail_followers() if self.pg else []
         followers = [sub.follower for conn in self._snapshot_conns()
                      for sub in conn.subscriptions if not sub.dead]
         return all(f.lag() == 0 for f in followers + tails)

@@ -28,38 +28,42 @@ dialect (intercepted before the parser):
 ``TAIL`` is what turns a connection live: the session follows the
 standing query's one result queue with a
 :class:`~repro.core.emitter.Follower` — the *same* cursor a
-framed-protocol subscriber pumps — and its wake parks the coroutine on
-an ``asyncio.Event``, so an idle tail costs no CPU. A tail ends at its
-BATCHES/ROWS/TIMEOUT bound (then ``CommandComplete``), on cancel
-(``57014``), or by eviction when the client falls more than the
-server's ``max_client_queue`` batches behind (``55000``).
+framed-protocol subscriber pumps, held in the engine process — and
+parks on its request for the next batch, so an idle tail costs no
+CPU. A tail ends at its BATCHES/ROWS/TIMEOUT bound (then
+``CommandComplete``), on cancel (``57014``), or by eviction when the
+client falls more than the server's ``max_client_queue`` batches
+behind (``55000``).
 
-Every engine call — statements, registration, ``SHOW``, the plan
-lookup behind ``Describe`` — is handed to the host's serving loop
-(:meth:`~repro.net.server.DataCellServer.submit`), the one thread that
-mutates the engine; the session awaits its future on the I/O loop. A
-statement the loop can no longer run (the server is stopping) fails
-with SQLSTATE ``57P01``.
+A session runs in the pg edge process (:mod:`repro.pg.server`), not
+beside the engine: it reads, splits, classifies and parses statements
+and encodes every reply there. Every engine call — statements,
+registration, ``SHOW``, the plan lookup behind ``Describe`` — crosses
+the edge's channel to the engine process, whose serving loop, the one
+thread that mutates the engine, runs it; a ``TAIL``'s batches come back
+over the same channel as column arrays, one per request. A statement
+the engine process can no longer run (the server is stopping) fails
+with SQLSTATE ``57P01``. Each reply — a statement's messages, or one
+``TAIL`` batch — leaves in one socket write.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.emitter import Follower
+import numpy as np
+
 from repro.core.factory import EXECUTION_MODES
 from repro.errors import (BindError, CatalogError, DataCellError,
                           LexerError, NetError, ParseError, ReplayGap,
                           StoreError, StreamError, TypeMismatchError)
+from repro.mal.bat import BAT
 from repro.pg import messages as msg
 from repro.pg import protocol
 from repro.sql import ast
 from repro.sql.lexer import split_statements
-from repro.sql.optimizer import Optimizer
 from repro.sql.parser import parse_script
-from repro.sql.planner import Planner
 from repro.storage import types as dt
 
 SERVER_VERSION = "13.0 (datacell-repro)"
@@ -101,6 +105,32 @@ def sqlstate_for(exc: BaseException) -> str:
     if isinstance(exc, NetError) and exc.code == "shutdown":
         return "57P01"  # admin_shutdown
     return "XX000"      # internal_error
+
+
+def columns_of(rel) -> List[Tuple[dt.DataType, Any]]:
+    """A result relation as it crosses to the edge: one ``(dtype,
+    buffer)`` per column — the raw bytes of a numeric column, the
+    values of a string one (see :func:`rows_of`)."""
+    return [(bat.dtype, bat.values.tolist() if bat.dtype.is_string
+             else bat.values.tobytes())
+            for _name, bat in rel.columns()]
+
+
+def rows_of(columns: List[Tuple[dt.DataType, Any]]) -> List[tuple]:
+    """The rows of :func:`columns_of`'s columns, as
+    :meth:`~repro.mal.relation.Relation.to_rows` gives them (nil ->
+    None), so DataRow text is the framed protocol's."""
+    cols = [values if dtype.is_string else BAT.adopt_view(
+                dtype, np.frombuffer(values, dtype.np_dtype)).tolist()
+            for dtype, values in columns]
+    return list(zip(*cols)) if cols else []
+
+
+# how often a parked TAIL looks for a client that went away
+_EOF_POLL_S = 0.25
+
+SHUTDOWN = ("57P01", "terminating connection due to administrator "
+                     "command")
 
 
 # -- statement classification ------------------------------------------
@@ -214,6 +244,10 @@ def _classify_tail(words: List[str]) -> Command:
                    rows=bounds["rows"], timeout_ms=bounds["timeout"])
 
 
+def _cancelled() -> PGError:
+    return PGError("57014", "canceling statement due to user request")
+
+
 class _Prepared:
     __slots__ = ("sql", "command")
 
@@ -222,14 +256,23 @@ class _Prepared:
         self.command = command
 
 
+def show_columns(what: str) -> List[Tuple[str, dt.DataType]]:
+    """The RowDescription of ``SHOW STREAMS`` / ``SHOW QUERIES``."""
+    if what == "streams":
+        return [("name", dt.STRING), ("columns", dt.STRING),
+                ("rows", dt.INT)]
+    return [("name", dt.STRING), ("mode", dt.STRING),
+            ("sql", dt.STRING)]
+
+
 class PGSession:
-    """One client connection's backend half (loop-thread owned)."""
+    """One client connection's backend half (owned by the edge
+    process's event loop)."""
 
     def __init__(self, front, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter, cid: int,
                  secret: int):
-        self.front = front            # cancel keys and pg_stats
-        self.server = front.server    # the host: engine, loop, I/O
+        self.front = front      # the edge: channel, cancel keys
         self.reader = reader
         self.writer = writer
         self.cid = cid          # doubles as the cancel-key "pid"
@@ -239,15 +282,17 @@ class PGSession:
             else str(peer)
         self.user = ""
         self.database = ""
-        self.closed = False
         self.queries = 0        # statements executed
         self.rows_sent = 0
         self.tails = 0
         self.errors = 0
         self.tailing: Optional[str] = None  # live-tail query name
-        self.follower: Optional[Follower] = None  # its result cursor
         self.task: Optional[asyncio.Task] = None  # the run() task
-        self._cancel = asyncio.Event()
+        # a running TAIL's request for its next batch
+        self._demand: Optional[asyncio.Future] = None
+        self._watch: Optional[asyncio.TimerHandle] = None
+        self._cancelled = False
+        self._out: List[bytes] = []   # the reply being built
         self._stmts: Dict[str, _Prepared] = {}
         self._portals: Dict[str, _Prepared] = {}
         self._skip_until_sync = False
@@ -255,22 +300,31 @@ class PGSession:
     # -- plumbing ------------------------------------------------------
 
     def _w(self, data: bytes) -> None:
-        self.writer.write(data)
+        self._out.append(data)
 
     async def _flush(self) -> None:
+        """Send the reply built so far in one write, then drain."""
+        if self._out:
+            data = b"".join(self._out)
+            self._out.clear()
+            self.writer.write(data)
         try:
             await self.writer.drain()
         except (ConnectionError, OSError, RuntimeError) as exc:
             raise NetError(f"send failed: {exc}", code="io") from exc
 
     def cancel(self) -> None:
-        """Request cancellation of the in-flight statement (threadsafe
-        only via the I/O loop)."""
-        self._cancel.set()
+        """Interrupt a running ``TAIL`` (on the edge's loop)."""
+        self._cancelled = True
+        self._end_tail("cancel")
 
-    async def _submit(self, fn, *args) -> Any:
-        """Run an engine call on the host's serving loop."""
-        return await asyncio.wrap_future(self.server.submit(fn, *args))
+    async def _call(self, op: str, *args: Any) -> Any:
+        """Run *op* in the engine process; its errors arrive as
+        :class:`PGError`."""
+        ok, value = await self.front.request(op, args, self)
+        if not ok:
+            raise PGError(*value)
+        return value
 
     # -- conversation --------------------------------------------------
 
@@ -416,8 +470,13 @@ class PGSession:
             if prepared is None:
                 raise PGError("34000",
                               f"portal {name!r} does not exist")
-        columns = await self._submit(self._describe_columns,
-                                     prepared.command)
+        command = prepared.command
+        if command.kind == "show":
+            columns = show_columns(command.what)
+        elif command.kind in ("sql", "tail"):
+            columns = await self._call("describe", command)
+        else:
+            columns = None
         if columns is None:
             self._w(msg.no_data())
         else:
@@ -445,62 +504,36 @@ class PGSession:
 
     # -- execution -----------------------------------------------------
 
-    def _describe_columns(self, command: Command
-                          ) -> Optional[List[Tuple[str, dt.DataType]]]:
-        """RowDescription columns without executing (``None`` = no
-        result set); runs on the serving loop."""
-        if command.kind == "sql":
-            stmt = command.stmt
-            if isinstance(stmt, (ast.SelectStmt, ast.UnionStmt)):
-                engine = self.server.engine
-                plan = Optimizer().optimize(
-                    Planner(engine.catalog).plan(stmt))
-                return list(zip(plan.schema.names, plan.schema.types))
-            if isinstance(stmt, ast.ExplainStmt):
-                return [("QUERY PLAN", dt.STRING)]
-            return None
-        if command.kind == "tail":
-            query = self.server.engine.continuous_query(command.name)
-            schema = query.plan.schema
-            return list(zip(schema.names, schema.types))
-        if command.kind == "show":
-            return self._show_columns(command.what)
-        return None
-
     async def _run_command(self, command: Command,
                            describe: bool) -> None:
         """Execute one classified statement, emitting its result
         messages (RowDescription only when *describe*)."""
-        self._cancel.clear()
         self.queries += 1
         if command.kind == "noop":
             self._w(msg.command_complete(command.tag))
         elif command.kind == "register":
-            await self._submit(
-                self.server.engine.register_continuous,
-                command.query, command.name, command.mode)
+            await self._call("run", command)
             self._w(msg.command_complete("REGISTER CONTINUOUS"))
         elif command.kind == "unregister":
-            await self._submit(
-                self.server.engine.remove_query, command.name)
+            await self._call("run", command)
             self._w(msg.command_complete("UNREGISTER CONTINUOUS"))
         elif command.kind == "show":
-            await self._send_show(command.what, describe)
+            await self._send_show(command, describe)
         elif command.kind == "tail":
             await self._run_tail(command, describe)
         else:
-            await self._run_sql(command.stmt, describe)
+            await self._run_sql(command, describe)
 
-    async def _run_sql(self, stmt: ast.Statement,
-                       describe: bool) -> None:
-        engine = self.server.engine
-        result = await self._submit(engine.execute_statement, stmt)
+    async def _run_sql(self, command: Command, describe: bool) -> None:
+        stmt = command.stmt
+        result = await self._call("run", command)
         if isinstance(stmt, (ast.SelectStmt, ast.UnionStmt)):
-            rows = result.to_rows()
+            names, columns = result
+            rows = rows_of(columns)
             if describe:
                 self._w(msg.row_description(
-                    [(c.name, c.dtype)
-                     for c in result.schema().columns]))
+                    [(name, dtype) for name, (dtype, _array)
+                     in zip(names, columns)]))
             for row in rows:
                 self._w(msg.data_row(row))
             self.rows_sent += len(rows)
@@ -525,32 +558,10 @@ class PGSession:
             words = str(result).split()
             self._w(msg.command_complete(" ".join(words[:2]).upper()))
 
-    # -- SHOW ----------------------------------------------------------
-
-    @staticmethod
-    def _show_columns(what: str) -> List[Tuple[str, dt.DataType]]:
-        if what == "streams":
-            return [("name", dt.STRING), ("columns", dt.STRING),
-                    ("rows", dt.INT)]
-        return [("name", dt.STRING), ("mode", dt.STRING),
-                ("sql", dt.STRING)]
-
-    def _show_rows(self, what: str) -> List[tuple]:
-        """The catalog rows ``SHOW`` reports (on the serving loop)."""
-        engine = self.server.engine
-        if what == "streams":
-            return [(stream.name,
-                     ", ".join(f"{c.name} {c.dtype.name}"
-                               for c in stream.schema.columns),
-                     engine.basket(stream.name).next_oid)
-                    for stream in engine.catalog.streams()]
-        return [(query.name, query.mode, query.sql_text)
-                for query in engine.queries()]
-
-    async def _send_show(self, what: str, describe: bool) -> None:
-        rows = await self._submit(self._show_rows, what)
+    async def _send_show(self, command: Command, describe: bool) -> None:
+        rows = await self._call("run", command)
         if describe:
-            self._w(msg.row_description(self._show_columns(what)))
+            self._w(msg.row_description(show_columns(command.what)))
         for row in rows:
             self._w(msg.data_row(row))
         self.rows_sent += len(rows)
@@ -559,66 +570,80 @@ class PGSession:
     # -- TAIL: the live edge -------------------------------------------
 
     async def _run_tail(self, command: Command, describe: bool) -> None:
-        engine = self.server.engine
-        query = engine.continuous_query(command.name)  # StreamError ↦ 55000
-        schema = query.plan.schema
-        event = asyncio.Event()
-        follower = query.emitter.queue.follow(
-            lambda: self.server.io.call_soon(event.set))
+        # the engine process attaches a follower (unknown query ↦ 55000)
+        tid, columns = await self._call("follow", command.name)
         self.tails += 1
         self.tailing = command.name
-        self.follower = follower
-        deadline = None if command.timeout_ms is None \
-            else time.monotonic() + command.timeout_ms / 1000.0
+        self._cancelled = False
+        loop = asyncio.get_running_loop()
+        self._watch = loop.call_later(_EOF_POLL_S, self._watch_client)
+        deadline = timeout = None
+        if command.timeout_ms is not None:
+            deadline = loop.time() + command.timeout_ms / 1000.0
+            timeout = loop.call_at(deadline, self._end_tail, "timeout")
         batches = 0
         rows = 0
         if describe:
-            self._w(msg.row_description(
-                list(zip(schema.names, schema.types))))
+            self._w(msg.row_description(columns))
         try:
             while not self._bounded(command, batches, rows):
-                # cleared before the read: a delivery after it sets it
-                event.clear()
-                item = follower.next()
-                if item is not None:
-                    for row in item[2].to_rows():
-                        self._w(msg.data_row(row))
-                        rows += 1
-                        if command.rows is not None \
-                                and rows >= command.rows:
-                            break
-                    batches += 1
-                    await self._flush()
-                    continue
-                if self._cancel.is_set():
-                    raise PGError(
-                        "57014",
-                        "canceling statement due to user request")
-                if follower.evicted:
+                if self._cancelled:
+                    raise _cancelled()
+                if deadline is not None and loop.time() >= deadline:
+                    break
+                # the engine-side follower advances only on a request:
+                # a client that stops reading stops them, and lags
+                self._demand = self.front.request("next", (tid,), self)
+                ok, reply = await self._demand
+                if ok is None:  # ended here, not by the engine process
+                    if reply == "timeout":
+                        break
+                    if reply == "cancel":
+                        raise _cancelled()
+                    raise NetError("client went away mid-tail",
+                                   code="io")
+                if not ok:
+                    raise PGError(*reply)
+                if reply[0] == "evicted":
                     raise PGError(
                         "55000",
                         f"tail of {command.name!r} fell behind; more "
-                        f"than {follower.queue.max_batches} batches "
-                        f"undelivered")
-                if self.reader.at_eof():
-                    raise NetError("client went away mid-tail",
-                                   code="io")
-                # cap the park so disconnects and cancels are noticed
-                # even on a silent queue
-                wait_s = 0.25 if deadline is None \
-                    else min(deadline - time.monotonic(), 0.25)
-                if wait_s <= 0:
-                    break
-                try:
-                    await asyncio.wait_for(event.wait(), wait_s)
-                except asyncio.TimeoutError:
-                    pass
+                        f"than {reply[1]} batches undelivered")
+                for row in rows_of(reply[1]):
+                    self._w(msg.data_row(row))
+                    rows += 1
+                    if command.rows is not None \
+                            and rows >= command.rows:
+                        break
+                batches += 1
+                await self._flush()
             self.rows_sent += rows
             self._w(msg.command_complete(f"TAIL {rows}"))
         finally:
+            self._watch.cancel()
+            if timeout is not None:
+                timeout.cancel()
+            self._demand = None
             self.tailing = None
-            self.follower = None
-            follower.close()
+            # acknowledged before the reply goes out, so the engine
+            # process has let go of the follower (and counted the tail)
+            await self.front.request("untail", (tid,), self)
+
+    def _end_tail(self, why: str) -> None:
+        """End the running ``TAIL`` from this side: its pending request
+        resolves to ``(None, why)``."""
+        demand = self._demand
+        if demand is not None and not demand.done():
+            demand.set_result((None, why))
+
+    def _watch_client(self) -> None:
+        """Notice a client that left mid-``TAIL``, even on a silent
+        queue."""
+        if self.reader.at_eof():
+            self._end_tail("eof")
+        else:
+            self._watch = asyncio.get_running_loop().call_later(
+                _EOF_POLL_S, self._watch_client)
 
     @staticmethod
     def _bounded(command: Command, batches: int, rows: int) -> bool:

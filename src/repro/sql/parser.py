@@ -195,14 +195,28 @@ class Parser:
                 columns.append(self._ident())
             self._expect("PUNCT", ")")
         if self._accept_keyword("values"):
-            rows = [self._value_row()]
-            while self._accept("PUNCT", ","):
-                rows.append(self._value_row())
-            return ast.InsertStmt(table, columns, rows=rows)
+            return ast.InsertStmt(table, columns, rows=self._value_rows())
         if self._check("KEYWORD", "select"):
             return ast.InsertStmt(table, columns, select=self._select())
         raise ParseError("expected VALUES or SELECT in INSERT",
                          self.current)
+
+    def _value_rows(self) -> List[list]:
+        """The comma-separated rows after ``VALUES``; a literal ``ROW``
+        token is taken as it stands, without the token helpers."""
+        tokens = self.tokens
+        rows = []
+        while True:
+            token = tokens[self.pos]
+            if token.kind == "ROW":
+                rows.append(token.value)
+                self.pos += 1
+            else:
+                rows.append(self._value_row())
+            token = tokens[self.pos]
+            if token.kind != "PUNCT" or token.value != ",":
+                return rows
+            self.pos += 1
 
     def _value_row(self) -> list:
         """A row of Exprs, or the values of a literal ``ROW`` token."""

@@ -51,6 +51,10 @@ class DataType:
     def __hash__(self) -> int:
         return hash(self.name)
 
+    def __reduce__(self):
+        # unpickled as the registered instance: `dtype is INT` holds
+        return DataType.by_name, (self.name,)
+
     @property
     def is_numeric(self) -> bool:
         return self.name in ("INT", "FLOAT")

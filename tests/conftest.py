@@ -1,8 +1,9 @@
 """Shared fixtures: a populated catalog, an engine factory, and the
-thread-hygiene check every test runs under."""
+thread- and process-hygiene check every test runs under."""
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -18,12 +19,34 @@ def _datacell_threads():
             if t.name.startswith("datacell-")}
 
 
+def live_children(pid: int) -> set:
+    """Pids of *pid*'s children that are still running (a zombie has
+    exited); empty where there is no ``/proc``."""
+    out = set()
+    if not os.path.isdir("/proc"):
+        return out
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                stat = f.read()
+        except OSError:
+            continue  # gone between the listing and the read
+        state, ppid = stat[stat.rindex(")") + 2:].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            out.add(int(entry))
+    return out
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
     """Fail any test that leaves a ``datacell-*`` thread alive — a
-    serving loop, an I/O loop or a live receptor — after it returns.
-    A thread gets a second to finish a join it was already told to."""
+    serving loop, an I/O loop or a live receptor — or a child process
+    running — a pg edge — after it returns. Each gets a second to
+    finish the exit it was already told to."""
     before = _datacell_threads()
+    children = live_children(os.getpid())
     yield
     deadline = time.monotonic() + 1.0
     leaked = _datacell_threads() - before
@@ -33,6 +56,13 @@ def no_leaked_threads():
     if leaked:
         pytest.fail("test left threads alive: "
                     + ", ".join(sorted(t.name for t in leaked)))
+    orphans = live_children(os.getpid()) - children
+    while orphans and time.monotonic() < deadline:
+        time.sleep(0.01)
+        orphans = live_children(os.getpid()) - children
+    if orphans:
+        pytest.fail("test left child processes running: "
+                    + ", ".join(map(str, sorted(orphans))))
 
 
 @pytest.fixture

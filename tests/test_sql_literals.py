@@ -11,7 +11,7 @@ and nowhere in ``src/``.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import DataCellEngine
@@ -375,6 +375,12 @@ class TestLiteralInsertMatchesExpressions:
     @settings(max_examples=250, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_insert_case())
+    # a stream's literal rows are stored a column at a time; these need
+    # its per-cell path: an int past int64, a bool in a STRING column
+    @example(("STREAM", "CREATE STREAM t (c0 INT, c1 STRING)", None,
+              [["9223372036854775808", "'a'"]]))
+    @example(("STREAM", "CREATE STREAM t (c0 FLOAT, c1 STRING)", None,
+              [["1.5", "TRUE"]]))
     def test_stored_columns_identical(self, case):
         kind, ddl, columns, rows = case
         literal = _insert_sql(columns, rows, wrap=False)
