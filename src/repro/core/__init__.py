@@ -11,7 +11,7 @@ from repro.core.incremental import (IncrementalAnalysis,
                                     analyze_incremental)
 from repro.core.live import LiveRunner
 from repro.core.monitor import Monitor
-from repro.core.receptor import Receptor, ThreadedReceptor
+from repro.core.receptor import Receptor
 from repro.core.rewriter import plan_diff, rewrite_to_continuous
 from repro.core.scheduler import PetriNetScheduler
 from repro.core.windows import BasicWindowTracker, WindowSpec, WindowState
@@ -22,7 +22,7 @@ __all__ = [
     "ContinuousQuery", "DataCellEngine", "EXECUTION_MODES", "Factory",
     "IncrementalFactory",
     "ReevalFactory", "IncrementalAnalysis", "UnsupportedIncremental",
-    "analyze_incremental", "Monitor", "Receptor", "ThreadedReceptor",
+    "analyze_incremental", "Monitor", "Receptor",
     "plan_diff", "rewrite_to_continuous", "PetriNetScheduler",
     "BasicWindowTracker", "WindowSpec", "WindowState", "LiveRunner",
 ]

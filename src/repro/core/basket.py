@@ -14,9 +14,10 @@ every subscription has released.
 
 Concurrency contract: every structural mutation — append, vacuum,
 subscribe — and every read that derives positions from ``first_oid``
-holds the basket lock, so network/live receptor threads, the shell and
-the scheduler thread interleave safely. A :class:`Subscription`'s cursors are single-writer (only the
-owning factory advances them, under its firing lock); vacuum merely
+holds the basket lock, so a ``feed`` from another thread, replay
+readers and the scheduler thread interleave safely. A
+:class:`Subscription`'s cursors are single-writer (only the owning
+factory advances them, under its firing lock); vacuum merely
 *reads* ``released_upto``, and a stale read is safe — it can only make
 vacuum drop less than it could, never tuples a subscriber still needs.
 """
@@ -114,31 +115,24 @@ class Basket:
     # -- ingestion --------------------------------------------------------
 
     def append_rows(self, rows: Iterable[Sequence[Any]], now: int) -> int:
-        """Append tuples with arrival time *now*; returns count."""
-        rows = list(rows)
+        """Append tuples with arrival time *now*; returns count. Every
+        producer — a receptor's batch, a literal ``INSERT``, ``feed`` —
+        takes this one path: the rows are transposed once and each
+        column is staged as one storage array outside the lock."""
+        rows = rows if isinstance(rows, list) else list(rows)
         if not rows:
             return 0
         width = len(self.schema)
-        for row in rows:
-            if len(row) != width:
-                raise StreamError(
-                    f"basket {self.name}: expected {width} values, got "
-                    f"{len(row)}")
-        # stage each column as a storage array outside the lock: one
-        # batch conversion per column instead of a per-row Python loop
-        staged = [dt.coerce_column(coldef.dtype, [row[i] for row in rows])
-                  for i, coldef in enumerate(self.schema.columns)]
-        return self.append_columns(staged, now)
-
-    def append_columns(self, columns: Sequence[np.ndarray],
-                       now: int) -> int:
-        """Append one storage array per schema column, all of one
-        length, with arrival time *now*; returns the row count."""
-        n = len(columns[0])
-        if not n:
-            return 0
+        if set(map(len, rows)) != {width}:
+            raise StreamError(
+                f"basket {self.name}: expected {width} values, got "
+                f"{next(n for n in map(len, rows) if n != width)}")
+        columns = [dt.coerce_column(coldef.dtype, column)
+                   for coldef, column in zip(self.schema.columns,
+                                             zip(*rows))]
         if self.paused:
             raise StreamError(f"stream {self.name!r} is paused")
+        n = len(rows)
         arrival = np.full(n, now, dtype=np.int64)
         with self._lock:
             lo = self.next_oid

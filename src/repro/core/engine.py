@@ -26,8 +26,6 @@ import time
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
-import numpy as np
-
 from repro.core.basket import Basket
 from repro.core.clock import Clock, SimulatedClock
 from repro.core.emitter import BasketSink, Emitter, QueueSink
@@ -36,6 +34,7 @@ from repro.core.factory import (EXECUTION_MODES, Factory,
 from repro.core.incremental import (IncrementalAnalysis,
                                     UnsupportedIncremental,
                                     analyze_incremental)
+from repro.core.live import Wake
 from repro.core.monitor import Monitor
 from repro.core.receptor import Receptor, SocketReceptor
 from repro.core.recycler import DEFAULT_BUDGET_BYTES, Recycler
@@ -65,40 +64,6 @@ from repro.store import (DURABILITY_MODES, FaultInjector,
                          PagedWindowBinder, StreamLog)
 from repro.store.log import MANIFEST
 from repro.streams.source import StreamSource
-
-
-_FLOAT_CELLS = {float, type(None)}
-_STRING_CELLS = {str, type(None)}
-
-
-def _literal_columns(schema: Schema, rows: Sequence[list]
-                     ) -> Optional[List[np.ndarray]]:
-    """Literal ``VALUES`` rows as one storage array per column, checked
-    a column at a time; ``None`` when a cell needs the per-cell path —
-    an expression, a bool, a NULL in an INT column, an int at or past
-    the int64 edge (the INT nil literal is NULL), an int in a FLOAT
-    column — or a row has the wrong width. A NULL in a FLOAT or STRING
-    column is its nil as it stands (NaN, None)."""
-    if set(map(len, rows)) != {len(schema)}:
-        return None
-    staged = []
-    for coldef, column in zip(schema.columns, zip(*rows)):
-        kinds = set(map(type, column))
-        dtype = coldef.dtype
-        if dtype is dt.INT or dtype is dt.TIMESTAMP:
-            if kinds != {int} or not (dt.INT_NIL < min(column)
-                                      and max(column) <= dt.INT_MAX):
-                return None
-            staged.append(np.array(column, dtype=np.int64))
-        elif dtype is dt.FLOAT and kinds <= _FLOAT_CELLS:
-            staged.append(np.array(column, dtype=np.float64))
-        elif dtype is dt.STRING and kinds <= _STRING_CELLS:
-            array = np.empty(len(column), dtype=object)
-            array[:] = column
-            staged.append(array)
-        else:
-            return None
-    return staged
 
 
 class ContinuousQuery:
@@ -134,7 +99,6 @@ class DataCellEngine:
     def __init__(self, clock: Optional[Clock] = None,
                  recycler_enabled: bool = True,
                  recycler_budget_bytes: int = DEFAULT_BUDGET_BYTES,
-                 recycler_verify: bool = False,
                  compile_plans: bool = True,
                  interp_profile: bool = False,
                  data_dir: Optional[str] = None,
@@ -152,9 +116,9 @@ class DataCellEngine:
         there (up to the stock 64 MB) when eviction churn outpaces
         cache hits and shrinks it back when the cache sits idle — so an
         under-provisioned budget cannot make recycler-on slower than
-        recycler-off. ``recycler_verify`` re-executes every cache hit
-        and asserts the recycled value equals the fresh one (the
-        equivalence oracle mode tests run).
+        recycler-off. Tests set ``engine.recycler.verify`` to re-execute
+        every cache hit and assert the recycled value equals the fresh
+        one.
 
         ``compile_plans`` (default on) slot-compiles each registered
         continuous plan into pre-bound thunks at registration
@@ -194,8 +158,7 @@ class DataCellEngine:
         self.clock = clock if clock is not None else SimulatedClock()
         self.catalog = Catalog()
         self.recycler = Recycler(recycler_budget_bytes,
-                                 enabled=recycler_enabled,
-                                 verify=recycler_verify)
+                                 enabled=recycler_enabled)
         self.compile_plans = bool(compile_plans)
         self.interp_profile = bool(interp_profile)
         self.scheduler = PetriNetScheduler(
@@ -211,7 +174,7 @@ class DataCellEngine:
         self.net_edge = None
         # the serving loop's wake (core.live.ServingLoop): set by whoever
         # hands the net work from another thread, once it is visible
-        self.wake = threading.Event()
+        self.wake = Wake()
         # ident of that loop's thread while it runs: the only thread
         # allowed to step or change the engine (see _check_owner)
         self.loop_thread: Optional[int] = None
@@ -386,27 +349,19 @@ class DataCellEngine:
         return self.basket(name).relation()
 
     def _insert(self, stmt: ast.InsertStmt) -> int:
-        target_is_stream = self.catalog.is_stream(stmt.table)
         schema = self.catalog.schema_of(stmt.table)
         columns = stmt.columns or schema.names
-        if target_is_stream and stmt.select is None \
-                and list(columns) == schema.names:
-            staged = _literal_columns(schema, stmt.rows)
-            if staged is not None:
-                return self.basket(stmt.table).append_columns(
-                    staged, self.now())
         if stmt.select is not None:
             rel = self._one_time_select(stmt.select)
             rows = rel.to_rows()
         else:
-            # a literal row or cell is its value; only expressions are
-            # bound
+            # a literal ROW is its values (the lexer keeps ints strictly
+            # inside int64 out of it); only expressions are bound
             binder = Binder(Scope())
             rows = [[dt.literal_value(expr.value)
                      if type(expr) is ast.Literal
                      else binder.bind(expr).const_value() for expr in row]
-                    if isinstance(row[0], ast.Expr)
-                    else list(map(dt.literal_value, row))
+                    if isinstance(row[0], ast.Expr) else row
                     for row in stmt.rows]
         if list(columns) != schema.names:
             index = {c: i for i, c in enumerate(columns)}
@@ -418,7 +373,7 @@ class DataCellEngine:
                     row[index[c]] if c in index else None
                     for c in schema.names])
             rows = full_rows
-        if target_is_stream:
+        if self.catalog.is_stream(stmt.table):
             return self.basket(stmt.table).append_rows(rows, self.now())
         self.catalog.table(stmt.table).insert_rows(rows)
         return len(rows)
@@ -445,8 +400,8 @@ class DataCellEngine:
         return basket
 
     def _on_append(self, lo: int, hi: int, now: int) -> None:
-        """Basket tap: an append from a foreign thread (live receptor,
-        shell) wakes the serving loop; its own — firings and submitted
+        """Basket tap: an append from a foreign thread (the shell's
+        ``feed``) wakes the serving loop; its own — firings and submitted
         statements such as a pg INSERT — are fired in the same wakeup."""
         if threading.get_ident() != self.loop_thread:
             self.wake.set()

@@ -1,16 +1,16 @@
-"""Live mode: wall-clock execution with threaded receptors.
+"""The serving loop, and live mode on it.
 
-The paper's receptors and emitters are "separate processes per stream
-and per client". Simulation mode (the default everywhere else) folds
-them into the deterministic scheduler loop; :class:`LiveRunner` is the
-faithful concurrent variant: one daemon thread per stream source pushes
-tuples as their timestamps come due against a
-:class:`~repro.core.clock.WallClock`, while a scheduler thread (the
-:class:`ServingLoop` the network host runs too) evaluates the Petri
-net when an arrival or a timer wakes it. Baskets are internally locked,
-so receptor appends and factory reads interleave safely.
+The paper's Petri net fires transitions serially. A served engine has
+one thread that owns it, the :class:`ServingLoop`: it waits, with
+:mod:`selectors`, on the self-pipe behind ``engine.wake`` and on the
+sockets a host hands it (the pg edge's channel), until the next timer
+the engine knows at most — a window boundary, a pumped source's next
+event, a checkpoint.
 
-Use for interactive/demo deployments::
+:class:`LiveRunner` runs an engine on that loop on a
+:class:`~repro.core.clock.WallClock`. An attached source is a pumped
+receptor whose next event time is one of those timers, so a live
+engine runs one thread::
 
     engine = DataCellEngine(clock=WallClock())
     runner = LiveRunner(engine)
@@ -23,16 +23,20 @@ Use for interactive/demo deployments::
 from __future__ import annotations
 
 import collections
+import os
+import selectors
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.core.clock import WallClock
-from repro.core.engine import DataCellEngine
-from repro.core.receptor import ThreadedReceptor
+from repro.core.receptor import Receptor
 from repro.errors import NetError, StreamError
 from repro.streams.source import StreamSource
+
+if TYPE_CHECKING:
+    from repro.core.engine import DataCellEngine
 
 
 # stop() drains until no transition is enabled; a chained network of N
@@ -60,7 +64,7 @@ def drain_scheduler(scheduler, max_steps: int = _STOP_DRAIN_STEPS) -> int:
     return steps
 
 
-def _wait_until(predicate: Callable[[], bool], timeout_s: float) -> bool:
+def wait_until(predicate: Callable[[], bool], timeout_s: float) -> bool:
     """Poll *predicate* (10 ms) for up to *timeout_s*; whether it held."""
     deadline = time.monotonic() + timeout_s
     while not predicate() and time.monotonic() < deadline:
@@ -73,26 +77,81 @@ def _wait_until(predicate: Callable[[], bool], timeout_s: float) -> bool:
 HEARTBEAT_S = 0.1
 
 
+class Wake:
+    """``engine.wake``: another thread's signal that it made work for the
+    serving loop visible. :meth:`set` raises a flag and, on its rising
+    edge while a loop serves, writes a byte to the loop's self-pipe,
+    which the loop opens at start and closes at stop."""
+
+    def __init__(self):
+        self._set = False
+        self._r = self._w = None  # the loop's self-pipe, while it runs
+
+    def set(self) -> None:
+        # no lock: two setters racing past the check both write, which
+        # costs one idle step at most
+        if not self._set:
+            self._set = True
+            fd = self._w
+            if fd is not None:
+                try:
+                    os.write(fd, b"\0")
+                except OSError:  # full (a byte waits already), or closed
+                    pass
+
+    def is_set(self) -> bool:
+        return self._set
+
+    def clear(self) -> None:
+        """Empty the pipe, then lower the flag (the loop, after its
+        wait): a set() that finds the flag up is seen by the work the
+        loop does next; one after this writes again."""
+        try:
+            os.read(self._r, 4096)
+        except BlockingIOError:
+            pass
+        self._set = False
+
+    def open(self) -> int:
+        """Open the pipe (the loop's start); returns its read end."""
+        r, w = os.pipe()
+        os.set_blocking(r, False)
+        os.set_blocking(w, False)
+        self._r, self._w = r, w
+        os.write(w, b"\0")  # the first wait does not sleep
+        return r
+
+    def close(self) -> None:
+        r, w = self._r, self._w
+        self._r = self._w = None
+        os.close(w)
+        os.close(r)
+
+
 class ServingLoop:
     """The scheduler thread of a served engine — the one wait loop, and
     the one thread that mutates the engine.
 
-    ``wait -> clear -> run commands -> step`` on ``engine.wake``: every
-    source of work makes it visible first and signals second, so a
-    signal can be early (one idle step) but never lost. The wait is
-    bounded by the next timer the engine knows, else by
-    :data:`HEARTBEAT_S`. Front ends hand engine statements to
-    :meth:`submit`; they run here, between steps, so whatever a command
-    appends is fired in the same wakeup.
+    ``select -> clear -> sockets -> commands -> step``: every source of
+    work makes it visible first and signals second, so a signal can be
+    early (one idle step) but never lost, and whatever a socket's
+    request or a command appends is fired in the same wake-up.
     """
 
-    def __init__(self, engine: DataCellEngine, name: str,
-                 after_step: Callable[[], Any] = lambda: None):
+    def __init__(self, engine: "DataCellEngine", name: str,
+                 after_step: Callable[[], Any] = lambda: None,
+                 on_exit: Callable[[], Any] = lambda: None):
         self.engine = engine
         self._after_step = after_step
+        self._on_exit = on_exit
         self._commands: "collections.deque" = collections.deque()
         self._closed = False
         self._stop = threading.Event()
+        # the wait: opened here, closed by the loop's last act
+        self._selector: Optional[selectors.BaseSelector] = \
+            selectors.DefaultSelector()
+        self._selector.register(engine.wake.open(), selectors.EVENT_READ,
+                                (None, None))
         started = threading.Event()
         self._thread = threading.Thread(target=self._run, args=(started,),
                                         daemon=True, name=name)
@@ -109,6 +168,31 @@ class ServingLoop:
         else:
             self.engine.wake.set()
         return future
+
+    def call(self, fn: Callable, *args: Any, timeout_s: float = 5.0) -> Any:
+        """``fn(*args)`` on the loop thread, waited for; once the loop
+        has stopped, on this thread, which then owns what the loop did."""
+        try:
+            return self.submit(fn, *args).result(timeout_s)
+        except NetError as exc:
+            if exc.code != "shutdown":
+                raise
+        return fn(*args)
+
+    def watch(self, sock, on_readable: Optional[Callable] = None,
+              on_writable: Optional[Callable] = None) -> None:
+        """Call *on_readable* / *on_writable* on the loop whenever *sock*
+        is ready for it; with neither, stop watching (loop thread only;
+        a no-op once the loop has stopped)."""
+        selector = self._selector
+        if selector is None:
+            return
+        if sock in selector.get_map():
+            selector.unregister(sock)
+        events = (selectors.EVENT_READ if on_readable else 0) \
+            | (selectors.EVENT_WRITE if on_writable else 0)
+        if events:
+            selector.register(sock, events, (on_readable, on_writable))
 
     def _next_command(self) -> Optional[tuple]:
         try:
@@ -133,7 +217,9 @@ class ServingLoop:
 
     def _run(self, started: threading.Event) -> None:
         engine = self.engine
+        wake = engine.wake
         me = engine.loop_thread = threading.get_ident()
+        selector = self._selector
         started.set()
         try:
             while not self._stop.is_set():
@@ -144,51 +230,57 @@ class ServingLoop:
                                   (deadline - engine.now()) / 1000.0)
                 if engine.durable:
                     timeout = min(timeout, engine.checkpoint_due_s())
-                engine.wake.wait(max(timeout, 0.0))
-                engine.wake.clear()
+                ready = selector.select(max(timeout, 0.0))
+                wake.clear()
+                for key, mask in ready:
+                    on_readable, on_writable = key.data
+                    if mask & selectors.EVENT_READ and on_readable:
+                        on_readable()
+                    if mask & selectors.EVENT_WRITE and on_writable:
+                        on_writable()
                 self._run_commands()
                 engine.step()
                 self._after_step()
             drain_scheduler(engine.scheduler)
         finally:
-            # stopped or crashed: no command may wait for a dead loop
+            # stopped or crashed: hosts let go of what the loop watched,
+            # and no command may wait for a dead loop
+            self._selector = None
+            self._on_exit()
             self._closed = True
             self._fail_commands()
+            wake.close()
+            selector.close()
             if engine.loop_thread == me:
                 engine.loop_thread = None
 
-    def stop(self, timeout_s: float,
-             quiesced: Callable[[], bool] = lambda: True) -> None:
-        """Give the loop *timeout_s* to reach *quiesced*, stop it (woken,
-        so no sleep is waited out) and join it. Its last acts drain what
-        is ingested, fail the commands still queued and give up the
-        engine (``engine.loop_thread`` back to ``None``)."""
-        _wait_until(quiesced, timeout_s)
+    def stop(self, timeout_s: float) -> None:
+        """Stop the loop (woken, so no sleep is waited out) and join it.
+        Its last acts drain what is ingested, run ``on_exit``, fail the
+        commands still queued and give up the engine
+        (``engine.loop_thread`` back to ``None``)."""
         self._stop.set()
         self.engine.wake.set()
         self._thread.join(timeout_s)
 
 
 class LiveRunner:
-    """Runs one engine continuously on real time."""
+    """Runs one engine continuously on real time, on one thread."""
 
-    def __init__(self, engine: DataCellEngine):
+    def __init__(self, engine: "DataCellEngine"):
         if not isinstance(engine.clock, WallClock):
             raise StreamError("LiveRunner needs an engine on a WallClock")
         self.engine = engine
-        self._receptors: List[ThreadedReceptor] = []
+        self._receptors: List[Receptor] = []
         self._loop: Optional[ServingLoop] = None
 
     def attach(self, stream: str, source: StreamSource,
-               name: Optional[str] = None) -> ThreadedReceptor:
-        """Create a threaded receptor for *stream* (started by
-        :meth:`start`)."""
+               name: Optional[str] = None) -> Receptor:
+        """Pump *source* into *stream* as its events come due
+        (:meth:`DataCellEngine.attach_source`); before :meth:`start`."""
         if self._loop is not None:
             raise StreamError("attach sources before start()")
-        basket = self.engine.basket(stream)
-        receptor = ThreadedReceptor(
-            name or f"{basket.name}_live{len(self._receptors)}",
-            basket, source, self.engine.clock)
+        receptor = self.engine.attach_source(stream, source, name)
         self._receptors.append(receptor)
         return receptor
 
@@ -205,14 +297,10 @@ class LiveRunner:
     def start(self) -> None:
         if self._loop is not None:
             raise StreamError("runner already started")
-        for receptor in self._receptors:
-            receptor.start()
         self._loop = ServingLoop(self.engine, "datacell-scheduler")
 
     def stop(self, timeout_s: float = 2.0) -> None:
-        """Stop receptors and the scheduler thread (idempotent)."""
-        for receptor in self._receptors:
-            receptor.stop(timeout_s)
+        """Stop the scheduler thread (idempotent)."""
         if self._loop is not None:
             self._loop.stop(timeout_s)
             self._loop = None
@@ -226,7 +314,7 @@ class LiveRunner:
 
     def wait_drained(self, timeout_s: float = 10.0) -> bool:
         """Block until :meth:`drained` (or timeout); returns success."""
-        return _wait_until(self.drained, timeout_s)
+        return wait_until(self.drained, timeout_s)
 
     def __enter__(self) -> "LiveRunner":
         self.start()

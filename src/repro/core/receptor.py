@@ -2,22 +2,20 @@
 
 *"It contains receptors and emitters, i.e., a set of separate processes
 per stream and per client, respectively, to listen for new data and to
-deliver results."* In simulation mode a receptor is *pumped* by the
-scheduler loop: every pump appends all source events whose timestamp has
-been reached to the stream's basket. A threaded live mode is available
-for interactive use.
+deliver results."* A source's receptor is *pumped* by the scheduler
+loop: every pump appends all source events whose timestamp has been
+reached to the stream's basket — on a simulated clock, or on the wall
+clock of a served engine, whose loop wakes at the next event time. A
+network producer's receptor is offered batches from the I/O thread.
 """
 
 from __future__ import annotations
 
 import queue
-import threading
-import time
 from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
 from repro.core.basket import Basket
-from repro.core.clock import Clock
 from repro.errors import StoreError, StreamError
 from repro.streams.source import StreamSource
 
@@ -35,7 +33,7 @@ class Receptor:
         self.total_ingested = 0
         self.exhausted = source is None
 
-    # -- simulation-mode pumping --------------------------------------
+    # -- pumping -------------------------------------------------------
 
     def pump(self, now: int) -> int:
         """Ingest every source event with timestamp <= now."""
@@ -95,44 +93,6 @@ class Receptor:
     def __repr__(self) -> str:
         return (f"Receptor({self.name} -> {self.basket.name}, "
                 f"ingested={self.total_ingested})")
-
-
-class ThreadedReceptor(Receptor):
-    """Live-mode receptor: a daemon thread that sleeps until each event's
-    timestamp and appends it — one 'separate process per stream'."""
-
-    def __init__(self, name: str, basket: Basket, source: StreamSource,
-                 clock: Clock):
-        super().__init__(name, basket, source)
-        self.clock = clock
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> None:
-        if self._thread is not None:
-            raise StreamError("receptor thread already started")
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name=f"datacell-receptor-{self.name}")
-        self._thread.start()
-
-    def stop(self, timeout: float = 1.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            upcoming = self.next_event_time()
-            if upcoming is None:
-                return
-            delay_ms = upcoming - self.clock.now()
-            if delay_ms > 0:
-                time.sleep(min(delay_ms / 1000.0, 0.05))
-                continue
-            if not self.paused:
-                self.pump(self.clock.now())
-            else:
-                time.sleep(0.01)
 
 
 class SocketReceptor(Receptor):

@@ -177,7 +177,7 @@ class WindowState:
 
         *consumed_upto* is the hi bound the firing actually evaluated.
         Unwindowed cursors must advance to that bound, not to the
-        current ``next_oid``: in live mode a receptor thread may have
+        current ``next_oid``: another thread (a ``feed``) may have
         appended tuples mid-evaluation, and recomputing the bound here
         would release them unseen.
         """

@@ -1,28 +1,18 @@
-"""The asyncio I/O core: one event loop for every front end.
+"""The framed edge's asyncio I/O core: one event loop on one thread.
 
-PR 3's network edge ran a thread per accepted connection plus a writer
-thread per subscriber — ~3 OS threads and their stacks for every
-connected client, which caps "thousands of idle subscribers" well
-before the engine itself is the bottleneck. :class:`IOLoop` replaces
-that with a single asyncio event loop on one daemon thread; the host
-(:class:`~repro.net.server.DataCellServer`) registers every listen
-socket on it — the framed protocol's and, when asked, the Postgres
-wire protocol's — and each connection becomes a coroutine task whose
-idle cost is a heap entry, not a thread.
-
-The engine side is untouched: the scheduler still runs on its own
-thread, admission queues are still offered from "the network" and
-drained by the scheduler, and result queues are still filled by the
-scheduler — the loop merely replaces *who blocks on the sockets*.
-Cross-thread wakeups go through :meth:`IOLoop.call_soon` (a
-``call_soon_threadsafe`` wrapper): the scheduler thread appends a
-batch to a query's :class:`~repro.core.emitter.QueueSink`, each
-follower's wake sets an ``asyncio.Event`` on the loop, and the
-subscriber's pump task wakes — zero polling, so an idle subscriber
-costs nothing per unit time.
-
-The host owns its loop outright: it calls :meth:`IOLoop.start` when it
-starts and :meth:`IOLoop.stop` when it stops.
+The host (:class:`~repro.net.server.DataCellServer`) registers the
+framed listen socket on it, and each connection becomes a coroutine
+task whose idle cost is a heap entry, not a thread (the pg sessions
+run on an asyncio loop of their own, in the pg edge process). The
+engine stays on the serving loop's thread: admission queues are
+offered from here and drained by the scheduler, and result queues are
+filled by the scheduler. Cross-thread wakeups go through
+:meth:`IOLoop.call_soon` (a ``call_soon_threadsafe`` wrapper): a
+delivery to a query's :class:`~repro.core.emitter.QueueSink` wakes
+each follower's ``asyncio.Event`` here, and the subscriber's pump task
+wakes — zero polling, so an idle subscriber costs nothing per unit
+time. The host calls :meth:`IOLoop.start` when it starts and
+:meth:`IOLoop.stop` when it stops.
 """
 
 from __future__ import annotations
@@ -38,8 +28,8 @@ from repro.errors import NetError
 class IOLoop:
     """An asyncio event loop running on one daemon thread.
 
-    Thread-contract: :meth:`submit`/:meth:`call`/:meth:`call_soon` are
-    safe from any thread; coroutines run on the loop thread. ``stop``
+    Thread-contract: :meth:`call`/:meth:`call_soon` are safe from any
+    thread; coroutines run on the loop thread. ``stop``
     cancels every outstanding task, lets cancellation handlers unwind,
     then joins the thread.
     """
@@ -102,18 +92,15 @@ class IOLoop:
 
     # -- cross-thread entry points -------------------------------------
 
-    def submit(self, coro: Coroutine) -> "concurrent.futures.Future":
-        """Schedule *coro* on the loop; returns a concurrent future."""
+    def call(self, coro: Coroutine,
+             timeout_s: Optional[float] = 10.0) -> Any:
+        """Run *coro* on the loop and wait for its result."""
         loop = self._loop
         if loop is None:
             coro.close()
             raise NetError("I/O loop is not running", code="io")
-        return asyncio.run_coroutine_threadsafe(coro, loop)
-
-    def call(self, coro: Coroutine,
-             timeout_s: Optional[float] = 10.0) -> Any:
-        """Run *coro* on the loop and wait for its result."""
-        return self.submit(coro).result(timeout_s)
+        return asyncio.run_coroutine_threadsafe(coro, loop).result(
+            timeout_s)
 
     def call_soon(self, fn, *args) -> None:
         """``call_soon_threadsafe``; silently drops when stopped (a

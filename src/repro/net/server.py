@@ -12,16 +12,18 @@ producer, and one cursor + pump task per subscription. Given a
 process (:class:`~repro.pg.server.PGEdge`), which owns the pg listener
 and sessions and reaches this engine over one channel.
 
-One thread mutates the engine: the serving loop. Everything a front end
-asks of the engine — a pg statement, registering a producer, ``STATS``
-— goes through :meth:`DataCellServer.submit` and runs there between
-steps. I/O runs on one asyncio core (:class:`~repro.net.aio.IOLoop`):
-one event loop thread accepts framed connections, serves the pg edge's
-channel and runs a coroutine per connection plus a pump task per
+One thread mutates the engine: the serving loop. It reads the pg
+edge's channel itself, so a pg statement runs there in the wake-up that
+read it; what the framed edge asks of the engine — registering a
+producer, ``STATS`` — goes through :meth:`DataCellServer.submit` and
+runs there between steps. Framed I/O runs on one asyncio core
+(:class:`~repro.net.aio.IOLoop`): one event loop thread accepts framed
+connections and runs a coroutine per connection plus a pump task per
 subscription, so an idle subscriber costs a heap entry instead of a
 thread. Both directions are woken across the thread boundary
 (``engine.wake`` inbound, ``call_soon_threadsafe`` wakers outbound),
-never polled.
+never polled. A served engine thus runs two threads: the serving loop
+and the framed I/O loop.
 
 Backpressure is explicit at both edges:
 
@@ -51,13 +53,12 @@ from __future__ import annotations
 import asyncio
 import socket
 import threading
-import time
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.clock import WallClock
 from repro.core.engine import DataCellEngine
-from repro.core.live import ServingLoop
+from repro.core.live import ServingLoop, wait_until
 from repro.core.receptor import SocketReceptor
 from repro.errors import CatalogError, DataCellError, NetError, \
     StoreError, StreamError
@@ -373,14 +374,16 @@ class DataCellServer:
             query.emitter.queue.set_max_batches(self.max_client_queue)
         self.engine.net_edge = self
         self.io.start()
-        self._loop = ServingLoop(self.engine, "datacell-server-scheduler",
-                                 after_step=self._reap_receptors)
+        self._loop = ServingLoop(
+            self.engine, "datacell-server-scheduler",
+            after_step=self._reap_receptors,
+            on_exit=self.pg.detach if self.pg else lambda: None)
         self.running = True
         try:
+            if self.pg is not None:
+                self._loop.call(self.pg.attach, self._loop)
             self.host, self.port = self._listen(
                 self._on_connection, self.host, self.port)
-            if self.pg is not None:
-                self.pg.attach()
         except Exception:
             self.stop()
             raise
@@ -431,24 +434,20 @@ class DataCellServer:
     def stop(self, timeout_s: float = 5.0) -> None:
         """Orderly shutdown: stop accepting, drain ingested tuples
         through the net, let every query reader of both protocols reach
-        its queue's head, then close connections (idempotent)."""
+        its queue's head, close connections and the pg edge, and only
+        then stop the serving loop, which pg tails need for each batch
+        (idempotent)."""
         if not self.running:
             return
         self.running = False
         # 1. no new connections
         self._close_listeners(timeout_s)
         if self.pg is not None:
-            self.pg.quiesce()
-        deadline = time.monotonic() + timeout_s
-        # 2. let the scheduler thread drain admission queues + the net,
-        # 3. stop it (one final bounded drain); queued commands fail
-        self._loop.stop(timeout_s, self._quiesced)
-        # 4. let every query reader of both protocols reach its
-        # queue's head (pump and tail tasks still running)
-        while not self._readers_caught_up() \
-                and time.monotonic() < deadline:
-            time.sleep(0.01)
-        # 5. tear down connections (joins pump tasks) and the pg edge
+            self._loop.call(self.pg.quiesce)
+        # 2. let the serving loop drain admission queues and the net,
+        # and every query reader of both protocols reach its queue's head
+        wait_until(self._drained, timeout_s)
+        # 3. tear down connections (joins pump tasks), then the pg edge
         for conn in self._snapshot_conns():
             try:
                 self.io.call(self._close_conn(conn), timeout_s)
@@ -456,22 +455,24 @@ class DataCellServer:
                 pass
         if self.pg is not None:
             self.pg.stop(timeout_s)
+        # 4. stop the serving loop (one final bounded drain); queued
+        # commands fail
+        self._loop.stop(timeout_s)
         self._reap_receptors(force=True)
         self.io.stop(timeout_s)
         if self.engine.net_edge is self:
             self.engine.net_edge = None
 
-    def _readers_caught_up(self) -> bool:
+    def _drained(self) -> bool:
+        """No admission backlog, no enabled transition, and every query
+        reader of both protocols at its queue's head."""
+        if any(r.pending_batches() for r in self._all_socket_receptors()) \
+                or self.engine.scheduler.enabled_transitions():
+            return False
         tails = self.pg.tail_followers() if self.pg else []
         followers = [sub.follower for conn in self._snapshot_conns()
                      for sub in conn.subscriptions if not sub.dead]
         return all(f.lag() == 0 for f in followers + tails)
-
-    def _quiesced(self) -> bool:
-        backlog = any(r.pending_batches()
-                      for r in self._all_socket_receptors())
-        return not backlog \
-            and not self.engine.scheduler.enabled_transitions()
 
     def __enter__(self) -> "DataCellServer":
         return self.start()

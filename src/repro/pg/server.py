@@ -11,14 +11,16 @@ engine — the catalog, the recycler and the framed edge. The two halves
 run on two cores, where before they shared one interpreter lock.
 
 One channel joins them, a ``socketpair`` carrying length-prefixed
-pickles. The edge sends ``(rid, op, args, stats)``: ``run`` or
-``describe`` a classified statement (on the serving loop); ``follow``,
-``next`` or ``untail`` a ``TAIL``'s cursor (on the host's I/O loop);
+pickles, and the serving loop waits on it beside its wake: every
+request is read, run and answered on that one thread. The edge sends
+``(rid, op, args, stats)``: ``run`` or ``describe`` a classified
+statement; ``follow``, ``next`` or ``untail`` a ``TAIL``'s cursor;
 ``bye`` when a session closes. ``stats`` is the sender's counters, from
 which the host builds ``STATS``'s ``"pg"`` section without waiting on
 the edge. The host answers ``(rid, ok, value)``, a relation as column
 buffers (:func:`~repro.pg.session.columns_of`); rid 0 carries
-``"quiesce"`` (stop accepting) and ``"stop"``.
+``"quiesce"`` (stop accepting), ``"shutdown"`` (the serving loop has
+stopped: every statement gets 57P01) and ``"stop"``.
 
 A ``TAIL``'s :class:`~repro.core.emitter.Follower` stays in the host
 and advances only on the edge's ``next``, sent once the edge has
@@ -42,11 +44,10 @@ import random
 import signal
 import socket
 import struct
-import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import DataCellError, NetError
+from repro.errors import NetError
 from repro.mal.relation import Relation
 from repro.pg.session import (SHUTDOWN, PGSession, columns_of,
                               sqlstate_for)
@@ -57,6 +58,9 @@ from repro.storage import types as dt
 
 _LEN = struct.Struct("!I")
 _COUNTERS = ("queries", "rows_sent", "tails", "errors")
+# the requests answered as soon as they are read, and who answers them
+_ANSWERED = {"run": "_run", "describe": "_describe", "follow": "_follow",
+             "untail": "_untail"}
 
 
 def _frame(obj: Any) -> bytes:
@@ -70,45 +74,32 @@ async def _read(reader: asyncio.StreamReader) -> Any:
     return pickle.loads(await reader.readexactly(length))
 
 
-def _error_of(exc: BaseException) -> Tuple[str, str]:
-    return sqlstate_for(exc), str(exc)
-
-
-class _Tail:
-    """The host half of one ``TAIL``: its cursor, and the rid of the
-    edge's request for the next batch while one is waiting."""
-
-    __slots__ = ("follower", "demand")
-
-    def __init__(self):
-        self.follower = None
-        self.demand: Optional[int] = None
-
-
 class PGEdge:
     """The engine process's side of the pg edge: the child, the
     channel, the tails' followers and the counters the edge pushed.
 
-    The channel is read by a callback on the host's I/O loop. A reply is
-    sent by the thread that has it — the serving loop for a statement
-    it ran or a batch it delivered, else the I/O loop — and never
+    The serving loop watches the channel: it reads each request, runs
+    it and answers it on its own thread, between steps. A reply never
     blocks: what the socket does not take waits in an outbox that the
-    I/O loop drains."""
+    loop drains once the socket is writable. When the loop stops, the
+    thread stopping the host takes the channel over."""
 
     def __init__(self, server):
         self.server = server      # the DataCellServer hosting us
         self.pid: Optional[int] = None
         self._process = None
         self._sock: Optional[socket.socket] = None
+        self._loop = None         # the serving loop watching the channel
         self._inbox = bytearray()
         self._chunk = memoryview(bytearray(1 << 16))
         self._outbox = bytearray()
-        self._io_lock = threading.RLock()   # the socket and the tails
-        self._tails: Dict[int, _Tail] = {}
+        # each TAIL's cursor, and the rid of its waiting ``next``
+        self._tails: Dict[int, Any] = {}
+        self._demand: Dict[int, int] = {}
         self._tail_ids = 0
-        self._lock = threading.Lock()       # the counters
-        self._sessions: Dict[int, Dict[str, Any]] = {}
-        self._totals = dict.fromkeys(_COUNTERS, 0)
+        # (open sessions by id, totals of the closed ones): a close
+        # swaps both at once, so a reader on another thread needs no lock
+        self._counters = ({}, dict.fromkeys(_COUNTERS, 0))
         self.connections_total = 0
         self.cancels = 0
 
@@ -136,29 +127,22 @@ class PGEdge:
         self.pid = self._process.pid
         self._sock = host_end
 
-    def attach(self) -> None:
-        """Start reading the channel on the host's I/O loop."""
-        self.server.io.call(self._open())
+    def attach(self, loop) -> None:
+        """Have *loop*, the serving loop, read the channel (on it)."""
+        self._loop = loop
+        loop.watch(self._sock, self._on_readable)
 
-    async def _open(self) -> None:
-        asyncio.get_running_loop().add_reader(self._sock,
-                                              self._on_readable)
-
-    async def _close(self) -> None:
-        self._release()
-
-    def _release(self) -> None:
-        """Close the channel (I/O loop) and release every follower."""
-        with self._io_lock:
-            sock, self._sock = self._sock, None
-            tails, self._tails = self._tails, {}
-        for tail in tails.values():
-            tail.follower.close()
-        if sock is not None:
-            loop = asyncio.get_running_loop()
-            loop.remove_reader(sock)
-            loop.remove_writer(sock)
-            sock.close()
+    def detach(self) -> None:
+        """The serving loop's last act: tell the edge that the engine
+        runs no more statements (57P01 for each). The thread stopping
+        the host writes the channel from here, blocking briefly."""
+        if self._sock is not None:
+            outbox, self._outbox = self._outbox, bytearray()
+            self._sock.settimeout(1.0)
+            try:
+                self._sock.sendall(outbox + _frame((0, True, "shutdown")))
+            except OSError:
+                pass  # the edge is gone or stuck; stop() reaps it
 
     def quiesce(self) -> None:
         """Stop accepting pg connections (open ones carry on)."""
@@ -166,21 +150,31 @@ class PGEdge:
 
     def stop(self, timeout_s: float = 5.0) -> None:
         """End every session — a tail first writes the batch it holds —
-        then wait for the edge to exit, and reap it."""
-        self._send((0, True, "stop"))
+        then wait for the edge to exit, reap it and close the channel.
+        Any thread: the channel is touched on the serving loop while it
+        runs (see :meth:`ServingLoop.call`)."""
+        self._loop.call(self._send, (0, True, "stop"))
         self._process.join(timeout_s)
         if self._process.is_alive():
             self._process.kill()
             self._process.join()
-        try:
-            self.server.io.call(self._close(), timeout_s)
-        except Exception:
-            pass  # the I/O loop is already gone
+        self._process.close()
+        self._loop.call(self._release)
 
-    # -- the channel ---------------------------------------------------
+    def _release(self) -> None:
+        """Close the channel and release every follower."""
+        sock, self._sock = self._sock, None
+        tails, self._tails, self._demand = self._tails, {}, {}
+        for follower in tails.values():
+            follower.close()
+        if sock is not None:
+            self._loop.watch(sock)
+            sock.close()
+
+    # -- the channel (serving loop) ------------------------------------
 
     def _on_readable(self) -> None:
-        """Run every whole request the socket holds (I/O loop)."""
+        """Run every whole request the socket holds."""
         try:
             size = self._sock.recv_into(self._chunk)
         except (BlockingIOError, InterruptedError):
@@ -200,124 +194,95 @@ class PGEdge:
             rid, op, args, stats = pickle.loads(
                 inbox[pos + 4:pos + 4 + length])
             pos += 4 + length
-            if op == "run" or op == "describe":
-                self._submit(rid, op, args[0])
-            elif op == "follow":
-                self._follow(rid, args[0])
-            elif op == "next":
-                self._next(rid, args[0])
-            elif op == "untail":
-                self._untail(rid, args[0])
-            # after the op: a tail is counted once it follows
+            # noted first: the reply may reach a client that then reads
+            # the counters
             self._note(stats, closed=op == "bye")
+            if op == "next":  # answered once there is a batch
+                self._next(rid, args[0])
+            elif op in _ANSWERED:
+                self._answer(rid, getattr(self, _ANSWERED[op]), args[0])
         del inbox[:pos]
 
     def _send(self, message: Tuple) -> None:
-        """Send *message* to the edge without blocking (any thread)."""
+        """Send *message* to the edge without blocking."""
+        sock = self._sock
+        if sock is None:
+            return
         data = _frame(message)
-        with self._io_lock:
-            if self._sock is None:
+        if not self._outbox:
+            try:
+                data = data[sock.send(data):]
+            except (BlockingIOError, InterruptedError):
+                pass
+            except OSError:
+                return  # the reader sees the EOF
+            if not data:
                 return
-            if not self._outbox:
-                try:
-                    data = data[self._sock.send(data):]
-                except (BlockingIOError, InterruptedError):
-                    pass
-                except OSError:
-                    return  # the reader sees the EOF
-                if not data:
-                    return
-                self.server.io.call_soon(self._want_write)
-            self._outbox += data
-
-    def _want_write(self) -> None:
-        if self._sock is not None:
-            asyncio.get_running_loop().add_writer(self._sock,
-                                                  self._drain_outbox)
+            self._loop.watch(sock, self._on_readable, self._drain_outbox)
+        self._outbox += data
 
     def _drain_outbox(self) -> None:
-        with self._io_lock:
-            try:
-                sent = self._sock.send(self._outbox)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                sent = len(self._outbox)  # the reader sees the EOF
-            del self._outbox[:sent]
-            if not self._outbox:
-                asyncio.get_running_loop().remove_writer(self._sock)
-
-    def _reply(self, rid: int, future) -> None:
-        exc = future.exception()
-        if exc is None:
-            try:
-                return self._send((rid, True, future.result()))
-            except Exception as err:  # a result that cannot cross
-                exc = err
-        self._send((rid, False, _error_of(exc)))
-
-    def _submit(self, rid: int, op: str, command) -> None:
-        fn = self._run if op == "run" else self._describe
-        try:
-            future = self.server.submit(fn, command)
-        except DataCellError as exc:
-            self._send((rid, False, _error_of(exc)))
+        sock = self._sock
+        if sock is None:
             return
-        future.add_done_callback(lambda f: self._reply(rid, f))
-
-    def _follow(self, rid: int, name: str) -> None:
         try:
-            query = self.server.engine.continuous_query(name)
-        except DataCellError as exc:
-            self._send((rid, False, _error_of(exc)))
+            sent = sock.send(self._outbox)
+        except (BlockingIOError, InterruptedError):
             return
-        with self._io_lock:
-            self._tail_ids += 1
-            tid = self._tail_ids
-            tail = self._tails[tid] = _Tail()
-            # a delivery pumps on the serving loop that made it
-            tail.follower = query.emitter.queue.follow(
-                lambda: self._pump(tail))
+        except OSError:
+            sent = len(self._outbox)  # the reader sees the EOF
+        del self._outbox[:sent]
+        if not self._outbox:
+            self._loop.watch(sock, self._on_readable)
+
+    def _answer(self, rid: int, fn, arg) -> None:
+        """Answer *rid* with ``fn(arg)``, or with the error that running
+        it, or pickling its value, raised."""
+        try:
+            return self._send((rid, True, fn(arg)))
+        except Exception as exc:
+            self._send((rid, False, (sqlstate_for(exc), str(exc))))
+
+    def _follow(self, name: str) -> Tuple[int, List[Tuple[str, Any]]]:
+        query = self.server.engine.continuous_query(name)
+        self._tail_ids += 1
+        tid = self._tail_ids
+        # a delivery pumps on the serving loop that made it
+        self._tails[tid] = query.emitter.queue.follow(
+            lambda: self._pump(tid))
         schema = query.plan.schema
-        self._send((rid, True, (tid, list(zip(schema.names,
-                                              schema.types)))))
+        return tid, list(zip(schema.names, schema.types))
 
     def _next(self, rid: int, tid: int) -> None:
-        with self._io_lock:
-            tail = self._tails.get(tid)
-            if tail is not None:
-                tail.demand = rid
-                return self._pump(tail)
-        self._send((rid, False, ("55000", "the tail is closed")))
+        if tid not in self._tails:
+            return self._send((rid, False, ("55000", "the tail is closed")))
+        self._demand[tid] = rid
+        self._pump(tid)
 
-    def _pump(self, tail: _Tail) -> None:
-        """Answer the tail's request once there is a batch, or once
-        it is evicted and flushed."""
-        with self._io_lock:
-            rid = tail.demand
-            if rid is None:
-                return
-            follower = tail.follower
-            item = follower.next()
-            if item is not None:
-                tail.demand = None
-                self._send((rid, True, ("batch", columns_of(item[2]))))
-            elif follower.evicted:
-                tail.demand = None
-                self._send((rid, True, ("evicted",
-                                        follower.queue.max_batches)))
+    def _pump(self, tid: int) -> None:
+        """Answer the tail's waiting ``next`` once there is a batch, or
+        once it is evicted and flushed."""
+        rid = self._demand.get(tid)
+        if rid is None:
+            return
+        follower = self._tails[tid]
+        item = follower.next()
+        if item is not None:
+            del self._demand[tid]
+            self._send((rid, True, ("batch", columns_of(item[2]))))
+        elif follower.evicted:
+            del self._demand[tid]
+            self._send((rid, True, ("evicted",
+                                    follower.queue.max_batches)))
 
-    def _untail(self, rid: int, tid: int) -> None:
-        with self._io_lock:
-            tail = self._tails.pop(tid, None)
-            if tail is not None:
-                tail.demand = None
-                tail.follower.close()
-        self._send((rid, True, None))
+    def _untail(self, tid: int) -> None:
+        self._demand.pop(tid, None)
+        follower = self._tails.pop(tid, None)
+        if follower is not None:
+            follower.close()
 
     def tail_followers(self) -> List[Any]:
-        with self._io_lock:
-            return [tail.follower for tail in self._tails.values()]
+        return list(self._tails.values())
 
     # -- engine calls (serving loop) -----------------------------------
 
@@ -356,24 +321,23 @@ class PGEdge:
     # -- counters ------------------------------------------------------
 
     def _note(self, stats: Tuple, closed: bool) -> None:
-        connections_total, cancels, session = stats
-        with self._lock:
-            self.connections_total = connections_total
-            self.cancels = cancels
-            if closed:
-                self._sessions.pop(session["id"], None)
-                for key in _COUNTERS:
-                    self._totals[key] += session[key]
-            elif session is not None:
-                self._sessions[session["id"]] = session
+        self.connections_total, self.cancels, session = stats
+        if session is None:
+            return
+        sessions, totals = self._counters
+        if closed:
+            self._counters = (
+                {k: v for k, v in sessions.items() if k != session["id"]},
+                {key: totals[key] + session[key] for key in _COUNTERS})
+        else:
+            sessions[session["id"]] = session
 
     def pg_stats(self) -> Dict[str, Any]:
         """Per-session and aggregate counters as the edge last pushed
         them (the ``"pg"`` section of
         :meth:`DataCellEngine.network_stats`)."""
-        with self._lock:
-            entries = list(self._sessions.values())
-            totals = dict(self._totals)
+        sessions, totals = self._counters
+        entries = list(sessions.values())
         server = self.server
         out: Dict[str, Any] = {
             "address": f"{server.pg_host}:{server.pg_port}",
@@ -387,7 +351,7 @@ class PGEdge:
 
     def __repr__(self) -> str:
         return (f"PGEdge({self.server.pg_host}:{self.server.pg_port}, "
-                f"pid={self.pid}, sessions={len(self._sessions)})")
+                f"pid={self.pid}, sessions={len(self._counters[0])})")
 
 
 def _show_rows(engine, what: str) -> List[tuple]:
@@ -461,21 +425,28 @@ class _Edge:
                         future.set_result((ok, value))
                 elif value == "quiesce":
                     self._listener.close()
+                elif value == "shutdown":
+                    self._refuse()
                 else:
                     await self._shutdown()
                     return
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             os._exit(0)  # the host is gone; the kernel closes sockets
 
-    async def _shutdown(self) -> None:
-        """Orderly stop: each statement still waiting gets 57P01, each
-        tail writes the batch it holds, then every session ends."""
+    def _refuse(self) -> None:
+        """The engine runs no more statements: each one waiting, and
+        each one to come, gets 57P01; no connection is accepted."""
         self.stopping = True
         self._listener.close()
         pending, self._pending = self._pending, {}
         for future in pending.values():
             if not future.done():
                 future.set_result((False, SHUTDOWN))
+
+    async def _shutdown(self) -> None:
+        """Orderly stop: each statement still waiting gets 57P01, each
+        tail writes the batch it holds, then every session ends."""
+        self._refuse()
         deadline = time.monotonic() + 2.0
         while any(s.tailing for s in self._sessions.values()) \
                 and time.monotonic() < deadline:

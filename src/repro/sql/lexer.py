@@ -10,7 +10,9 @@ A literal ``VALUES`` row — ``(`` cells ``)`` where every cell is a
 signed number, a string, ``NULL``, ``TRUE`` or ``FALSE`` — is one ``ROW``
 token whose value is the list of the cells' Python values, when it
 follows ``VALUES`` or the ``,`` after such a row. Any other row is
-tokenised cell by cell and parsed as expressions. A whole list of rows
+tokenised cell by cell and parsed as expressions, and so is a row with
+an integer not strictly inside int64, whose meaning binding gives it: a
+``ROW``'s values are stored as they stand. A whole list of rows
 free of strings is first decoded by one ``json.loads`` (JSON's number
 grammar is a subset of SQL's, with the same values); text JSON rejects
 takes the row-by-row regex path.
@@ -60,6 +62,8 @@ _ROW = re.compile(
 # the cells of a matched row: strings, and runs free of separators
 _CELLS = re.compile(rf"{_STRING}|[^\s,()']+")
 _WORDS = {"null": None, "true": True, "false": False}
+# a number with fewer digits than 2**63 is inside int64
+_INT64_EDGE, _WIDE = 2 ** 63, re.compile(r"\d{19}")
 # a literal list as JSON text: parentheses become brackets; brackets and
 # braces, which JSON would read as lists and objects, a character it
 # rejects
@@ -158,7 +162,9 @@ def _literal_list(text: str, pos: int, tokens: List[Token]) -> int:
     ``NULL``, ``TRUE`` and ``FALSE``."""
     stop = text.find(";", pos)
     body = text[pos:] if stop < 0 else text[pos:stop]
-    if '"' in body:     # a JSON string is an SQL quoted identifier
+    # a JSON string is an SQL quoted identifier; a wide number may sit
+    # at int64's edge, which the row by row path checks
+    if '"' in body or _WIDE.search(body):
         return pos
     try:
         # lower-casing makes NULL/TRUE/FALSE JSON's words and the NaN
@@ -199,6 +205,7 @@ def literal_row(text: str) -> list:
     if values is None:
         raise LexerError(
             f"not a row of literals: {text!r} (cells are numbers, "
+            f"integers strictly inside int64, "
             f"'strings', null, true or false; write null for a missing "
             f"value)")
     return values
@@ -206,8 +213,8 @@ def literal_row(text: str) -> list:
 
 def _row_values(row: str):
     """The Python values of a matched ``(...)`` literal row, or None if
-    a number is too long for ``int`` (the cell by cell path reports
-    it)."""
+    a number is too long for ``int`` or an integer is not strictly
+    inside int64 (the cell by cell path gives it its meaning)."""
     cells = _CELLS.findall(row) if "'" in row else row[1:-1].split(",")
     try:
         return [_cell(c) for c in cells]
@@ -223,7 +230,10 @@ def _cell(raw: str):
         return raw[1:-1].replace("''", "'")
     if head.isalpha():
         return _WORDS[raw.lower()]
-    return _number(raw)
+    value = _number(raw)
+    if type(value) is int and abs(value) >= _INT64_EDGE:
+        raise ValueError(raw)
+    return value
 
 
 _STATEMENT = re.compile(

@@ -172,28 +172,31 @@ def coerce_column(dtype: DataType, values) -> np.ndarray:
     values]`` (same :class:`TypeMismatchError` on impossible
     conversions, ``None`` becomes nil) but with a vectorized fast path
     for the ingest-hot case of clean homogeneous columns: one C-level
-    type scan plus ``np.fromiter``, instead of a Python-level coercion
+    type scan plus one array build, instead of a Python-level coercion
     call per value.
     """
     if isinstance(values, np.ndarray) and \
             values.dtype == dtype.np_dtype and not dtype.is_string:
         return values
-    values = values if isinstance(values, list) else list(values)
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
     n = len(values)
+    kinds = set(map(type, values))
     try:
         if dtype is INT or dtype is TIMESTAMP:
-            if all(type(v) is int for v in values):
+            if kinds <= {int}:
                 return np.fromiter(values, dtype=np.int64, count=n)
         elif dtype is FLOAT:
-            if all(type(v) is float or type(v) is int for v in values):
+            if kinds <= {float, int}:
                 return np.fromiter(values, dtype=np.float64, count=n)
+            if kinds <= {float, int, type(None)}:  # None is NaN, the nil
+                return np.array(values, dtype=np.float64)
     except OverflowError:
         pass    # a value out of range: the slow path names it
-    if dtype is STRING:
-        if all(type(v) is str or v is None for v in values):
-            arr = np.empty(n, dtype=object)
-            arr[:] = values
-            return arr
+    if dtype is STRING and kinds <= {str, type(None)}:
+        arr = np.empty(n, dtype=object)
+        arr[:] = values
+        return arr
     # slow path: per-value coercion with full type checking
     coerced = [coerce_value(dtype, v) for v in values]
     if dtype.is_string:

@@ -66,6 +66,19 @@ def no_leaked_threads():
 
 
 @pytest.fixture
+def recycler_verify(monkeypatch):
+    """Every engine the test builds re-executes each recycler hit and
+    checks the recycled value against the fresh one."""
+    init = DataCellEngine.__init__
+
+    def verifying(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.recycler.verify = True
+
+    monkeypatch.setattr(DataCellEngine, "__init__", verifying)
+
+
+@pytest.fixture
 def emp_catalog() -> Catalog:
     """Catalog with the emp/dept pair used across SQL-layer tests."""
     catalog = Catalog()

@@ -238,15 +238,16 @@ class TestCompileSharing:
 
 
 class TestRecyclerUnderCompilation:
-    def test_verify_mode_passes(self):
+    def test_verify_mode_passes(self, recycler_verify):
         _m, batches, engine = run_query(
             ROWS, "SELECT k, sum(v) FROM s [RANGE 16 SLIDE 4] "
-                  "GROUP BY k", "reeval", True, recycler_verify=True)
+                  "GROUP BY k", "reeval", True)
+        assert engine.recycler.verify
         assert batches
         assert engine.recycler.hits + engine.recycler.slice_hits >= 0
 
-    def test_shared_work_across_compiled_queries(self):
-        engine = DataCellEngine(recycler_verify=True)
+    def test_shared_work_across_compiled_queries(self, recycler_verify):
+        engine = DataCellEngine()
         engine.execute("CREATE STREAM s (k INT, v FLOAT)")
         for i in range(4):
             engine.register_continuous(

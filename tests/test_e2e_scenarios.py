@@ -4,9 +4,7 @@ stream+table processing, clocks."""
 
 import pytest
 
-from repro.core.clock import WallClock
 from repro.core.engine import DataCellEngine
-from repro.core.receptor import ThreadedReceptor
 from repro.streams.source import ListSource, RateSource
 
 
@@ -133,29 +131,6 @@ class TestOutOfOrderAndEdgeCases:
             [(5, (i, 0.0)) for i in range(25)]))
         engine.run_until_drained()
         assert engine.results("q").rows() == [(10,), (10,)]
-
-
-class TestThreadedLiveMode:
-    def test_threaded_receptor_delivers(self, engine):
-        clock = WallClock()
-        live = DataCellEngine(clock=clock)
-        live.execute("CREATE STREAM s (k INT)")
-        live.register_continuous("SELECT k FROM s", name="q")
-        receptor = ThreadedReceptor(
-            "r", live.basket("s"),
-            RateSource([(i,) for i in range(20)], rate=2000),
-            clock)
-        receptor.start()
-        import time
-
-        deadline = time.monotonic() + 2.0
-        rows = []
-        while time.monotonic() < deadline and len(rows) < 20:
-            live.scheduler.step()
-            rows = live.results("q").rows()
-            time.sleep(0.005)
-        receptor.stop()
-        assert [r[0] for r in rows] == list(range(20))
 
 
 class TestPersistentIntegration:

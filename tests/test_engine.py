@@ -283,10 +283,10 @@ class TestConstructorSurface:
             DataCellEngine.__init__).parameters)[1:]
         assert params == [
             "clock", "recycler_enabled", "recycler_budget_bytes",
-            "recycler_verify", "compile_plans", "interp_profile",
+            "compile_plans", "interp_profile",
             "data_dir", "durability", "segment_rows",
             "checkpoint_interval_s", "retain_ms", "retain_bytes"]
-        assert len(params) == 12
+        assert len(params) == 11
         assert not hasattr(DataCellEngine, "save")
         assert not hasattr(DataCellEngine, "restore")
 

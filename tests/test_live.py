@@ -1,15 +1,19 @@
-"""Tests for the live (wall-clock, threaded) runtime mode."""
+"""Tests for the live (wall-clock) runtime mode: one serving loop
+pumps every attached source as its events come due."""
 
 import os
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.core import live
 from repro.core.clock import WallClock
 from repro.core.engine import DataCellEngine
 from repro.core.live import LiveRunner
 from repro.errors import StreamError
+from repro.net.server import DataCellServer
 from repro.store import StreamLog
 from repro.streams.source import RateSource
 
@@ -158,9 +162,8 @@ class TestLiveRunner:
         assert engine.loop_thread is None
 
     def test_durable_threaded_receptor_rows_reach_the_log(self, tmp_path):
-        """A ThreadedReceptor appends to the log from its own thread;
-        the scheduler steps commit what it staged, and no other thread
-        writes the log."""
+        """A live source is pumped on the scheduler thread, which also
+        commits what it staged: no other thread writes the log."""
         before = set(threading.enumerate())
         engine = DataCellEngine(clock=WallClock(), data_dir=str(tmp_path))
         engine.execute("CREATE STREAM s (k INT, v FLOAT)")
@@ -170,8 +173,7 @@ class TestLiveRunner:
         runner.start()
         started = sorted(t.name for t in threading.enumerate()
                          if t not in before)
-        assert started == ["datacell-receptor-s_live0",
-                           "datacell-scheduler"]
+        assert started == ["datacell-scheduler"]
         assert runner.wait_drained(timeout_s=5.0)
         runner.stop()
         log = engine.stream_log("s")
@@ -183,3 +185,99 @@ class TestLiveRunner:
         cols, _arrival = reopened.read(0, reopened.next_offset)
         assert list(zip(cols["k"].tolist(), cols["v"].tolist())) == rows
         reopened.close()
+
+
+def _datacell_threads():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("datacell-")]
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestOneThread:
+    def test_three_sources_run_one_thread(self):
+        engine = live_engine()
+        engine.execute("CREATE STREAM s2 (k INT, v FLOAT)")
+        engine.execute("CREATE STREAM s3 (k INT, v FLOAT)")
+        engine.register_continuous("SELECT k FROM s", name="a")
+        engine.register_continuous("SELECT k FROM s3", name="c")
+        runner = LiveRunner(engine)
+        for stream in ("s", "s2", "s3"):
+            runner.attach(stream, RateSource(
+                [(i, 0.0) for i in range(30)], rate=3000))
+        with runner:
+            assert _datacell_threads() == ["datacell-scheduler"]
+            assert runner.wait_drained(timeout_s=5.0)
+        assert len(engine.results("a").rows()) == 30
+        assert len(engine.results("c").rows()) == 30
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc (Linux)")
+    def test_stop_closes_what_start_opened(self):
+        """The wake's self-pipe and the selector are the loop's: opened
+        at start, closed at stop; an engine that never serves opens
+        none."""
+        engine = live_engine()
+        runner = LiveRunner(engine)
+        runner.attach("s", RateSource([(1, 1.0)], rate=100))
+        before = _open_fds()
+        runner.start()
+        assert _open_fds() > before
+        runner.stop()
+        assert _open_fds() == before
+        engine.wake.set()  # no pipe to write: a flag only
+        assert engine.wake.is_set()
+        assert _open_fds() == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc (Linux)")
+    def test_served_stop_closes_what_start_opened(self):
+        engine = live_engine()
+        engine.register_continuous("SELECT k FROM s", name="q")
+        server = DataCellServer(engine, pg_port=0)
+        before = _open_fds()
+        server.start()
+        assert server.submit(engine.execute,
+                             "INSERT INTO s VALUES (1, 1.0)").result(2.0)
+        server.stop()
+        assert _open_fds() == before
+        engine.close()
+
+    def test_no_wake_is_lost_under_contention(self, monkeypatch):
+        """Eight threads hand the loop commands and feed rows while the
+        interpreter switches threads as often as it can; with the
+        heartbeat patched out, a lost wake would leave a command waiting
+        30 s and fail its 2 s bound."""
+        monkeypatch.setattr(live, "HEARTBEAT_S", 30.0)
+        engine = live_engine()
+        engine.register_continuous("SELECT k FROM s", name="q")
+        runner = LiveRunner(engine)
+        errors = []
+
+        def hammer(base):
+            try:
+                for i in range(40):
+                    engine.feed("s", [(base + i, 1.0)])
+                    runner.submit(lambda: None).result(2.0)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with runner:
+                threads = [threading.Thread(target=hammer,
+                                            args=(1000 * n,))
+                           for n in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30.0)
+                assert not any(t.is_alive() for t in threads)
+                assert runner.wait_drained(timeout_s=2.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(engine.results("q").rows()) == 8 * 40

@@ -21,12 +21,15 @@ from repro.core.recycler import Recycler
 from repro.errors import NetError, StreamError
 from repro.net.client import DataCellClient
 from repro.net.server import DataCellServer
+from repro.pg.server import PGEdge
 from repro.pg.session import sqlstate_for
 from tests.test_modes_equivalence import ORACLE, canon
 from tests.test_pg import MiniPG, errors_of, tags_of
 
 ENGINE_CALLS = ("execute_statement", "register_continuous",
                 "remove_query", "add_socket_receptor", "network_stats")
+# the pg channel's reader and writer, and a tail's delivery
+PG_EDGE_CALLS = ("_on_readable", "_send", "_pump")
 
 
 def _recycler_methods():
@@ -44,6 +47,7 @@ def calls(monkeypatch):
     def owned(obj):
         engine = record["engine"]
         return obj is engine or obj is engine.recycler \
+            or obj is getattr(engine.net_edge, "pg", None) \
             or any(obj is f for f in engine.scheduler.factories)
 
     def traced(owner, name):
@@ -63,6 +67,8 @@ def calls(monkeypatch):
 
     for name in ENGINE_CALLS:
         traced(DataCellEngine, name)
+    for name in PG_EDGE_CALLS:
+        traced(PGEdge, name)
     traced(Factory, "fire")
     for name in _recycler_methods():
         traced(Recycler, name)
@@ -75,6 +81,11 @@ def test_every_engine_call_runs_on_the_loop_thread(calls):
     try:
         loop_thread = engine.loop_thread
         assert loop_thread not in (None, threading.get_ident())
+        # the serving loop and the framed I/O loop; the pg edge is a
+        # process, and no thread hands the loop its channel
+        assert sorted(t.name for t in threading.enumerate()
+                      if t.name.startswith("datacell-")) \
+            == ["datacell-io", "datacell-server-scheduler"]
         calls["on"] = True
         pg = MiniPG(server.pg_host, server.pg_port)
         assert tags_of(pg.query("CREATE STREAM s (k INT, v FLOAT)")) \
@@ -133,6 +144,8 @@ def test_every_engine_call_runs_on_the_loop_thread(calls):
 
     for name in ENGINE_CALLS:
         assert f"DataCellEngine.{name}" in calls, name
+    for name in PG_EDGE_CALLS:
+        assert set(calls[f"PGEdge.{name}"]) == {loop_thread}, name
     assert "Factory.fire" in calls
     assert any(key.startswith("Recycler.") for key in calls)
     off_loop = {key: len([t for t in idents if t != loop_thread])

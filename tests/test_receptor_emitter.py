@@ -201,59 +201,3 @@ class TestReceptorPauseResume:
         receptor.resume()
         receptor.resume()
         assert receptor.pump(0) == 1
-
-
-class TestThreadedReceptorLifecycle:
-    def _make(self, basket, rows=((0, (1,)),)):
-        from repro.core.clock import WallClock
-        from repro.core.receptor import ThreadedReceptor
-
-        return ThreadedReceptor("r", basket, ListSource(list(rows)),
-                                WallClock())
-
-    def test_double_start_rejected(self, basket):
-        receptor = self._make(basket)
-        receptor.start()
-        try:
-            with pytest.raises(StreamError):
-                receptor.start()
-        finally:
-            receptor.stop()
-
-    def test_stop_before_start_is_noop(self, basket):
-        self._make(basket).stop()
-
-    def test_stop_idempotent(self, basket):
-        receptor = self._make(basket)
-        receptor.start()
-        receptor.stop()
-        receptor.stop()  # second stop is a no-op
-        with pytest.raises(StreamError):
-            receptor.start()  # a stopped receptor is not restartable
-
-    def test_delivers_then_exhausts(self, basket):
-        import time
-
-        receptor = self._make(basket, rows=[(0, (1,)), (0, (2,))])
-        receptor.start()
-        deadline = time.monotonic() + 5.0
-        while not receptor.exhausted and time.monotonic() < deadline:
-            time.sleep(0.01)
-        receptor.stop()
-        assert receptor.exhausted
-        assert len(basket) == 2
-
-    def test_pause_holds_ingestion(self, basket):
-        import time
-
-        receptor = self._make(basket, rows=[(0, (1,))])
-        receptor.pause()
-        receptor.start()
-        time.sleep(0.1)
-        assert len(basket) == 0  # paused thread sits on the event
-        receptor.resume()
-        deadline = time.monotonic() + 5.0
-        while len(basket) == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        receptor.stop()
-        assert len(basket) == 1

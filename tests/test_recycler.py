@@ -474,10 +474,11 @@ class TestEngineIntegration:
         assert "recycler [off]" in engine.monitor.analysis()
         assert "recycler" not in engine.scheduler.network_stats()
 
-    def test_verify_mode_clean_run(self):
+    def test_verify_mode_clean_run(self, recycler_verify):
         # equivalence mode: every hit is re-executed and compared; any
         # stale or wrongly-shared value fails the factory
-        engine = self.run_fleet(recycler_verify=True)
+        engine = self.run_fleet()
+        assert engine.recycler.verify
         assert engine.recycler.stats()["hits"] > 0
 
 
