@@ -29,11 +29,13 @@ and the engine falls back to re-evaluation mode.
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import MALError, StreamError
+from repro.errors import KernelError, MALError, StreamError
 from repro.mal import kernel
 from repro.mal.bat import BAT
 from repro.mal.compiler import (CompiledProgram, compile_or_interpret,
@@ -46,6 +48,7 @@ from repro.sql.plan import (AggregateNode, DistinctNode, FilterNode,
                             JoinNode, LimitNode, PlanNode, ProjectNode,
                             SortNode, StreamScanNode, UnionNode,
                             walk_plan)
+from repro.storage import types as dt
 from repro.storage.catalog import Catalog
 
 
@@ -217,6 +220,24 @@ def analyze_incremental(plan: PlanNode) -> IncrementalAnalysis:
 # mergeable partial aggregate states
 # ---------------------------------------------------------------------
 
+def _least(a: Any, b: Any) -> Any:
+    return b if a is None or (b is not None and b < a) else a
+
+
+def _greatest(a: Any, b: Any) -> Any:
+    return b if a is None or (b is not None and b > a) else a
+
+
+# how two basic windows' states of one aggregate combine
+_MERGES = {
+    "count": operator.add,
+    "sum": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "stddev": lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+    "min": _least, "max": _greatest}
+_MERGES["avg"] = _MERGES["sum"]
+_MERGES["variance"] = _MERGES["stddev"]
+
+
 class PartialAggregator:
     """Computes, merges and finalizes per-basic-window aggregate states.
 
@@ -227,54 +248,52 @@ class PartialAggregator:
 
     def __init__(self, agg_node: AggregateNode):
         self.node = agg_node
+        self._merges = [_MERGES[a.op] for a in agg_node.aggs]
 
     # -- per basic window -----------------------------------------------
 
     def partial(self, rel: Relation) -> Dict[Tuple, List[Any]]:
         node = self.node
-        n = rel.row_count
         if node.group_exprs:
-            gids: Optional[np.ndarray] = None
-            reps = None
-            ngroups = 0
+            if not rel.row_count:
+                return {}
             group_bats = [e.evaluate(rel) for e in node.group_exprs]
-            for bat in group_bats:
-                gids, reps, ngroups = kernel.subgroup(bat, gids)
-            key_rows = list(zip(*(b.take(reps).tolist()
-                                  for b in group_bats))) if ngroups else []
+            gids, reps, ngroups = kernel.group(group_bats)
+            keys = list(zip(*(b.take(reps).tolist() for b in group_bats)))
         else:
-            gids = np.zeros(n, dtype=np.int64)
+            gids = np.zeros(rel.row_count, dtype=np.int64)
             ngroups = 1
-            key_rows = [()]
-        out: Dict[Tuple, List[Any]] = {}
+            keys = [()]
         per_agg = [self._states(agg, rel, gids, ngroups)
                    for agg in node.aggs]
-        for g, key in enumerate(key_rows):
-            out[tuple(key)] = [states[g] for states in per_agg]
-        return out
+        return {key: [states[g] for states in per_agg]
+                for g, key in enumerate(keys)}
 
-    def _states(self, agg: BoundAgg, rel: Relation, gids: np.ndarray,
+    @staticmethod
+    def _states(agg: BoundAgg, rel: Relation, gids: np.ndarray,
                 ngroups: int) -> List[Any]:
         if agg.op == "count" and agg.arg is None:
-            counts = np.bincount(gids, minlength=ngroups)
-            return [int(c) for c in counts]
+            return np.bincount(gids, minlength=ngroups).tolist()
         arg = agg.arg.evaluate(rel)
-        valid = ~arg.nil_mask()
-        counts = np.bincount(gids[valid], minlength=ngroups)
+        values, gids = kernel.grouped_valid(arg, gids, None)
+        counts = np.bincount(gids, minlength=ngroups).tolist()
         if agg.op == "count":
-            return [int(c) for c in counts]
-        if agg.op in ("sum", "avg"):
-            sums = kernel.agg_sum(arg, gids, ngroups).tolist()
-            return [(s if s is not None else 0, int(c))
-                    for s, c in zip(sums, counts)]
-        if agg.op == "min":
-            return kernel.agg_min(arg, gids, ngroups).tolist()
-        if agg.op == "max":
-            return kernel.agg_max(arg, gids, ngroups).tolist()
+            return counts
+        if agg.op == "sum":
+            sums = kernel.group_sum(values, gids, ngroups).tolist()
+            return list(zip(sums, counts))
+        if agg.op == "avg":
+            sums = np.bincount(gids, weights=values, minlength=ngroups)
+            return list(zip(sums.astype(np.float64).tolist(), counts))
+        if agg.op in ("min", "max"):
+            best = kernel.group_extreme(values, gids, ngroups,
+                                        take_min=agg.op == "min")
+            if isinstance(best, np.ndarray):
+                best = best.tolist()
+            return [v if c else None for v, c in zip(best, counts)]
         if agg.op in ("stddev", "variance"):
-            ns, sums, sumsq = kernel._moments(arg, gids, ngroups, None)
-            return [(float(n), float(s), float(q))
-                    for n, s, q in zip(ns, sums, sumsq)]
+            moments = kernel.group_moments(values, gids, ngroups)
+            return list(zip(*(m.tolist() for m in moments)))
         raise UnsupportedIncremental(f"aggregate {agg.op!r}")
 
     # -- across basic windows ------------------------------------------------
@@ -282,37 +301,13 @@ class PartialAggregator:
     def merge(self, partials: Sequence[Dict[Tuple, List[Any]]]
               ) -> Dict[Tuple, List[Any]]:
         merged: Dict[Tuple, List[Any]] = {}
+        merges = self._merges
         for partial in partials:
             for key, states in partial.items():
-                if key not in merged:
-                    merged[key] = list(states)
-                    continue
-                acc = merged[key]
-                for i, agg in enumerate(self.node.aggs):
-                    acc[i] = self._merge_one(agg.op, acc[i], states[i])
+                acc = merged.get(key)
+                merged[key] = list(states) if acc is None else \
+                    [m(a, b) for m, a, b in zip(merges, acc, states)]
         return merged
-
-    @staticmethod
-    def _merge_one(op: str, a: Any, b: Any) -> Any:
-        if op == "count":
-            return a + b
-        if op in ("sum", "avg"):
-            return (a[0] + b[0], a[1] + b[1])
-        if op in ("stddev", "variance"):
-            return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-        if op == "min":
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return a if a <= b else b
-        if op == "max":
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return a if a >= b else b
-        raise UnsupportedIncremental(f"aggregate {op!r}")
 
     # -- window result ------------------------------------------------------------
 
@@ -322,16 +317,13 @@ class PartialAggregator:
             return Relation.empty(node.schema)
         if not node.group_exprs and not merged:
             merged = {(): [self._empty_state(a.op) for a in node.aggs]}
-        keys = list(merged.keys())
         out = Relation()
-        for i, (name, expr) in enumerate(zip(node.group_names,
-                                             node.group_exprs)):
-            out.add(name, BAT.from_values(expr.dtype,
-                                          [k[i] for k in keys],
-                                          coerce=True))
-        for i, (name, agg) in enumerate(zip(node.agg_names, node.aggs)):
-            values = [self._final_value(agg, merged[k][i]) for k in keys]
-            out.add(name, BAT.from_values(agg.dtype, values, coerce=True))
+        for name, expr, column in zip(node.group_names, node.group_exprs,
+                                      zip(*merged)):
+            out.add(name, _column(expr.dtype, column))
+        for name, agg, states in zip(node.agg_names, node.aggs,
+                                     zip(*merged.values())):
+            out.add(name, self._final_column(agg, states))
         return out
 
     @staticmethod
@@ -345,23 +337,36 @@ class PartialAggregator:
         return None
 
     @staticmethod
-    def _final_value(agg: BoundAgg, state: Any):
+    def _final_column(agg: BoundAgg, states: Sequence[Any]) -> BAT:
         if agg.op == "count":
-            return state
-        if agg.op == "sum":
-            total, count = state
-            return None if count == 0 else total
-        if agg.op == "avg":
-            total, count = state
-            return None if count == 0 else total / count
+            return _column(agg.dtype, states)
+        if agg.op in ("sum", "avg"):
+            totals, counts = zip(*states)
+            empty = np.asarray(counts) == 0
+            if agg.op == "sum":
+                try:
+                    out = np.array(totals, dtype=agg.dtype.np_dtype)
+                except OverflowError:
+                    raise KernelError("SUM is out of range for INT") from None
+                if out.dtype.kind != "f" and (out == dt.INT_NIL).any():
+                    raise KernelError("SUM is out of range for INT")
+            else:
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    out = np.asarray(totals, dtype=np.float64) \
+                        / np.asarray(counts)
+            out[empty] = agg.dtype.nil
+            return BAT.adopt_array(agg.dtype, out)
         if agg.op in ("stddev", "variance"):
-            import math
+            var = [kernel.variance_from_moments(*s) for s in states]
+            if agg.op == "stddev":
+                var = [None if v is None else math.sqrt(v) for v in var]
+            return _column(agg.dtype, var)
+        return _column(agg.dtype, states)  # min/max carry the value
 
-            var = kernel.variance_from_moments(*state)
-            if var is None:
-                return None
-            return var if agg.op == "variance" else math.sqrt(var)
-        return state  # min/max carry the value directly
+
+def _column(dtype: dt.DataType, values: Sequence[Any]) -> BAT:
+    """A BAT of Python *values* (None is nil)."""
+    return BAT.adopt_array(dtype, dt.coerce_column(dtype, values))
 
 
 # ---------------------------------------------------------------------

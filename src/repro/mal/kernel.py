@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -351,37 +350,76 @@ def semi_pairs(left: BAT, right: BAT, anti: bool = False) -> Candidates:
 # grouping and aggregation
 # ---------------------------------------------------------------------
 
-def factorize(bat: BAT, cand: Optional[Candidates] = None
-              ) -> Tuple[np.ndarray, Candidates]:
-    """Dense group ids for one column.
-
-    Returns ``(gids, representatives)`` where ``gids[i]`` is the group of
-    row ``i`` (of the candidate selection) and ``representatives[g]`` is
-    the position of the first row of group ``g``. Nils form one group
-    (SQL GROUP BY collapses NULLs).
-    """
-    pos = cand if cand is not None else all_candidates(len(bat))
-    values = bat.values[pos]
+def _group_key(bat: BAT, cand: Optional[Candidates]) -> np.ndarray:
+    """The rows *cand* of *bat* as a sortable array whose entries are
+    equal exactly where GROUP BY puts two rows in one group: strings
+    become codes by first appearance (``None`` is one code), floats
+    lose the sign of zero and share one NaN, viewed as int64 so that
+    the nil NaN equals itself."""
+    values = bat.values if cand is None else bat.values[cand]
     if bat.dtype.is_string:
         items = values.tolist()
-        mapping = dict(zip(dict.fromkeys(items), itertools.count()))
-        gids = np.fromiter(map(mapping.__getitem__, items), dtype=np.int64,
+        codes = dict(zip(dict.fromkeys(items), itertools.count()))
+        # 16-bit codes sort by radix, in linear time
+        narrow = np.uint16 if len(codes) <= 1 << 16 else np.int64
+        return np.fromiter(map(codes.__getitem__, items), dtype=narrow,
                            count=len(items))
-        # group ids count up by first appearance: a row opens a group
-        # when its id exceeds every id before it
-        first = np.ones(len(gids), dtype=bool)
-        first[1:] = gids[1:] > np.maximum.accumulate(gids)[:-1]
-        return gids, pos[first]
-    # numeric: nils already map to one sentinel value, so unique suffices
-    uniq, first_idx, inverse = np.unique(values, return_index=True,
-                                         return_inverse=True)
-    # renumber groups by first appearance for deterministic ordering
-    order = np.argsort(first_idx, kind="stable")
-    remap = np.empty(len(uniq), dtype=np.int64)
-    remap[order] = np.arange(len(uniq), dtype=np.int64)
-    gids = remap[inverse]
-    reps = pos[np.sort(first_idx)]
-    return gids, np.asarray(reps, dtype=np.int64)
+    if values.dtype.kind == "f":
+        values = values + 0.0           # -0.0 + 0.0 is 0.0
+        values[np.isnan(values)] = np.nan
+        return values.view(np.int64)
+    return values
+
+
+def group_rows(keys: Sequence[np.ndarray]
+               ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Group rows on equal entries of every array in *keys* in one
+    stable sort: ``(gids, first, ngroups)``, with groups numbered by
+    first appearance and ``first[g]`` the index of group g's first row.
+    """
+    n = len(keys[0])
+    if n <= 1:
+        return np.zeros(n, dtype=np.int64), np.arange(n, dtype=np.int64), n
+    order = np.argsort(keys[0], kind="stable") if len(keys) == 1 \
+        else np.lexsort(keys)
+    head = np.zeros(n, dtype=bool)
+    head[0] = True
+    for key in keys:
+        ordered = key[order]
+        head[1:] |= ordered[1:] != ordered[:-1]
+    starts = order[head]        # a run's first row: the sort is stable
+    rank = np.argsort(starts)
+    ngroups = len(starts)
+    remap = np.empty(ngroups, dtype=np.int64)
+    remap[rank] = np.arange(ngroups, dtype=np.int64)
+    gids = np.empty(n, dtype=np.int64)
+    gids[order] = remap[np.cumsum(head) - 1]
+    return gids, starts[rank], ngroups
+
+
+def group(bats: Sequence[BAT], cand: Optional[Candidates] = None,
+          prev_gids: Optional[np.ndarray] = None
+          ) -> Tuple[np.ndarray, Candidates, int]:
+    """GROUP BY all of *bats* (refining *prev_gids*, if given):
+    ``(gids, representatives, ngroups)`` where ``gids[i]`` is the group
+    of row ``i`` of the candidate selection, groups are numbered by
+    first appearance and ``representatives[g]`` is the position of
+    group g's first row. Nils form one group (SQL GROUP BY collapses
+    NULLs)."""
+    keys = [_group_key(bat, cand) for bat in bats]
+    if prev_gids is not None:
+        if len(prev_gids) != len(keys[0]):
+            raise KernelError("subgroup: group id length mismatch")
+        keys.insert(0, prev_gids)
+    gids, first, ngroups = group_rows(keys)
+    return gids, first if cand is None else cand[first], ngroups
+
+
+def factorize(bat: BAT, cand: Optional[Candidates] = None
+              ) -> Tuple[np.ndarray, Candidates]:
+    """Dense group ids for one column: ``(gids, representatives)``."""
+    gids, reps, _n = group([bat], cand)
+    return gids, reps
 
 
 def subgroup(bat: BAT, prev_gids: Optional[np.ndarray],
@@ -392,106 +430,105 @@ def subgroup(bat: BAT, prev_gids: Optional[np.ndarray],
 
     Returns ``(gids, representatives, ngroups)``.
     """
-    gids, reps = factorize(bat, cand)
-    if prev_gids is None:
-        return gids, reps, int(gids.max()) + 1 if len(gids) else 0
-    if len(prev_gids) != len(gids):
-        raise KernelError("subgroup: group id length mismatch")
-    ncols = int(gids.max()) + 1 if len(gids) else 0
-    combined = prev_gids * max(ncols, 1) + gids
-    uniq, first_idx, inverse = np.unique(combined, return_index=True,
-                                         return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    remap = np.empty(len(uniq), dtype=np.int64)
-    remap[order] = np.arange(len(uniq), dtype=np.int64)
-    new_gids = remap[inverse]
-    pos = cand if cand is not None else all_candidates(len(bat))
-    new_reps = pos[np.sort(first_idx)]
-    return new_gids, np.asarray(new_reps, dtype=np.int64), len(uniq)
+    return group([bat], cand, prev_gids)
 
 
-def _grouped_valid(bat: BAT, gids: np.ndarray,
-                   cand: Optional[Candidates]) -> Tuple[np.ndarray, np.ndarray]:
-    pos = cand if cand is not None else all_candidates(len(bat))
-    if len(pos) != len(gids):
+def grouped_valid(bat: BAT, gids: np.ndarray,
+                  cand: Optional[Candidates]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, gids) of the rows of *bat* (at *cand*) that are not nil:
+    every grouped aggregate's input, from one nil mask."""
+    values = bat.values if cand is None else bat.values[cand]
+    if len(values) != len(gids):
         raise KernelError("aggregate: candidate/group length mismatch")
-    values = bat.values[pos]
     valid = ~dt.nil_mask(bat.dtype, values)
-    return values, valid
+    return values[valid], gids[valid]
+
+
+def group_sum(values: np.ndarray, gids: np.ndarray,
+              ngroups: int) -> np.ndarray:
+    """Per-group sums of non-nil storage *values*: floats in float64,
+    integers exactly in int64 (a sum outside INT raises)."""
+    approx = np.bincount(gids, weights=values, minlength=ngroups
+                         ).astype(np.float64)
+    if values.dtype.kind == "f":
+        return approx
+    sums = np.zeros(ngroups, dtype=np.int64)
+    np.add.at(sums, gids, values)       # exact modulo 2**64
+    # below 2**26 rows the float sums are off by far less than 2**62,
+    # so only a group whose float sum reaches 2**62 can have wrapped
+    for g in np.flatnonzero(np.abs(approx) >= 2.0 ** 62).tolist():
+        if not dt.INT_NIL < sum(values[gids == g].tolist()) <= dt.INT_MAX:
+            raise KernelError("SUM is out of range for INT")
+    return sums
+
+
+def group_extreme(values: np.ndarray, gids: np.ndarray, ngroups: int,
+                  take_min: bool) -> Union[np.ndarray, List]:
+    """Per-group MIN or MAX of non-nil storage *values*, in their own
+    storage type (an empty group holds a filler: check its count)."""
+    if values.dtype == object:
+        best: List = [None] * ngroups
+        for g, v in zip(gids.tolist(), values.tolist()):
+            cur = best[g]
+            if cur is None or (v < cur if take_min else v > cur):
+                best[g] = v
+        return best
+    if values.dtype.kind == "f":
+        fill = np.inf if take_min else -np.inf
+    else:
+        info = np.iinfo(values.dtype)
+        fill = info.max if take_min else info.min
+    acc = np.full(ngroups, fill, dtype=values.dtype)
+    (np.minimum if take_min else np.maximum).at(acc, gids, values)
+    return acc
 
 
 def agg_count(gids: np.ndarray, ngroups: int,
               bat: Optional[BAT] = None,
               cand: Optional[Candidates] = None) -> BAT:
     """Per-group COUNT(*) (no column) or COUNT(col) (nil-skipping)."""
-    if bat is None:
-        counts = np.bincount(gids, minlength=ngroups)
-    else:
-        _values, valid = _grouped_valid(bat, gids, cand)
-        counts = np.bincount(gids[valid], minlength=ngroups)
-    return BAT.from_array(dt.INT, counts.astype(np.int64))
+    if bat is not None:
+        _values, gids = grouped_valid(bat, gids, cand)
+    counts = np.bincount(gids, minlength=ngroups)
+    return BAT.adopt_array(dt.INT, counts.astype(np.int64, copy=False))
 
 
 def agg_sum(bat: BAT, gids: np.ndarray, ngroups: int,
             cand: Optional[Candidates] = None) -> BAT:
-    """Per-group SUM; empty groups yield nil. INT stays INT."""
-    values, valid = _grouped_valid(bat, gids, cand)
+    """Per-group SUM; empty groups yield nil. INT stays INT, summed
+    exactly."""
     if not bat.dtype.is_numeric:
         raise KernelError(f"sum over non-numeric column {bat.dtype}")
-    out_type = bat.dtype
-    # note: bincount returns int64 when the weights array is empty
-    sums = np.bincount(gids[valid],
-                       weights=values[valid].astype(np.float64),
-                       minlength=ngroups).astype(np.float64)
-    counts = np.bincount(gids[valid], minlength=ngroups)
-    if out_type is dt.INT:
-        result = sums.astype(np.int64)
-        result[counts == 0] = dt.INT_NIL
-        return BAT.from_array(dt.INT, result)
-    result = sums
-    result[counts == 0] = np.nan
-    return BAT.from_array(dt.FLOAT, result)
+    values, gids = grouped_valid(bat, gids, cand)
+    sums = group_sum(values, gids, ngroups)
+    sums[np.bincount(gids, minlength=ngroups) == 0] = bat.dtype.nil
+    return BAT.adopt_array(bat.dtype, sums)
 
 
 def agg_avg(bat: BAT, gids: np.ndarray, ngroups: int,
             cand: Optional[Candidates] = None) -> BAT:
     """Per-group AVG (always FLOAT); empty groups yield nil."""
-    values, valid = _grouped_valid(bat, gids, cand)
     if not bat.dtype.is_numeric:
         raise KernelError(f"avg over non-numeric column {bat.dtype}")
-    sums = np.bincount(gids[valid],
-                       weights=values[valid].astype(np.float64),
-                       minlength=ngroups).astype(np.float64)
-    counts = np.bincount(gids[valid], minlength=ngroups)
+    values, gids = grouped_valid(bat, gids, cand)
+    sums = np.bincount(gids, weights=values, minlength=ngroups
+                       ).astype(np.float64)
+    counts = np.bincount(gids, minlength=ngroups)
     with np.errstate(invalid="ignore", divide="ignore"):
         result = sums / counts
     result[counts == 0] = np.nan
-    return BAT.from_array(dt.FLOAT, result)
+    return BAT.adopt_array(dt.FLOAT, result)
 
 
 def _agg_extreme(bat: BAT, gids: np.ndarray, ngroups: int,
                  cand: Optional[Candidates], take_min: bool) -> BAT:
-    values, valid = _grouped_valid(bat, gids, cand)
+    values, gids = grouped_valid(bat, gids, cand)
+    best = group_extreme(values, gids, ngroups, take_min)
     if bat.dtype.is_string:
-        best: List = [None] * ngroups
-        for g, v in zip(gids[valid], values[valid]):
-            cur = best[g]
-            if cur is None or (v < cur if take_min else v > cur):
-                best[g] = v
         return BAT.from_values(dt.STRING, best)
-    fill = np.inf if take_min else -np.inf
-    acc = np.full(ngroups, fill, dtype=np.float64)
-    op = np.minimum if take_min else np.maximum
-    op.at(acc, gids[valid], values[valid].astype(np.float64))
-    counts = np.bincount(gids[valid], minlength=ngroups)
-    if bat.dtype is dt.FLOAT:
-        acc[counts == 0] = np.nan
-        return BAT.from_array(dt.FLOAT, acc)
-    out = np.empty(ngroups, dtype=np.int64)
-    nonempty = counts > 0
-    out[nonempty] = acc[nonempty].astype(np.int64)
-    out[~nonempty] = dt.INT_NIL
-    return BAT.from_array(bat.dtype, out)
+    best[np.bincount(gids, minlength=ngroups) == 0] = bat.dtype.nil
+    return BAT.adopt_array(bat.dtype, best)
 
 
 def agg_min(bat: BAT, gids: np.ndarray, ngroups: int,
@@ -506,20 +543,15 @@ def agg_max(bat: BAT, gids: np.ndarray, ngroups: int,
     return _agg_extreme(bat, gids, ngroups, cand, take_min=False)
 
 
-def _moments(bat: BAT, gids: np.ndarray, ngroups: int,
-             cand: Optional[Candidates]
-             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-group (count, sum, sum of squares) over non-nil values —
-    the mergeable state behind variance/stddev."""
-    values, valid = _grouped_valid(bat, gids, cand)
-    if not bat.dtype.is_numeric:
-        raise KernelError(f"variance over non-numeric column {bat.dtype}")
-    vv = values[valid].astype(np.float64)
-    gg = gids[valid]
-    counts = np.bincount(gg, minlength=ngroups).astype(np.float64)
-    sums = np.bincount(gg, weights=vv, minlength=ngroups
+def group_moments(values: np.ndarray, gids: np.ndarray, ngroups: int
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-group (count, sum, sum of squares) of non-nil storage
+    *values* — the mergeable state behind variance/stddev."""
+    vv = values.astype(np.float64)
+    counts = np.bincount(gids, minlength=ngroups).astype(np.float64)
+    sums = np.bincount(gids, weights=vv, minlength=ngroups
                        ).astype(np.float64)
-    sumsq = np.bincount(gg, weights=vv * vv, minlength=ngroups
+    sumsq = np.bincount(gids, weights=vv * vv, minlength=ngroups
                         ).astype(np.float64)
     return counts, sums, sumsq
 
@@ -536,7 +568,10 @@ def variance_from_moments(count: float, total: float,
 def agg_variance(bat: BAT, gids: np.ndarray, ngroups: int,
                  cand: Optional[Candidates] = None) -> BAT:
     """Per-group sample variance; groups with <2 values yield nil."""
-    counts, sums, sumsq = _moments(bat, gids, ngroups, cand)
+    if not bat.dtype.is_numeric:
+        raise KernelError(f"variance over non-numeric column {bat.dtype}")
+    counts, sums, sumsq = group_moments(
+        *grouped_valid(bat, gids, cand), ngroups)
     out = np.full(ngroups, np.nan, dtype=np.float64)
     for g in range(ngroups):
         var = variance_from_moments(counts[g], sums[g], sumsq[g])
@@ -550,9 +585,6 @@ def agg_stddev(bat: BAT, gids: np.ndarray, ngroups: int,
     """Per-group sample standard deviation."""
     var = agg_variance(bat, gids, ngroups, cand)
     return BAT.from_array(dt.FLOAT, np.sqrt(var.values))
-
-
-_SCALARS: Dict[str, Callable] = {}
 
 
 def scalar_agg(op: str, bat: Optional[BAT],
@@ -572,8 +604,10 @@ def scalar_agg(op: str, bat: Optional[BAT],
     if len(values) == 0:
         return None
     if op == "sum":
-        total = values.astype(np.float64).sum()
-        return int(total) if bat.dtype is dt.INT else float(total)
+        if bat.dtype is dt.INT:
+            return int(group_sum(values, np.zeros(len(values), np.int64),
+                                 1)[0])
+        return float(values.astype(np.float64).sum())
     if op == "avg":
         return float(values.astype(np.float64).mean())
     if op == "min":
@@ -665,11 +699,7 @@ def distinct(bats: Sequence[BAT],
     """Positions of the first occurrence of each distinct row."""
     if not bats:
         raise KernelError("distinct needs at least one column")
-    gids = None
-    reps = None
-    for bat in bats:
-        gids, reps, _n = subgroup(bat, gids, cand)
-    return np.sort(reps)
+    return np.sort(group(bats, cand)[1])
 
 
 # ---------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import DataCellEngine
 from repro.errors import KernelError
 from repro.mal import kernel as K
 from repro.mal.bat import BAT
@@ -120,6 +121,89 @@ class TestScalarAggregates:
         with pytest.raises(KernelError):
             K.scalar_agg("median", bat)
 
+
+
+BIG = 2 ** 53 + 1           # the first integer float64 cannot hold
+HUGE = 2 ** 62
+
+
+class TestIntPrecision:
+    """INT SUM/MIN/MAX are exact in int64 on every path: the kernel,
+    one-time queries, and both continuous modes. A SUM outside INT
+    raises instead of wrapping."""
+
+    CASES = [([BIG, 1], BIG + 1, 1, BIG),
+             ([HUGE, HUGE - 1], 2 ** 63 - 1, HUGE - 1, HUGE),
+             ([-HUGE, 1 - HUGE], 1 - 2 ** 63, -HUGE, 1 - HUGE)]
+
+    @pytest.mark.parametrize("values,total,low,high", CASES)
+    def test_kernel(self, values, total, low, high):
+        bat = BAT.from_values(dt.INT, values + [None], coerce=True)
+        gids, n = grouped(None, [0, 0, 0])
+        assert K.agg_sum(bat, gids, n).tolist() == [total]
+        assert K.agg_min(bat, gids, n).tolist() == [low]
+        assert K.agg_max(bat, gids, n).tolist() == [high]
+        assert K.scalar_agg("sum", bat) == total
+
+    @pytest.mark.parametrize("values", [[HUGE, HUGE], [-HUGE, -HUGE],
+                                        [2 ** 63 - 1, 3, -1]])
+    def test_sum_out_of_range_raises(self, values):
+        bat = BAT.from_values(dt.INT, values)
+        gids, n = grouped(None, [0] * len(values))
+        with pytest.raises(KernelError, match="out of range"):
+            K.agg_sum(bat, gids, n)
+        with pytest.raises(KernelError, match="out of range"):
+            K.scalar_agg("sum", bat)
+
+    def test_sum_wrapping_through_int64_stays_exact(self):
+        # the running sum leaves int64 and comes back: the result fits
+        values = [2 ** 63 - 1, 2 ** 63 - 1, -(2 ** 63 - 1), -(2 ** 63 - 1), 7]
+        bat = BAT.from_values(dt.INT, values)
+        gids, n = grouped(None, [0] * len(values))
+        assert K.agg_sum(bat, gids, n).tolist() == [7]
+
+    @pytest.mark.parametrize("values,total,low,high", CASES)
+    def test_one_time_query(self, values, total, low, high):
+        engine = DataCellEngine()
+        engine.execute("CREATE TABLE t (k INT, x INT)")
+        engine.execute("INSERT INTO t VALUES " + ", ".join(
+            f"(1, {v})" for v in values))
+        assert engine.execute(
+            "SELECT k, sum(x), min(x), max(x) FROM t GROUP BY k"
+        ).to_rows() == [(1, total, low, high)]
+        assert engine.execute(
+            "SELECT sum(x), min(x), max(x) FROM t").to_rows() == [
+                (total, low, high)]
+
+    @pytest.mark.parametrize("mode", ["reeval", "incremental"])
+    @pytest.mark.parametrize("values,total,low,high", CASES)
+    def test_continuous_modes(self, mode, values, total, low, high):
+        engine = DataCellEngine()
+        engine.execute("CREATE STREAM s (k INT, x INT)")
+        grouped_q = engine.register_continuous(
+            "SELECT k, sum(x), min(x), max(x) FROM s [RANGE 2 SLIDE 1] "
+            "GROUP BY k", mode=mode, name="g")
+        engine.register_continuous(
+            "SELECT sum(x) FROM s [RANGE 2 SLIDE 1]", mode=mode, name="s")
+        assert grouped_q.mode == mode
+        engine.feed("s", [(1, v) for v in values])
+        engine.step()
+        assert not engine.scheduler.failed, engine.scheduler.failed
+        assert engine.results("g").batches[-1][1].to_rows() == [
+            (1, total, low, high)]
+        assert engine.results("s").batches[-1][1].to_rows() == [(total,)]
+
+    @pytest.mark.parametrize("mode", ["reeval", "incremental"])
+    def test_continuous_sum_out_of_range_fails_the_query(self, mode):
+        engine = DataCellEngine()
+        engine.execute("CREATE STREAM s (k INT, x INT)")
+        engine.register_continuous(
+            "SELECT k, sum(x) FROM s [RANGE 2 SLIDE 1] GROUP BY k",
+            mode=mode, name="g")
+        engine.feed("s", [(1, HUGE), (1, HUGE)])
+        engine.step()
+        assert [f.query_name for f in engine.scheduler.failed] == ["g"]
+        assert "out of range" in str(engine.scheduler.failed[0])
 
 class TestCalcArith:
     def test_add_int(self):

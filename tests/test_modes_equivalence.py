@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from repro.core.engine import DataCellEngine
 from repro.core.incremental import UnsupportedIncremental
+from repro.streams.linearroad import (POSITION_SCHEMA, LinearRoadConfig,
+                                      LinearRoadGenerator)
 from repro.streams.source import ListSource, RateSource
 
 ORACLE = {"compile_plans": False, "recycler_enabled": False}
@@ -255,6 +257,53 @@ class TestHybridAndJoins:
             assert key == sorted(map(repr, b))
             assert key == sorted(map(repr, c))
 
+
+
+def linear_road_rows(seed):
+    """Position reports with a `sent` stamp: 2 expressways x 2
+    directions, a few segments, ~6 % stopped cars."""
+    config = LinearRoadConfig(cars=60, xways=2, segments=4, duration_s=60,
+                              report_every_s=3, accident_rate=0.05,
+                              seed=seed)
+    return [row + (i,) for i, (_ts, row) in
+            enumerate(LinearRoadGenerator(config).events())]
+
+
+LR_SCHEMA = POSITION_SCHEMA.rstrip(")") + ", sent INT)"
+SEGSTATS = ("SELECT xway, dir, seg, avg(speed), count(*), max(sent) "
+            "FROM position [RANGE {size} SLIDE {slide}] "
+            "GROUP BY xway, dir, seg")
+STOPPED = ("SELECT xway, dir, seg, count(*), max(sent) "
+           "FROM position [RANGE {size} SLIDE {slide}] WHERE speed = 0 "
+           "GROUP BY xway, dir, seg HAVING count(*) >= 2")
+
+
+class TestLinearRoadShapes:
+    """The E18 ``lr_windows`` queries' shapes: a three-key GROUP BY
+    over a Linear Road stream, and a filtered one whose basic windows
+    are mostly empty."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("shape", [SEGSTATS, STOPPED],
+                             ids=["segstats", "stopped"])
+    def test_modes_agree(self, shape, seed):
+        out = assert_modes_agree(
+            linear_road_rows(seed), shape.format(size=64, slide=8),
+            schema=LR_SCHEMA, streams=("position",))
+        assert any(out)
+
+    @pytest.mark.parametrize("size,slide", [(64, 12), (40, 16), (30, 7)])
+    @pytest.mark.parametrize("shape", [SEGSTATS, STOPPED],
+                             ids=["segstats", "stopped"])
+    def test_non_divisible_slides_match_oracle(self, shape, size, slide):
+        query = shape.format(size=size, slide=slide)
+        kw = {"schema": LR_SCHEMA, "streams": ("position",)}
+        rows = linear_road_rows(3)
+        mode, out = run_query(rows, query, "auto", **kw)
+        assert mode == "reeval"
+        _, oracle = run_query(rows, query, "reeval", **ORACLE, **kw)
+        assert canon(out) == canon(oracle)
+        assert any(out)
 
 @st.composite
 def stream_and_window(draw):

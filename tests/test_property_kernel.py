@@ -6,7 +6,7 @@ kernel is the foundation everything else trusts.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mal import kernel as K
@@ -271,6 +271,85 @@ class TestGroupingLaws:
                 seen.append(v)
         assert got == seen
 
+
+
+# cells of one GROUP BY key column: every nil spelling (None, the INT
+# sentinel, NaNs of either sign) and both signs of zero
+GROUP_CELLS = {
+    dt.INT: st.one_of(st.integers(-2, 2), st.none(), st.just(dt.INT_NIL)),
+    dt.FLOAT: st.sampled_from([0.0, -0.0, 1.5, -2.0, float("nan"),
+                               -float("nan"), None]),
+    dt.STRING: st.one_of(st.sampled_from(["", "a", "b"]), st.none()),
+    dt.BOOLEAN: st.one_of(st.booleans(), st.none()),
+}
+
+
+@st.composite
+def group_keys(draw, sizes=st.integers(0, 40)):
+    """1-3 key columns of mixed types, all of one drawn length."""
+    types = draw(st.lists(st.sampled_from(list(GROUP_CELLS)),
+                          min_size=1, max_size=3))
+    n = draw(sizes)
+    return [BAT.from_values(t, draw(st.lists(GROUP_CELLS[t], min_size=n,
+                                             max_size=n)), coerce=True)
+            for t in types]
+
+
+def reference_groups(bats, positions):
+    """(gids, representatives) from a dict over row tuples: groups by
+    first appearance; nils are None and -0.0 == 0.0, as in Python."""
+    groups, gids, reps = {}, [], []
+    columns = [bat.tolist() for bat in bats]
+    for p in positions:
+        row = tuple(col[p] for col in columns)
+        if row not in groups:
+            groups[row] = len(groups)
+            reps.append(p)
+        gids.append(groups[row])
+    return gids, reps
+
+
+class TestGroupKernel:
+    """The one-sort grouping kernel against a pure-Python reference."""
+
+    def check(self, bats, cand=None):
+        positions = range(len(bats[0])) if cand is None else cand.tolist()
+        gids, reps, n = K.group(bats, cand)
+        want_gids, want_reps = reference_groups(bats, positions)
+        assert gids.tolist() == want_gids
+        assert reps.tolist() == want_reps
+        assert n == len(want_reps)
+        return gids, reps, n
+
+    @settings(max_examples=60, deadline=None)
+    @given(group_keys())
+    def test_matches_reference(self, bats):
+        self.check(bats)
+
+    @settings(max_examples=30, deadline=None)
+    @given(group_keys(st.sampled_from([0, 1, 2])))
+    def test_tiny_inputs(self, bats):
+        self.check(bats)
+
+    @settings(max_examples=30, deadline=None)
+    @given(group_keys(st.integers(1, 30)), st.data())
+    def test_candidate_list(self, bats, data):
+        keep = data.draw(st.lists(st.booleans(), min_size=len(bats[0]),
+                                  max_size=len(bats[0])))
+        self.check(bats, np.flatnonzero(keep).astype(np.int64))
+
+    @settings(max_examples=30, deadline=None)
+    @given(group_keys())
+    def test_subgroup_chain_is_one_grouping(self, bats):
+        gids, reps, n = self.check(bats)
+        chained = None
+        for bat in bats:
+            chained, chained_reps, chained_n = K.subgroup(bat, chained)
+        assert chained.tolist() == gids.tolist()
+        assert chained_reps.tolist() == reps.tolist()
+        assert chained_n == n
+        assert K.factorize(bats[0])[0].tolist() == \
+            K.group(bats[:1])[0].tolist()
 
 class TestSortLaws:
     @given(ints_with_nulls)

@@ -423,14 +423,22 @@ class TestBasketLog:
                         segment_rows=64)
         basket.attach_log(log)
         stop = threading.Event()
+        landed = threading.Event()
 
         def feed(t):
             for i in range(200):
+                if i == 100:
+                    # the second half waits for a group to land, so it
+                    # is committed in a later group however the
+                    # threads are scheduled
+                    assert landed.wait(20)
                 basket.append_rows([(t * 1000 + i, float(i))], now=t)
 
         def commit():
             while not stop.is_set():
                 log.commit()
+                if log.groups:
+                    landed.set()
 
         feeders = [threading.Thread(target=feed, args=(t,))
                    for t in range(4)]
