@@ -33,7 +33,7 @@ runtime:
 ``.recycler``      shared-work cache counters (hits/misses/evictions,
                    chain adoptions/hits, bytes & ms saved)
 ``.interp``        plan-execution pane (slot-compiler counters,
-                   per-opcode profile, autotuner budget trajectory)
+                   per-opcode profile)
 ``.log``           durability pane (per-stream log segments, durable
                    watermarks, checkpoint/recovery counters, plus a
                    ``retention`` line per stream: floor, retained
@@ -266,7 +266,9 @@ class DataCellShell:
         if not queries:
             self._print("(no standing queries)")
         for query in queries:
-            self._print(f"  {query.name} [{query.mode}] "
+            reason = f" ({query.mode_reason})" if query.mode_reason \
+                else ""
+            self._print(f"  {query.name} [{query.mode}]{reason} "
                         f"fires={query.factory.fires}: "
                         f"{query.sql_text}")
 

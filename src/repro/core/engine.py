@@ -37,7 +37,7 @@ from repro.core.incremental import (IncrementalAnalysis,
 from repro.core.live import Wake
 from repro.core.monitor import Monitor
 from repro.core.receptor import Receptor, SocketReceptor
-from repro.core.recycler import DEFAULT_BUDGET_BYTES, Recycler
+from repro.core.recycler import Recycler
 from repro.core.rewriter import rewrite_to_continuous
 from repro.core.scheduler import PetriNetScheduler
 from repro.core.windows import BasicWindowTracker, WindowSpec, WindowState
@@ -86,6 +86,8 @@ class ContinuousQuery:
         self.incremental_analysis = incremental_analysis
         # name of the output-basket stream, when results are chained
         self.output_stream: Optional[str] = None
+        # why "auto" registered as reeval (None otherwise)
+        self.mode_reason: Optional[str] = None
         # registration knobs, kept for checkpoint round-trips
         self.knobs: Dict[str, Any] = {}
 
@@ -98,7 +100,6 @@ class DataCellEngine:
 
     def __init__(self, clock: Optional[Clock] = None,
                  recycler_enabled: bool = True,
-                 recycler_budget_bytes: int = DEFAULT_BUDGET_BYTES,
                  compile_plans: bool = True,
                  interp_profile: bool = False,
                  data_dir: Optional[str] = None,
@@ -111,14 +112,10 @@ class DataCellEngine:
         intermediates across standing queries
         (:mod:`repro.core.recycler`); entries are evicted by benefit
         density (recompute cost x reuse frequency per byte, the MonetDB
-        Recycler heuristic). ``recycler_budget_bytes`` is the memory the
-        cache may always use: the scheduler grows the live budget from
-        there (up to the stock 64 MB) when eviction churn outpaces
-        cache hits and shrinks it back when the cache sits idle — so an
-        under-provisioned budget cannot make recycler-on slower than
-        recycler-off. Tests set ``engine.recycler.verify`` to re-execute
-        every cache hit and assert the recycled value equals the fresh
-        one.
+        Recycler heuristic) within a fixed
+        :data:`~repro.core.recycler.DEFAULT_BUDGET_BYTES`. Tests set
+        ``engine.recycler.verify`` to re-execute every cache hit and
+        assert the recycled value equals the fresh one.
 
         ``compile_plans`` (default on) slot-compiles each registered
         continuous plan into pre-bound thunks at registration
@@ -138,8 +135,7 @@ class DataCellEngine:
         byte-identically to an uninterrupted run. Every scheduler step
         is one group commit per log. ``durability`` picks the write
         discipline: ``"async"`` (default) flushes each group to the
-        OS, ``"fsync"`` additionally fsyncs, ``"off"`` disables
-        logging even with a ``data_dir``. ``checkpoint_interval_s``
+        OS, ``"fsync"`` additionally fsyncs. ``checkpoint_interval_s``
         paces the periodic checkpoint driven from :meth:`step` (the
         serving loop wakes for it).
 
@@ -157,8 +153,7 @@ class DataCellEngine:
         history as zero-copy segment views."""
         self.clock = clock if clock is not None else SimulatedClock()
         self.catalog = Catalog()
-        self.recycler = Recycler(recycler_budget_bytes,
-                                 enabled=recycler_enabled)
+        self.recycler = Recycler(enabled=recycler_enabled)
         self.compile_plans = bool(compile_plans)
         self.interp_profile = bool(interp_profile)
         self.scheduler = PetriNetScheduler(
@@ -204,7 +199,7 @@ class DataCellEngine:
 
     @property
     def durable(self) -> bool:
-        return self.durability != "off"
+        return self.data_dir is not None
 
     def close(self) -> None:
         """Checkpoint (when durable) and close the stream logs."""
@@ -262,8 +257,7 @@ class DataCellEngine:
             self.create_stream(stmt.name, Schema.parse(stmt.columns))
             return f"CREATE STREAM {stmt.name}"
         if isinstance(stmt, ast.CreateIndexStmt):
-            self.catalog.table(stmt.table).create_index(stmt.column,
-                                                        stmt.kind)
+            self.catalog.table(stmt.table).create_index(stmt.column)
             return f"CREATE INDEX on {stmt.table}({stmt.column})"
         if isinstance(stmt, ast.DropStmt):
             if stmt.kind == "table":
@@ -568,7 +562,8 @@ class DataCellEngine:
         continuous_program = rewrite_to_continuous(
             program, stream_names, f"datacell.{name}")
 
-        analysis, resolved_mode = self._resolve_mode(plan, specs, mode)
+        analysis, resolved_mode, mode_reason = self._resolve_mode(
+            plan, specs, mode)
 
         out_sink = None
         if output_stream is not None:
@@ -618,7 +613,7 @@ class DataCellEngine:
                                 stream=s, requested=target,
                                 floor=floor)
                     else:
-                        # no pager (durability off): pull the gap back
+                        # no pager (no durable log): pull the gap back
                         # into memory, tolerating a short log only for
                         # from_start ("oldest available") requests
                         self._rehydrate_stream(
@@ -645,6 +640,7 @@ class DataCellEngine:
                                 factory, emitter, stream_names,
                                 analysis)
         query.output_stream = output_stream
+        query.mode_reason = mode_reason
         query.knobs = {"mode": mode, "min_batch": min_batch,
                        "max_delay_ms": max_delay_ms,
                        "cache_enabled": cache_enabled}
@@ -658,31 +654,33 @@ class DataCellEngine:
         """Pick the execution mode for one continuous query:
         incremental needs :func:`analyze_incremental` to succeed and
         ``size % slide == 0``; ``"auto"`` falls back to reeval where
-        forced ``"incremental"`` raises."""
+        forced ``"incremental"`` raises. Returns ``(analysis, mode,
+        reason)``, *reason* saying why ``"auto"`` fell back (else
+        None)."""
         if mode not in EXECUTION_MODES:
             raise StreamError(
                 f"unknown execution mode {mode!r} "
                 f"(expected one of {EXECUTION_MODES})")
         if mode == "reeval":
-            return None, "reeval"
+            return None, "reeval", None
         from repro.errors import WindowError
         try:
             analysis = analyze_incremental(plan)
-        except UnsupportedIncremental:
+        except UnsupportedIncremental as exc:
             if mode == "incremental":
                 raise
-            return None, "reeval"
+            return None, "reeval", str(exc)
         try:
             for stream in specs:
                 specs[stream].basic_window_count  # divisibility check
         except WindowError as exc:
             if mode == "incremental":
                 raise UnsupportedIncremental(str(exc)) from exc
-            return None, "reeval"
+            return None, "reeval", str(exc)
         if mode == "auto" and not any(s.is_sliding or s.is_tumbling
                                       for s in specs.values()):
-            return None, "reeval"
-        return analysis, "incremental"
+            return None, "reeval", "no sliding or tumbling window"
+        return analysis, "incremental", None
 
     def _build_factory(self, name, plan, continuous_program, analysis,
                        mode, specs, baskets, emitter, min_batch,
@@ -835,7 +833,7 @@ class DataCellEngine:
     def interp_stats(self) -> Dict[str, Any]:
         """Plan-execution counters: slot-compiler activity, digest-
         cache hit rates, per-opcode profile (when ``interp_profile``
-        is on) and the autotuner's budget trajectory."""
+        is on) and the recycler's budget."""
         from repro.mal.compiler import compile_stats
 
         out: Dict[str, Any] = {}
@@ -862,10 +860,6 @@ class DataCellEngine:
             for op, (calls, ms) in sorted(
                 profile.items(), key=lambda kv: -kv[1][1])}
         out["budget_bytes"] = self.recycler.budget_bytes
-        out["budget_grows"] = self.recycler.budget_grows
-        out["budget_shrinks"] = self.recycler.budget_shrinks
-        out["budget_trajectory"] = list(
-            self.recycler.budget_trajectory)
         return out
 
     # ------------------------------------------------------------------

@@ -213,9 +213,8 @@ class Monitor:
 
     def interp(self) -> str:
         """The plan-execution pane: slot-compiler and digest-cache
-        counters, per-opcode cumulative wall time from the compiled
-        thunks (when profiling is on) and the recycler autotuner's
-        budget trajectory."""
+        counters and per-opcode cumulative wall time from the compiled
+        thunks (when profiling is on)."""
         stats = self.engine.interp_stats()
         lines = [
             f"plan execution: {stats['factories_compiled']} compiled, "
@@ -235,14 +234,6 @@ class Monitor:
         elif not stats["profile_enabled"]:
             lines.append("  per-opcode: (profiling off — construct the "
                          "engine with interp_profile=True)")
-        lines.append(f"  autotuner: "
-                     f"budget={stats['budget_bytes']} bytes "
-                     f"grows={stats['budget_grows']} "
-                     f"shrinks={stats['budget_shrinks']}")
-        if len(stats["budget_trajectory"]) > 1:
-            path = " -> ".join(str(b) for b
-                               in stats["budget_trajectory"])
-            lines.append(f"    trajectory: {path}")
         return "\n".join(lines)
 
     def log(self) -> str:

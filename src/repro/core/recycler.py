@@ -34,9 +34,8 @@ reuses) / nbytes``, i.e. cheapest to recompute, least reused, largest.
 Every entry records its evaluation wall time at insert (the compiled
 loop brackets each step; window-slice materialization is timed here)
 and counts its reuses; recency is only the tie-breaker, so a
-hot-but-large intermediate survives a churn of one-shot entries. The
-budget sizes itself between the configured ``budget_bytes`` and the
-stock 64 MB (:meth:`Recycler.autotune_tick`).
+hot-but-large intermediate survives a churn of one-shot entries. An
+engine's budget is the fixed :data:`DEFAULT_BUDGET_BYTES`.
 
 A third sharing layer rides on the same cache: **chained emit
 payloads**. When a factory appends a firing's result into an
@@ -87,17 +86,6 @@ FP_BENEFIT_MARGIN = 2.0
 # trusted
 FP_VERDICT_MIN_ENTRIES = 16
 
-# the budget autotuner adapts once per this many cache events
-# (evictions + hits): enough activity that the churn/benefit ratio is
-# meaningful, small enough to react within a bench run
-AUTOTUNE_WINDOW = 256
-
-# consecutive eviction-free windows required before the tuner gives
-# memory back; shrinking on the first idle window oscillates (the
-# freshly grown budget absorbs the churn, looks idle, shrinks, and
-# thrashes again)
-AUTOTUNE_SHRINK_WINDOWS = 8
-
 
 def payload_nbytes(value: Any) -> int:
     """Approximate resident size of a recycled payload."""
@@ -147,18 +135,6 @@ class Recycler:
         self.budget_bytes = int(budget_bytes)
         self.enabled = enabled
         self.verify = verify
-        # budget autotuner (see autotune_tick): the configured budget is
-        # the floor (never give back memory the user asked for less of),
-        # the ceiling is the stock 64 MB unless the user set a larger
-        # budget outright
-        self.budget_floor = self.budget_bytes
-        self.budget_ceiling = max(self.budget_bytes, DEFAULT_BUDGET_BYTES)
-        self.budget_grows = 0
-        self.budget_shrinks = 0
-        self.budget_trajectory = [self.budget_bytes]
-        self._tune_evictions0 = 0
-        self._tune_hits0 = 0
-        self._tune_idle_windows = 0
         # only the thread that steps the engine touches this cache (the
         # serving loop when served): no lock
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
@@ -192,7 +168,7 @@ class Recycler:
         # fires all its windows before any consumer runs) cannot form
         # a verdict before sharers had their chance. Once trusted, fps
         # whose hits save less than the bookkeeping overhead are
-        # skipped (the cost-model admission half of the tuner)
+        # skipped (cost-model admission)
         self._fp_benefit: Dict[str, List[float]] = {}
         # bumped on every retain/release so factories can cache their
         # per-plan recycling decision until the census changes
@@ -436,59 +412,6 @@ class Recycler:
             cell = self._fp_benefit[fp] = [0.0, 0.0, 0.0, 0.0]
         cell[3] += (time.perf_counter() - started) * 1000.0
 
-    # -- budget autotuning ----------------------------------------------
-
-    def autotune_tick(self) -> None:
-        """Adapt ``budget_bytes`` from observed churn vs. benefit.
-
-        Called by the scheduler once per net evaluation. Every
-        :data:`AUTOTUNE_WINDOW` cache events (evictions + hits) it
-        weighs churn against benefit: when evictions make up a quarter
-        or more of the window — or outnumber hits outright — the budget
-        is thrashing (entries are pushed out before they can repay
-        their ``cost_ms``, and every overflow pays an O(entries)
-        victim scan) so the budget doubles toward the ceiling; when a
-        window passes with zero evictions and the cache is using under
-        a quarter of its budget, the budget halves back toward the
-        configured floor. Decisions are counter-based and therefore
-        deterministic for a given event sequence; the floor/ceiling
-        bracket makes the tuner safe by construction (it can never
-        shrink below what the user configured). This is what closes the
-        "recycler-on must never be slower than recycler-off" bar: the
-        pathological small-budget regime (e.g. 8 KB with thousands of
-        evictions per second) tunes itself out within a few windows.
-        """
-        if not self.enabled:
-            return
-        evictions = self.evictions - self._tune_evictions0
-        hits = (self.hits + self.slice_hits) - self._tune_hits0
-        if evictions + hits < AUTOTUNE_WINDOW:
-            return
-        self._tune_evictions0 = self.evictions
-        self._tune_hits0 = self.hits + self.slice_hits
-        thrashing = (evictions > hits
-                     or evictions * 4 >= AUTOTUNE_WINDOW)
-        if thrashing and self.budget_bytes < self.budget_ceiling:
-            self._tune_idle_windows = 0
-            self.budget_bytes = min(self.budget_ceiling,
-                                    self.budget_bytes * 2)
-            self.budget_grows += 1
-        elif (evictions == 0
-              and self.budget_bytes > self.budget_floor
-              and self.bytes_used * 4 <= self.budget_bytes):
-            self._tune_idle_windows += 1
-            if self._tune_idle_windows < AUTOTUNE_SHRINK_WINDOWS:
-                return
-            self._tune_idle_windows = 0
-            self.budget_bytes = max(self.budget_floor,
-                                    self.budget_bytes // 2)
-            self.budget_shrinks += 1
-        else:
-            self._tune_idle_windows = 0
-            return
-        if len(self.budget_trajectory) < 256:
-            self.budget_trajectory.append(self.budget_bytes)
-
     # -- invalidation ---------------------------------------------------
 
     def evict_dead(self, floors: Dict[str, int]) -> int:
@@ -583,11 +506,6 @@ class Recycler:
             "evictions": self.evictions,
             "invalidations": self.invalidations,
             "eviction_reasons": dict(self.eviction_reasons),
-            "budget_floor": self.budget_floor,
-            "budget_ceiling": self.budget_ceiling,
-            "budget_grows": self.budget_grows,
-            "budget_shrinks": self.budget_shrinks,
-            "budget_trajectory": list(self.budget_trajectory),
         }
 
     def __repr__(self) -> str:

@@ -136,8 +136,6 @@ class PetriNetScheduler:
         if self.recycler is not None and dropped:
             self.recycler.evict_dead(
                 {name: b.first_oid for name, b in self.baskets.items()})
-        if self.recycler is not None:
-            self.recycler.autotune_tick()
         self.total_fired += fired
         return {"ingested": ingested, "fired": fired, "dropped": dropped}
 

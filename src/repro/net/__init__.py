@@ -6,7 +6,7 @@ separate processes per stream and per client" at the edges of the
 engine. This package is that boundary as real sockets:
 
 * :mod:`repro.net.protocol` — the length-prefixed framed wire protocol
-  (JSON or msgpack codecs);
+  (JSON codec);
 * :mod:`repro.net.server` — :class:`~repro.net.server.DataCellServer`,
   the one host of a served engine: its scheduler thread, a socket
   receptor per connected producer, a cursor into a query's result

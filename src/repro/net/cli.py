@@ -37,6 +37,7 @@ from repro.errors import DataCellError, NetError
 from repro.net.client import DataCellClient
 from repro.net.server import DataCellServer
 from repro.sql.lexer import literal_row
+from repro.store import DURABILITY_MODES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "an existing one recovers streams, "
                             "queries and cursors")
     serve.add_argument("--durability", default="async",
-                       choices=("off", "async", "fsync"),
+                       choices=DURABILITY_MODES,
                        help="log write discipline (with --data-dir)")
     serve.add_argument("--segment-rows", type=int, default=4096,
                        help="rows per log segment file")
@@ -105,8 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "comma-separated tuple per line")
     send.add_argument("--batch", type=int, default=64,
                       help="rows per INGEST frame")
-    send.add_argument("--codec", default="json",
-                      choices=("json", "msgpack"))
 
     tail = sub.add_parser("tail", help="follow a standing query or "
                                        "a raw stream")
@@ -118,8 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="stop after N batches (default: forever)")
     tail.add_argument("--timeout", type=float, default=None,
                       help="stop after N idle seconds")
-    tail.add_argument("--codec", default="json",
-                      choices=("json", "msgpack"))
     tail.add_argument("--stream", action="store_true",
                       help="subscribe to a raw stream instead of a "
                            "standing query")
@@ -223,7 +220,6 @@ def _cmd_send(args, out: IO) -> int:
     accepted = shed = 0
     start = time.perf_counter()
     with DataCellClient(args.host, port=args.port,
-                        codec=args.codec,
                         client_name="repro-send") as client:
         for i in range(0, len(rows), max(args.batch, 1)):
             batch = rows[i:i + args.batch]
@@ -271,8 +267,7 @@ def _cmd_tail(args, out: IO, connect_factory=None) -> int:
     """``connect_factory`` (tests) overrides client construction so
     reconnect behavior is drivable without real socket failures."""
     connect = connect_factory or (lambda: DataCellClient(
-        args.host, port=args.port, codec=args.codec,
-        client_name="repro-tail"))
+        args.host, port=args.port, client_name="repro-tail"))
     is_stream = bool(args.stream or args.from_offset is not None)
     resume = _parse_from(args.from_offset)
     seen = 0

@@ -75,7 +75,7 @@ class DataCellClient:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 codec: str = "json", timeout_s: float = 10.0,
+                 timeout_s: float = 10.0,
                  client_name: str = "repro-client"):
         self.host = host
         self.port = port
@@ -95,8 +95,7 @@ class DataCellClient:
                            code="connect") from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._stream = protocol.FrameStream(sock)
-        self._stream.send(protocol.hello(codec=codec,
-                                         client=client_name))
+        self._stream.send(protocol.hello(client=client_name))
         reply = self._read_reply()
         self._stream.set_codec(str(reply.get("codec", "json")))
         self.server_info = reply

@@ -8,11 +8,10 @@ Frame layout (everything big-endian)::
     +----------------+-----------+------------------------+
 
 ``length`` counts the payload only; ``codec`` selects the payload
-encoding (0 = JSON, 1 = msgpack when the optional dependency is
-installed). Every frame carries its codec byte, so a connection can
-negotiate in the HELLO exchange without a chicken-and-egg problem: the
-client sends HELLO in JSON, asks for a codec, and the server answers
-with whatever it actually supports.
+encoding (0 = JSON, the only codec today). Every frame carries its
+codec byte, so a connection can negotiate in the HELLO exchange without
+a chicken-and-egg problem: the client sends HELLO in JSON, asks for a
+codec, and the server answers with whatever it actually supports.
 
 A message is a flat dict with a ``"type"`` field — one of
 :data:`FRAME_TYPES`:
@@ -47,11 +46,6 @@ import threading
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import NetError
-
-try:  # optional accelerator; the container may not ship it
-    import msgpack as _msgpack
-except ImportError:  # pragma: no cover - depends on environment
-    _msgpack = None
 
 PROTOCOL_VERSION = 1
 HEADER = struct.Struct("!IB")  # payload length, codec id
@@ -93,27 +87,8 @@ class JSONCodec:
         return json.loads(payload.decode("utf-8"))
 
 
-class MsgpackCodec:
-    """Codec 1: compact binary framing (optional dependency)."""
-
-    id = 1
-    name = "msgpack"
-
-    @staticmethod
-    def encode(message: Dict[str, Any]) -> bytes:
-        return _msgpack.packb(message, use_bin_type=True,
-                              default=_json_default)
-
-    @staticmethod
-    def decode(payload: bytes) -> Dict[str, Any]:
-        return _msgpack.unpackb(payload, raw=False)
-
-
 _CODECS_BY_NAME = {JSONCodec.name: JSONCodec}
 _CODECS_BY_ID = {JSONCodec.id: JSONCodec}
-if _msgpack is not None:
-    _CODECS_BY_NAME[MsgpackCodec.name] = MsgpackCodec
-    _CODECS_BY_ID[MsgpackCodec.id] = MsgpackCodec
 
 
 def available_codecs() -> List[str]:

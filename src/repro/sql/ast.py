@@ -272,12 +272,11 @@ class CreateStreamStmt(Statement):
 
 
 class CreateIndexStmt(Statement):
-    _fields = ("table", "column", "kind")
+    _fields = ("table", "column")
 
-    def __init__(self, table: str, column: str, kind: str = "hash"):
+    def __init__(self, table: str, column: str):
         self.table = table.lower()
         self.column = column.lower()
-        self.kind = kind
 
 
 class DropStmt(Statement):

@@ -152,10 +152,13 @@ class Parser:
             self._expect("PUNCT", "(")
             column = self._ident()
             self._expect("PUNCT", ")")
-            kind = "hash"
             if self._accept_keyword("using"):
-                kind = self._ident()
-            return ast.CreateIndexStmt(table, column, kind)
+                # both words name the one ColumnIndex
+                token = self.current
+                if self._ident() not in ("hash", "sorted"):
+                    raise ParseError("expected HASH or SORTED after "
+                                     "USING", token)
+            return ast.CreateIndexStmt(table, column)
         raise ParseError("expected TABLE, STREAM or INDEX after CREATE",
                          self.current)
 

@@ -145,16 +145,13 @@ class Table:
 
     # -- indexing ------------------------------------------------------
 
-    def create_index(self, column: str, kind: str = "hash") -> None:
-        """Create a secondary index; ``kind`` is ``hash`` or ``sorted``,
-        two spellings of one :class:`ColumnIndex`."""
+    def create_index(self, column: str) -> None:
+        """Create a secondary :class:`ColumnIndex` on *column*."""
         column = column.lower()
         bat = self.column(column)
         if column in self._indexes:
             raise CatalogError(
                 f"index on {self.name}.{column} already exists")
-        if kind not in ("hash", "sorted"):
-            raise CatalogError(f"unknown index kind {kind!r}")
         self._indexes[column] = ColumnIndex(bat)
 
     def drop_index(self, column: str) -> None:

@@ -51,7 +51,7 @@ from repro.store import segment as seg
 _FORMAT_VERSION = 1
 MANIFEST = "manifest.json"
 ARRIVAL_COLUMN = "__ts"
-DURABILITY_MODES = ("off", "async", "fsync")
+DURABILITY_MODES = ("async", "fsync")
 
 DEFAULT_SEGMENT_ROWS = 4096
 
@@ -89,10 +89,10 @@ class StreamLog:
                  fault: Optional[seg.FaultInjector] = None,
                  retain_ms: Optional[int] = None,
                  retain_bytes: Optional[int] = None):
-        if durability not in ("async", "fsync"):
+        if durability not in DURABILITY_MODES:
             raise StoreError(
-                f"unknown durability mode {durability!r} for a live log "
-                f"(expected 'async' or 'fsync')")
+                f"unknown durability mode {durability!r} "
+                f"(expected one of {DURABILITY_MODES})")
         if segment_rows < 1:
             raise StoreError("segment_rows must be >= 1")
         if retain_ms is not None and retain_ms < 0:

@@ -77,6 +77,13 @@ class TestDotCommands:
             ".queries\n")
         assert "q [reeval]" in out
 
+    def test_queries_listing_shows_fallback_reason(self):
+        out = run_shell(
+            "CREATE STREAM s (k INT);\n"
+            ".register q auto SELECT count(*) FROM s [RANGE 10 SLIDE 3];\n"
+            ".queries\n")
+        assert "q [reeval] (window size 10 is not a multiple" in out
+
     def test_remove(self):
         out = run_shell(
             "CREATE STREAM s (k INT);\n"

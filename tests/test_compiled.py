@@ -298,7 +298,7 @@ class TestInterpPane:
                   "GROUP BY k", "reeval", True)
         pane = engine.monitor.interp()
         assert "plan execution" in pane
-        assert "autotuner" in pane
+        assert "fingerprints:" in pane
 
 
 class TestConstFolding:

@@ -152,6 +152,21 @@ class TestContinuousQueries:
             mode="auto")
         assert q.mode == "reeval"
 
+    def test_mode_auto_keeps_fallback_reason(self, engine):
+        cases = [
+            ("SELECT count(DISTINCT sid) FROM sensors [RANGE 4]",
+             "DISTINCT"),
+            ("SELECT count(*) FROM sensors [RANGE 10 SLIDE 3]",
+             "not a multiple of slide 3"),
+            ("SELECT sid FROM sensors", "no window clause")]
+        for sql, reason in cases:
+            q = engine.register_continuous(sql, mode="auto")
+            assert q.mode == "reeval"
+            assert reason in q.mode_reason
+        q = engine.register_continuous(
+            "SELECT avg(temp) FROM sensors [RANGE 4 SLIDE 2]")
+        assert q.mode == "incremental" and q.mode_reason is None
+
     def test_unknown_mode(self, engine):
         with pytest.raises(StreamError):
             engine.register_continuous("SELECT sid FROM sensors",
@@ -282,11 +297,11 @@ class TestConstructorSurface:
         params = list(inspect.signature(
             DataCellEngine.__init__).parameters)[1:]
         assert params == [
-            "clock", "recycler_enabled", "recycler_budget_bytes",
+            "clock", "recycler_enabled",
             "compile_plans", "interp_profile",
             "data_dir", "durability", "segment_rows",
             "checkpoint_interval_s", "retain_ms", "retain_bytes"]
-        assert len(params) == 11
+        assert len(params) == 10
         assert not hasattr(DataCellEngine, "save")
         assert not hasattr(DataCellEngine, "restore")
 
@@ -304,6 +319,22 @@ class TestConstructorSurface:
             assert f"unknown execution mode {word!r}" in str(err.value)
             assert str(EXECUTION_MODES) in str(err.value)
         assert engine.queries() == []
+
+    def test_durability_modes_are_exactly_these(self, tmp_path):
+        from repro.core.engine import DataCellEngine
+        from repro.store import DURABILITY_MODES
+
+        assert DURABILITY_MODES == ("async", "fsync")
+        for word in ("off", "bogus"):
+            for data_dir in (None, str(tmp_path)):
+                with pytest.raises(StreamError) as err:
+                    DataCellEngine(data_dir=data_dir, durability=word)
+                assert f"unknown durability mode {word!r}" \
+                    in str(err.value)
+                assert str(DURABILITY_MODES) in str(err.value)
+        # an unlogged engine is one without a data_dir
+        engine = DataCellEngine()
+        assert not engine.durable and engine.durability == "off"
 
     def test_recycler_knobs_are_exactly_these(self):
         import inspect

@@ -197,7 +197,7 @@ class TestIndexedFilterPath:
 
     def test_index_probe_used_and_correct(self, emp_catalog):
         sql = "SELECT id, dept FROM emp WHERE id >= 4"
-        emp_catalog.table("emp").create_index("id", "sorted")
+        emp_catalog.table("emp").create_index("id")
         index = emp_catalog.table("emp").index_on("id")
         rows = run_mal(emp_catalog, sql)
         assert rows == run_select(emp_catalog, sql) == [(4, None),
@@ -206,7 +206,7 @@ class TestIndexedFilterPath:
 
     def test_hash_index_equality(self, emp_catalog):
         sql = "SELECT id FROM emp WHERE dept = 'b'"
-        emp_catalog.table("emp").create_index("dept", "hash")
+        emp_catalog.table("emp").create_index("dept")
         index = emp_catalog.table("emp").index_on("dept")
         rows = run_mal(emp_catalog, sql)
         assert rows == run_select(emp_catalog, sql) == [(3,), (5,)]
@@ -214,7 +214,7 @@ class TestIndexedFilterPath:
 
     def test_index_with_extra_conjunct(self, emp_catalog):
         sql = "SELECT id FROM emp WHERE dept = 'b' AND salary > 100"
-        emp_catalog.table("emp").create_index("dept", "hash")
+        emp_catalog.table("emp").create_index("dept")
         assert run_mal(emp_catalog, sql) == [(5,)]
         assert emp_catalog.table("emp").index_on("dept").probes == 1
 

@@ -44,15 +44,6 @@ class TestProtocol:
             frame[:protocol.HEADER.size], frame[protocol.HEADER.size:])
         assert message["count"] == 3
 
-    def test_msgpack_roundtrip_when_available(self):
-        if "msgpack" not in protocol.available_codecs():
-            pytest.skip("msgpack not installed")
-        message = protocol.result("q", 0, 5, ["k"], [[1], [2]])
-        frame = protocol.encode_frame(message, protocol.MsgpackCodec)
-        assert protocol.decode_frame(
-            frame[:protocol.HEADER.size],
-            frame[protocol.HEADER.size:]) == message
-
     def test_unknown_codec_falls_back_to_json(self):
         assert protocol.get_codec("nope") is protocol.JSONCodec
         assert protocol.get_codec("JSON") is protocol.JSONCodec

@@ -59,9 +59,9 @@ def test_indexes_do_not_change_results(emp_catalog):
         "SELECT id FROM emp WHERE dept = 'b' AND salary > 60",
     ]
     plain = [run_mal(emp_catalog, q) for q in queries]
-    emp_catalog.table("emp").create_index("id", "sorted")
-    emp_catalog.table("emp").create_index("dept", "hash")
-    emp_catalog.table("dept").create_index("name", "hash")
+    emp_catalog.table("emp").create_index("id")
+    emp_catalog.table("emp").create_index("dept")
+    emp_catalog.table("dept").create_index("name")
     indexed = [run_mal(emp_catalog, q) for q in queries]
     assert plain == indexed
     assert all(emp_catalog.table(t).index_on(c).probes

@@ -216,7 +216,14 @@ class TestDDL:
 
     def test_create_index(self):
         stmt = parse("CREATE INDEX ON t (a) USING sorted")
-        assert stmt == ast.CreateIndexStmt("t", "a", "sorted")
+        assert stmt == ast.CreateIndexStmt("t", "a")
+        # both words (or none) name the one column index
+        assert parse("CREATE INDEX ON t (a) USING hash") == stmt
+        assert parse("CREATE INDEX ON t (a)") == stmt
+
+    def test_create_index_unknown_kind(self):
+        with pytest.raises(ParseError):
+            parse("CREATE INDEX ON t (a) USING btree")
 
     def test_drop(self):
         assert parse("DROP TABLE t") == ast.DropStmt("table", "t")

@@ -644,100 +644,23 @@ class TestEquivalence:
         assert_recycler_transparent(setup)
 
 
-class TestBudgetAutotuner:
-    """The adaptive budget: grow on eviction churn, shrink when idle,
-    never leave the [floor, ceiling] bracket."""
+class TestFixedBudget:
+    """An engine's recycler runs at one fixed budget: nothing resizes
+    it, and its stats carry no tuner fields."""
 
-    def _active(self, recycler, evictions, hits):
-        """Synthesize one adaptation window's worth of cache events."""
-        recycler.evictions += evictions
-        recycler.hits += hits
-
-    def test_grows_on_thrash(self):
-        r = Recycler(budget_bytes=8192)
-        self._active(r, evictions=300, hits=10)
-        r.autotune_tick()
-        assert r.budget_bytes == 16384
-        assert r.budget_grows == 1
-        assert r.budget_trajectory == [8192, 16384]
-
-    def test_no_decision_below_activity_window(self):
-        r = Recycler(budget_bytes=8192)
-        self._active(r, evictions=100, hits=10)
-        r.autotune_tick()
-        assert r.budget_bytes == 8192
-
-    def test_never_exceeds_ceiling(self):
+    def test_engine_budget_is_the_default(self):
         from repro.core.recycler import DEFAULT_BUDGET_BYTES
 
-        r = Recycler(budget_bytes=8192)
-        for _ in range(20):
-            self._active(r, evictions=300, hits=0)
-            r.autotune_tick()
-        assert r.budget_bytes == DEFAULT_BUDGET_BYTES
-        # a budget configured above the stock ceiling is its own ceiling
-        big = Recycler(budget_bytes=2 * DEFAULT_BUDGET_BYTES)
-        self._active(big, evictions=300, hits=0)
-        big.autotune_tick()
-        assert big.budget_bytes == 2 * DEFAULT_BUDGET_BYTES
+        engine = DataCellEngine()
+        assert engine.recycler.budget_bytes == DEFAULT_BUDGET_BYTES
+        assert engine.interp_stats()["budget_bytes"] \
+            == DEFAULT_BUDGET_BYTES
 
-    def test_shrinks_back_to_floor_when_idle(self):
-        from repro.core.recycler import AUTOTUNE_SHRINK_WINDOWS
-
-        r = Recycler(budget_bytes=8192)
-        self._active(r, evictions=300, hits=10)
-        r.autotune_tick()
-        assert r.budget_bytes == 16384
-        # one idle window is not enough (hysteresis: shrinking on the
-        # first idle window would oscillate against the thrash signal)
-        self._active(r, evictions=0, hits=300)
-        r.autotune_tick()
-        assert r.budget_bytes == 16384
-        # a sustained idle streak walks it back to the floor
-        for _ in range(AUTOTUNE_SHRINK_WINDOWS):
-            self._active(r, evictions=0, hits=300)
-            r.autotune_tick()
-        assert r.budget_bytes == 8192
-        assert r.budget_shrinks == 1
-        # and never below the configured floor
-        for _ in range(AUTOTUNE_SHRINK_WINDOWS + 1):
-            self._active(r, evictions=0, hits=300)
-            r.autotune_tick()
-        assert r.budget_bytes == 8192
-
-    def test_low_churn_window_holds_budget(self):
-        r = Recycler(budget_bytes=8192)
-        # a trickle of evictions (under a quarter of the window, fewer
-        # than hits) is healthy steady-state turnover, not thrash
-        self._active(r, evictions=30, hits=300)
-        r.autotune_tick()
-        assert r.budget_bytes == 8192
-        assert r.budget_grows == 0 and r.budget_shrinks == 0
-
-    def test_disabled_recycler_does_not_tune(self):
-        r = Recycler(budget_bytes=8192, enabled=False)
-        self._active(r, evictions=1000, hits=0)
-        r.autotune_tick()
-        assert r.budget_bytes == 8192
-
-    def test_engine_autotunes_starved_budget(self):
-        """An 8 KB budget under a multi-query workload must tune
-        itself up (the E11c pathology: thousands of evictions at a
-        budget too small to hold one window slice)."""
-        engine = DataCellEngine(recycler_budget_bytes=8192)
-        engine.execute("CREATE STREAM s (k INT, v FLOAT)")
-        for i in range(6):
-            engine.register_continuous(
-                "SELECT k, sum(v) FROM s [RANGE 32 SLIDE 8] "
-                "GROUP BY k", mode="reeval", name=f"q{i}")
-        rows = [(i % 4, float(i % 23)) for i in range(2000)]
-        engine.attach_source("s", RateSource(rows, rate=100000))
-        engine.run_until_drained()
-        assert not engine.scheduler.failed, engine.scheduler.failed
-        assert engine.recycler.budget_grows >= 1
-        assert engine.recycler.budget_bytes > 8192
-        stats = engine.recycler.stats()
-        assert stats["budget_trajectory"][0] == 8192
+    def test_stats_have_no_tuner_keys(self):
+        stats = Recycler(budget_bytes=8192).stats()
+        assert stats["budget_bytes"] == 8192
+        assert {k for k in stats if k.startswith("budget_")} \
+            == {"budget_bytes"}
 
 
 class TestAdmissionCensus:

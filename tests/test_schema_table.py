@@ -115,34 +115,30 @@ class TestTableIndexes:
         with pytest.raises(CatalogError):
             table.create_index("a")
 
-    def test_unknown_kind(self, table):
-        with pytest.raises(CatalogError):
-            table.create_index("a", "btree")
-
     def test_hash_lookup(self, table):
-        table.create_index("a", "hash")
+        table.create_index("a")
         assert table.index_lookup("a", 2).tolist() == [1]
 
     def test_lookup_without_index(self, table):
         assert table.index_lookup("a", 2) is None
 
     def test_index_maintained_on_insert(self, table):
-        table.create_index("a", "hash")
+        table.create_index("a")
         table.insert_row((2, "dup"))
         assert table.index_lookup("a", 2).tolist() == [1, 3]
 
     def test_index_rebuilt_on_delete(self, table):
-        table.create_index("a", "hash")
+        table.create_index("a")
         table.delete_positions(np.array([0], dtype=np.int64))
         assert table.index_lookup("a", 2).tolist() == [0]
 
     def test_sorted_range(self, table):
-        table.create_index("a", "sorted")
+        table.create_index("a")
         assert table.index_range("a", 2, None).tolist() == [1, 2]
 
     def test_hash_index_serves_range(self, table):
-        # both kinds are one sorted-runs index
-        table.create_index("a", "hash")
+        # the one sorted-runs index serves ranges too
+        table.create_index("a")
         assert table.index_range("a", 1, 2).tolist() == [0, 1]
 
     def test_range_without_index(self, table):

@@ -886,14 +886,12 @@ class TestEngineRecovery:
         plain.close()
 
     def test_durability_off_writes_nothing(self, tmp_path):
-        engine = DataCellEngine(clock=SimulatedClock(),
-                                data_dir=str(tmp_path),
-                                durability="off")
-        engine.execute("CREATE STREAM s (sid INT, temp FLOAT)")
-        engine.feed("s", [[1, 1.0]])
-        engine.close()
-        assert not os.path.exists(os.path.join(str(tmp_path),
-                                               "state.json"))
+        # "off" is not a write discipline: an unlogged engine is one
+        # without a data_dir, so the word is refused before any write
+        with pytest.raises(StreamError):
+            DataCellEngine(clock=SimulatedClock(),
+                           data_dir=str(tmp_path), durability="off")
+        assert os.listdir(str(tmp_path)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1138,6 +1136,15 @@ class TestServeCli:
              "--duration", "0.2"], out=out2)
         assert rc == 0
         assert "recovered" in out2.getvalue()
+
+    def test_serve_refuses_durability_off(self, capsys):
+        from repro.net import cli as net_cli
+
+        with pytest.raises(SystemExit) as exc:
+            net_cli._build_parser().parse_args(
+                ["serve", "--durability", "off"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'off'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
