@@ -30,7 +30,7 @@ from typing import (Any, Dict, Iterable, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.errors import StreamError
+from repro.errors import StreamError, TypeMismatchError
 from repro.mal.bat import BAT
 from repro.mal.relation import Relation
 from repro.storage import types as dt
@@ -65,6 +65,18 @@ class Subscription:
     def __repr__(self) -> str:
         return (f"Subscription({self.name}, read={self.read_upto}, "
                 f"released={self.released_upto})")
+
+
+class ColumnBatch:
+    """Rows already transposed into a basket's storage columns (one
+    array per schema column), as :meth:`Basket.columns_of` makes them
+    and :meth:`Basket.append_rows` takes them."""
+
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: List[np.ndarray], rows: int):
+        self.columns = columns
+        self.rows = rows
 
 
 class Basket:
@@ -114,25 +126,42 @@ class Basket:
 
     # -- ingestion --------------------------------------------------------
 
-    def append_rows(self, rows: Iterable[Sequence[Any]], now: int) -> int:
-        """Append tuples with arrival time *now*; returns count. Every
-        producer — a receptor's batch, a literal ``INSERT``, ``feed`` —
-        takes this one path: the rows are transposed once and each
-        column is staged as one storage array outside the lock."""
+    def columns_of(self, rows: Iterable[Sequence[Any]]) -> "ColumnBatch":
+        """*rows* transposed once into this basket's storage columns.
+        Raises :class:`~repro.errors.StreamError` for a row of the
+        wrong width and :class:`~repro.errors.TypeMismatchError`,
+        naming the column, for a value its type cannot hold."""
         rows = rows if isinstance(rows, list) else list(rows)
-        if not rows:
-            return 0
         width = len(self.schema)
-        if set(map(len, rows)) != {width}:
+        if rows and set(map(len, rows)) != {width}:
             raise StreamError(
                 f"basket {self.name}: expected {width} values, got "
                 f"{next(n for n in map(len, rows) if n != width)}")
-        columns = [dt.coerce_column(coldef.dtype, column)
-                   for coldef, column in zip(self.schema.columns,
-                                             zip(*rows))]
+        columns = []
+        for coldef, column in zip(self.schema.columns, zip(*rows)):
+            try:
+                columns.append(dt.coerce_column(coldef.dtype, column))
+            except TypeMismatchError as exc:
+                raise TypeMismatchError(
+                    f"stream {self.name!r}, column {coldef.name!r}: "
+                    f"{exc}") from None
+        return ColumnBatch(columns, len(rows))
+
+    def append_rows(self, rows: Iterable[Sequence[Any]], now: int) -> int:
+        """Append tuples with arrival time *now*; returns count. Every
+        producer — a receptor's batch, a literal ``INSERT``, ``feed`` —
+        takes this one path: the rows are transposed once
+        (:meth:`columns_of`, unless *rows* already is its
+        :class:`ColumnBatch`) and each column is staged as one storage
+        array outside the lock."""
+        batch = rows if isinstance(rows, ColumnBatch) \
+            else self.columns_of(rows)
+        n = batch.rows
+        if not n:
+            return 0
         if self.paused:
             raise StreamError(f"stream {self.name!r} is paused")
-        n = len(rows)
+        columns = batch.columns
         arrival = np.full(n, now, dtype=np.int64)
         with self._lock:
             lo = self.next_oid
@@ -324,8 +353,10 @@ class Basket:
             return lo, hi
 
     def relation(self, lo_oid: Optional[int] = None,
-                 hi_oid: Optional[int] = None) -> Relation:
-        """Tuples with oid in [lo_oid, hi_oid) as a relation.
+                 hi_oid: Optional[int] = None,
+                 columns: Optional[Sequence[str]] = None) -> Relation:
+        """Tuples with oid in [lo_oid, hi_oid) as a relation of
+        *columns* (default: every column, in schema order).
 
         ``lo_oid=None`` means "from the retained head" — exactly the
         live basket, never paged history. An *explicit* ``lo_oid``
@@ -338,7 +369,9 @@ class Basket:
         pager = self._pager
         if (pager is not None and lo_oid is not None
                 and lo_oid < self.first_oid):
-            return self._paged_relation(lo_oid, hi_oid, pager)
+            rel = self._paged_relation(lo_oid, hi_oid, pager)
+            return rel if columns is None else rel.select_columns(columns)
+        names = self.schema.names if columns is None else columns
         with self._lock:
             lo = self.first_oid if lo_oid is None else max(lo_oid,
                                                            self.first_oid)
@@ -348,9 +381,8 @@ class Basket:
             stop = hi - self.first_oid
             if stop < start:
                 stop = start
-            return Relation(
-                (c.name, self._bats[c.name].slice(start, stop))
-                for c in self.schema.columns)
+            return Relation((name, self._bats[name].slice(start, stop))
+                            for name in names)
 
     def _paged_relation(self, lo_oid: int, hi_oid: Optional[int],
                         pager) -> Relation:

@@ -385,7 +385,8 @@ class IncrementalFactory(Factory):
             return
         for stream, tracker in self.cursors.items():
             for j, lo, hi in tracker.new_basic_windows(now):
-                slice_rel = self.baskets[stream].relation(lo, hi)
+                slice_rel = self.baskets[stream].relation(
+                    lo, hi, self.executor.slice_columns.get(stream))
                 self.tuples_in += slice_rel.row_count
                 started = time.perf_counter()
                 try:

@@ -398,6 +398,18 @@ class IncrementalExecutor:
             None if None in programs.values() else programs
         self.aggregator = PartialAggregator(analysis.agg) \
             if analysis.agg is not None else None
+        # per stream, the columns the per-basic-window programs bind:
+        # all a basic window's slice of the basket needs to hold
+        self.slice_columns: Dict[str, List[str]] = {}
+        for role, program in analysis.programs.items():
+            if role in ("pair", "tail"):
+                continue
+            for ins in program.instructions:
+                if ins.opcode in ("sql.bind", "basket.bind"):
+                    names = self.slice_columns.setdefault(
+                        ins.args[0].value, [])
+                    if ins.args[1].value not in names:
+                        names.append(ins.args[1].value)
         self._slices: Dict[Tuple[str, int], Relation] = {}
         self._partials: Dict[Tuple[str, int], Dict] = {}
         self._pairs: Dict[Tuple[int, int], Relation] = {}

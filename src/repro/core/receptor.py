@@ -15,8 +15,8 @@ import queue
 from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
-from repro.core.basket import Basket
-from repro.errors import StoreError, StreamError
+from repro.core.basket import Basket, ColumnBatch
+from repro.errors import StoreError, StreamError, TypeMismatchError
 from repro.streams.source import StreamSource
 
 
@@ -101,10 +101,12 @@ class SocketReceptor(Receptor):
     A connection thread :meth:`offer`\\ s row batches into a bounded
     *admission queue* and then signals *wake* (the serving loop's);
     the scheduler's pump phase drains queued batches into the basket,
-    so socket ingestion overlaps factory firing. The bound is the one
-    backpressure valve, whether the net or the disk is slow (the step
-    that pumps also commits the stream's log, so a slow write slows
-    the draining):
+    so socket ingestion overlaps factory firing. A batch is coerced to
+    the basket's storage columns on admission, so one that does not
+    fit the stream is refused to its producer and never reaches the
+    serving loop. The bound is the one backpressure valve, whether the
+    net or the disk is slow (the step that pumps also commits the
+    stream's log, so a slow write slows the draining):
 
     * ``policy="block"`` — a full queue makes ``offer`` wait (up to
       ``block_timeout_s``) for the scheduler to drain, propagating
@@ -130,7 +132,7 @@ class SocketReceptor(Receptor):
         self.max_pending = max_pending
         self.block_timeout_s = block_timeout_s
         self._wake = wake
-        self._queue: "queue.Queue[List[Sequence[Any]]]" = \
+        self._queue: "queue.Queue[ColumnBatch]" = \
             queue.Queue(maxsize=max_pending)
         self.closed = False
         self.exhausted = False  # live until closed *and* drained
@@ -143,36 +145,40 @@ class SocketReceptor(Receptor):
     def offer(self, rows: Sequence[Sequence[Any]]) -> int:
         """Admit one batch; returns the number of rows accepted (0 when
         the batch was shed). Raises :class:`StreamError` when paused,
-        closed, or when a blocking admission times out, and
+        closed, or when a blocking admission times out,
         :class:`~repro.errors.StoreError` once the stream's log has
-        failed."""
+        failed, and :class:`~repro.errors.TypeMismatchError` for a
+        batch that does not fit the stream."""
         if self.paused:
             raise StreamError(f"receptor {self.name!r} is paused")
         if self.closed:
             raise StreamError(f"receptor {self.name!r} is closed")
         if self.basket.log is not None:
             self.basket.log.raise_if_failed()
-        batch = [list(row) for row in rows]
-        if not batch:
+        try:
+            batch = self.basket.columns_of(rows)
+        except StreamError as exc:  # a row of the wrong width
+            raise TypeMismatchError(str(exc)) from None
+        if not batch.rows:
             return 0
-        self.total_offered += len(batch)
+        self.total_offered += batch.rows
         try:
             self._queue.put_nowait(batch)
         except queue.Full:
             if self.policy == "shed":
-                self.total_shed += len(batch)
+                self.total_shed += batch.rows
                 return 0
             self.total_blocked += 1
             try:
                 self._queue.put(batch, timeout=self.block_timeout_s)
             except queue.Full:
-                self.total_shed += len(batch)
+                self.total_shed += batch.rows
                 raise StreamError(
                     f"receptor {self.name!r}: admission queue full for "
                     f"{self.block_timeout_s}s (scheduler not draining)"
                 ) from None
         self._wake()  # enqueue, then signal: early at worst, never lost
-        return len(batch)
+        return batch.rows
 
     # -- scheduler side -------------------------------------------------
 
@@ -192,7 +198,7 @@ class SocketReceptor(Receptor):
             try:
                 appended += self.basket.append_rows(batch, now)
             except StoreError:
-                self.total_shed += len(batch)
+                self.total_shed += batch.rows
         self.total_ingested += appended
         if self.closed and self._queue.empty():
             self.exhausted = True

@@ -158,11 +158,11 @@ class DataCellClient:
         """Ship one batch; returns the accepted row count.
 
         Raises :class:`NetError` with ``code="shed"`` when the server's
-        admission queue rejected the batch (shed policy), and with
-        ``code="overload"`` when a blocking admission timed out.
+        admission queue rejected the batch (shed policy), with
+        ``code="overload"`` when a blocking admission timed out, and
+        with ``code="bad_row"`` when a row does not fit the stream.
         """
-        reply = self._request(protocol.ingest(
-            stream, [list(r) for r in rows], seq=seq))
+        reply = self._request(protocol.ingest(stream, rows, seq=seq))
         return int(reply.get("accepted", 0))
 
     # -- subscriber side -----------------------------------------------

@@ -35,15 +35,23 @@ A message is a flat dict with a ``"type"`` field — one of
 Row values travel as plain lists; NULL is ``null``/``None``. The JSON
 codec serializes numpy scalars via ``.item()`` so engine counters and
 column values need no special casing.
+
+The JSON codec runs on ``orjson`` and is value-identical to the
+stdlib ``json`` module: each input on which the two differ takes the
+``json`` path instead (see :class:`JSONCodec`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 import threading
 from typing import Any, Dict, List, Optional, Sequence
+
+import numpy as np
+import orjson
 
 from repro.errors import NetError
 
@@ -71,20 +79,69 @@ def _json_default(value: Any):
                     f"on the wire")
 
 
+# not OPT_SERIALIZE_NUMPY: it writes a float32 as its own shortest
+# repr (0.1) where json writes the double ``.item()`` gives
+# (0.10000000149011612); numpy scalars take `_json_default` instead
+_ORJSON_OPTIONS = orjson.OPT_NON_STR_KEYS
+# orjson reads an integer literal outside [-2**63, 2**64) as a float,
+# and every such literal is a run of at least 19 digits
+_DIGITS_AS_9 = bytes.maketrans(b"0123456789", b"9" * 10)
+_WIDE_INT = b"9" * 19
+
+
+def _nonfinite(value: Any) -> bool:
+    """Whether *value* holds a NaN or an infinity, which ``json``
+    writes as ``NaN``/``Infinity`` and ``orjson`` as ``null``."""
+    if isinstance(value, (float, np.floating)):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        return any(map(_nonfinite, value)) \
+            or any(map(_nonfinite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(map(_nonfinite, value))
+    return False
+
+
 class JSONCodec:
-    """Codec 0: always available, human-debuggable."""
+    """Codec 0: always available, human-debuggable.
+
+    ``orjson`` does the work; ``json`` takes the inputs on which the
+    two would differ, so every message means what ``json`` makes of
+    it. Decoding: a payload with a run of 19 or more digits (it may
+    hold an integer beyond 64 bits, which ``orjson`` reads as a float)
+    and one ``orjson`` refuses (``NaN``/``Infinity`` tokens, lone
+    surrogates). Encoding: a message ``orjson`` refuses (an integer
+    beyond 64 bits, a lone surrogate) and one holding a NaN or an
+    infinity, looked for only when the output has a ``null``.
+    """
 
     id = 0
     name = "json"
 
     @staticmethod
     def encode(message: Dict[str, Any]) -> bytes:
-        return json.dumps(message, separators=(",", ":"),
-                          default=_json_default).encode("utf-8")
+        try:
+            out = orjson.dumps(message, default=_json_default,
+                               option=_ORJSON_OPTIONS)
+        except TypeError:
+            return _json_encode(message)
+        if b"null" in out and _nonfinite(message):
+            return _json_encode(message)
+        return out
 
     @staticmethod
     def decode(payload: bytes) -> Dict[str, Any]:
+        if _WIDE_INT not in payload.translate(_DIGITS_AS_9):
+            try:
+                return orjson.loads(payload)
+            except orjson.JSONDecodeError:
+                pass
         return json.loads(payload.decode("utf-8"))
+
+
+def _json_encode(message: Dict[str, Any]) -> bytes:
+    return json.dumps(message, separators=(",", ":"),
+                      default=_json_default).encode("utf-8")
 
 
 _CODECS_BY_NAME = {JSONCodec.name: JSONCodec}

@@ -61,7 +61,7 @@ from repro.core.engine import DataCellEngine
 from repro.core.live import ServingLoop, wait_until
 from repro.core.receptor import SocketReceptor
 from repro.errors import CatalogError, DataCellError, NetError, \
-    StoreError, StreamError
+    StoreError, StreamError, TypeMismatchError
 from repro.net import protocol
 from repro.net.aio import IOLoop
 from repro.pg.server import PGEdge
@@ -606,6 +606,10 @@ class DataCellServer:
                     .run_in_executor(None, receptor.offer, rows)
             else:
                 accepted = receptor.offer(rows)
+        except TypeMismatchError as exc:  # the batch does not fit
+            await conn.send(protocol.error(
+                "bad_row", str(exc), stream=stream_name, seq=seq))
+            return
         except StreamError as exc:
             await conn.send(protocol.error(
                 "overload", str(exc), stream=stream_name, seq=seq))

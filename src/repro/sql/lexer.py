@@ -13,16 +13,17 @@ follows ``VALUES`` or the ``,`` after such a row. Any other row is
 tokenised cell by cell and parsed as expressions, and so is a row with
 an integer not strictly inside int64, whose meaning binding gives it: a
 ``ROW``'s values are stored as they stand. A whole list of rows
-free of strings is first decoded by one ``json.loads`` (JSON's number
+free of strings is first decoded by one ``orjson.loads`` (JSON's number
 grammar is a subset of SQL's, with the same values); text JSON rejects
 takes the row-by-row regex path.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from typing import List
+
+import orjson
 
 from repro.errors import LexerError
 
@@ -163,14 +164,15 @@ def _literal_list(text: str, pos: int, tokens: List[Token]) -> int:
     stop = text.find(";", pos)
     body = text[pos:] if stop < 0 else text[pos:stop]
     # a JSON string is an SQL quoted identifier; a wide number may sit
-    # at int64's edge, which the row by row path checks
+    # at int64's edge, which the row by row path checks (and orjson
+    # would read one beyond 64 bits as a float)
     if '"' in body or _WIDE.search(body):
         return pos
     try:
         # lower-casing makes NULL/TRUE/FALSE JSON's words and the NaN
-        # and Infinity JSON would take names it rejects
-        rows = json.loads("[" + body.lower().translate(_AS_JSON) + "]")
-    except (ValueError, RecursionError):
+        # and Infinity json.loads would take names JSON rejects
+        rows = orjson.loads("[" + body.lower().translate(_AS_JSON) + "]")
+    except orjson.JSONDecodeError:
         return pos
     # a row is a list with its own "(": one "(" per row, none nested
     if not rows or body.count("(") != len(rows) \

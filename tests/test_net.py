@@ -386,6 +386,23 @@ class TestServer:
                 client.subscribe("nope")
             assert exc.value.code == "no_query"
 
+    def test_mistyped_row_is_refused_and_the_loop_lives_on(self, server):
+        with DataCellClient(port=server.port) as client:
+            client.subscribe("q")
+            with pytest.raises(NetError) as exc:
+                client.ingest("s", [[1, 1.0], ["x", 2.0]])
+            assert exc.value.code == "bad_row"
+            assert "column 'k'" in str(exc.value)
+            with pytest.raises(NetError) as exc:
+                client.ingest("s", [[1, 1.0, 3]])
+            assert exc.value.code == "bad_row"
+            assert client.ingest("s", [[7, 2.0]]) == 1
+            batches = client.results(max_batches=1, timeout=5.0)
+            assert [b.rows for b in batches] == [[(7, 2.0)]]
+            stats = client.stats()
+            assert stats["net"]["running"] is True
+            assert stats["baskets"]["s"]["total_in"] == 1
+
     def test_duplicate_subscribe_rejected(self, server):
         with DataCellClient(port=server.port) as client:
             client.subscribe("q")
